@@ -147,6 +147,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 2:
+        raise SystemExit("error: --max-N must be >= 2")
     names = SUITES if args.suite == "all" else (args.suite,)
     outcomes = run_suites(names, args.max_n, args.seed, args.draws)
     failures = [o for o in outcomes if not o.ok]

@@ -11,6 +11,11 @@ zero on the full (n, x) grid.
 Eliminating yhat reproduces the base family's three-term recurrence, which
 pins the coefficient products to the recurrence data (the requirement
 system checked by verify_requirements).
+
+Every per-case fact (sextet, Christoffel parameter, matrix, spectrum,
+eigenvector layout, doubled system, algebra, gallery defaults) is written
+once, in the CaseRecord of CASE_TABLE; the other modules look facts up
+there instead of branching on the case.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .exact import RationalLike
+from .exact import RationalLike, ScaledRoot
 from .families import (
     DualHahnParams,
     FamilyParams,
@@ -29,6 +34,8 @@ from .families import (
     family_eval,
     recurrence_data,
 )
+
+F = Fraction
 
 
 class FamilyMismatch(TypeError):
@@ -49,17 +56,12 @@ class DoubleCase(Enum):
     RACAH_IV = "RacahIV"
 
     @property
+    def record(self) -> "CaseRecord":
+        return CASE_TABLE[self]
+
+    @property
     def family(self) -> type:
-        if self.name.startswith("DUAL"):
-            return DualHahnParams
-        if self.name.startswith("HAHN"):
-            return HahnParams
-        return RacahParams
-
-
-DUAL_HAHN_CASES = (DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II, DoubleCase.DUAL_HAHN_III)
-HAHN_CASES = (DoubleCase.HAHN_I, DoubleCase.HAHN_II, DoubleCase.HAHN_III, DoubleCase.HAHN_IV)
-RACAH_CASES = (DoubleCase.RACAH_I, DoubleCase.RACAH_II, DoubleCase.RACAH_III, DoubleCase.RACAH_IV)
+        return CASE_TABLE[self].family
 
 
 @dataclass(frozen=True)
@@ -91,146 +93,63 @@ class CoefficientSextet:
         return replace(self, **{which: lambda t, old=old: -old(t)})
 
 
-def _require(params: FamilyParams, cls: type, case: DoubleCase) -> None:
-    if not isinstance(params, cls):
-        raise FamilyMismatch(f"{case.value} needs {cls.__name__}, got {type(params).__name__}")
+@dataclass(frozen=True)
+class CaseRecord:
+    """Every per-case fact of one doubling case.  Callables take the case's
+    family parameters p; an entry left None means the case has no closed
+    form of that construction."""
+
+    family: type
+    # hatted parameters, xshift and the six coefficient functions
+    sextet: Callable[[FamilyParams], dict]
+    # kernel-transform parameter mapping the family onto its hatted partner
+    nu: Callable[[FamilyParams], Fraction]
+    # matrix dimension 2N+2 when True, else 2N+1 (one zero eigenvalue)
+    even_dim: bool
+    # offdiagonal squares M_k^2 of the symmetric matrix
+    squares: Optional[Callable[[FamilyParams], List[Fraction]]] = None
+    # k-th eigenvalue square; k = 0 gives the zero eigenvalue of odd dimension
+    eig_square: Optional[Callable[[FamilyParams, int], Fraction]] = None
+    # gallery parameters and their defaults (None: filled in from N)
+    defaults: Optional[Dict[str, Optional[Fraction]]] = None
+    # U's even rows use the family with delta shifted by this much; its
+    # hatted partner gives the odd rows
+    u_delta_shift: Optional[int] = None
+    # (superdiagonal, subdiagonal) of the integer-friendly form
+    nonsym: Optional[Callable[[FamilyParams], Tuple[list, list]]] = None
+    # constant multiplying q * (hatted polynomial) in P_{2n+1}
+    odd_prefactor: Optional[Callable[[FamilyParams, int], ScaledRoot]] = None
+    # [J_plus, J_minus] diagonal at J_0 entry j0 and parity entry, and the
+    # sign relating it to the normal form of the generator algebra
+    commutator: Optional[Callable[[FamilyParams, Fraction, Fraction], Fraction]] = None
+    commutator_sign: int = 1
+
+    def dim(self, N: int) -> int:
+        return 2 * N + 2 if self.even_dim else 2 * N + 1
+
+    def eig_squares(self, p: FamilyParams) -> List[Fraction]:
+        """Eigenvalue squares with the zero of odd dimension omitted."""
+        return [self.eig_square(p, k) for k in range(0 if self.even_dim else 1, p.N + 1)]
+
+
+def case_record(case: DoubleCase, params: FamilyParams) -> CaseRecord:
+    """The case's record, once params are known to belong to its family."""
+    rec = CASE_TABLE[case]
+    if not isinstance(params, rec.family):
+        raise FamilyMismatch(
+            f"{case.value} needs {rec.family.__name__}, got {type(params).__name__}")
+    return rec
 
 
 def coefficients(case: DoubleCase, params: FamilyParams) -> CoefficientSextet:
     """The exact coefficient sextet of a doubling case."""
-    F = Fraction
-    if case in DUAL_HAHN_CASES:
-        _require(params, DualHahnParams, case)
-        g, d_, N = params.gamma, params.delta, params.N
-        if case is DoubleCase.DUAL_HAHN_I:
-            return CoefficientSextet(
-                case, params,
-                hatted=DualHahnParams(g + 1, d_ + 1, N - 1), xshift=F(-1),
-                a=lambda n: F(1),
-                b=lambda n: F(-1),
-                a_hat=lambda n: -(n + 1) * (N - n + d_),
-                b_hat=lambda n: (N - n - 1) * (n + g + 2),
-                d=lambda x: N * (g + 1),
-                d_hat=lambda x: x * (x + g + d_ + 1) / (N * (g + 1)),
-            )
-        if case is DoubleCase.DUAL_HAHN_II:
-            return CoefficientSextet(
-                case, params,
-                hatted=DualHahnParams(g, d_, N - 1), xshift=F(0),
-                a=lambda n: n - d_ - N,
-                b=lambda n: -(n + g + 1),
-                a_hat=lambda n: F(n + 1),
-                b_hat=lambda n: F(-(n - N + 1)),
-                d=lambda x: F(N),
-                d_hat=lambda x: -(N - x) * (x + g + d_ + N + 1) / N,
-            )
-        return CoefficientSextet(
-            case, params,
-            hatted=DualHahnParams(g + 1, d_ - 1, N), xshift=F(0),
-            a=lambda n: -(n - d_ - N),
-            b=lambda n: F(n - N),
-            a_hat=lambda n: F(-(n + 1)),
-            b_hat=lambda n: n + g + 2,
-            d=lambda x: g + 1,
-            d_hat=lambda x: (x + g + 1) * (x + d_) / (g + 1),
-        )
+    return CoefficientSextet(case, params, **case_record(case, params).sextet(params))
 
-    if case in HAHN_CASES:
-        _require(params, HahnParams, case)
-        al, be, N = params.alpha, params.beta, params.N
-        s = al + be
-        if case is DoubleCase.HAHN_I:
-            # relation 2 carries the opposite overall sign from relation 1's
-            # natural gauge; d absorbs it so the requirement system closes.
-            return CoefficientSextet(
-                case, params,
-                hatted=HahnParams(al + 1, be, N), xshift=F(0),
-                a=lambda n: (n + s + N + 2) / (2 * n + s + 2),
-                b=lambda n: -(N - n) / (2 * n + s + 2),
-                a_hat=lambda n: (n + 1) * (n + be + 1) / (2 * n + s + 3),
-                b_hat=lambda n: -(n + s + 2) * (n + al + 2) / (2 * n + s + 3),
-                d=lambda x: -(al + 1),
-                d_hat=lambda x: (al + x + 1) / (al + 1),
-            )
-        if case is DoubleCase.HAHN_II:
-            return CoefficientSextet(
-                case, params,
-                hatted=HahnParams(al + 1, be, N - 1), xshift=F(-1),
-                a=lambda n: 1 / (2 * n + s + 2),
-                b=lambda n: -1 / (2 * n + s + 2),
-                a_hat=lambda n: (n + 1) * (n + be + 1) * (n + s + N + 2) / (2 * n + s + 3),
-                b_hat=lambda n: -(n + s + 2) * (N - n - 1) * (n + al + 2) / (2 * n + s + 3),
-                d=lambda x: -N * (al + 1),
-                d_hat=lambda x: x / (N * (al + 1)),
-            )
-        if case is DoubleCase.HAHN_III:
-            return CoefficientSextet(
-                case, params,
-                hatted=HahnParams(al, be + 1, N), xshift=F(0),
-                a=lambda n: (n + be + 1) * (n + N + 2 + s) / (2 * n + s + 2),
-                b=lambda n: (N - n) * (n + al + 1) / (2 * n + s + 2),
-                a_hat=lambda n: (n + 1) / (2 * n + s + 3),
-                b_hat=lambda n: (n + s + 2) / (2 * n + s + 3),
-                d=lambda x: F(1),
-                d_hat=lambda x: be + 1 + N - x,
-            )
-        return CoefficientSextet(
-            case, params,
-            hatted=HahnParams(al, be + 1, N - 1), xshift=F(0),
-            a=lambda n: (n + be + 1) / (2 * n + s + 2),
-            b=lambda n: (n + al + 1) / (2 * n + s + 2),
-            a_hat=lambda n: (n + 1) * (n + s + N + 2) / (2 * n + s + 3),
-            b_hat=lambda n: (N - n - 1) * (n + s + 2) / (2 * n + s + 3),
-            d=lambda x: F(N),
-            d_hat=lambda x: (N - x) / N,
-        )
 
-    _require(params, RacahParams, case)
-    al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
-    s = al + be
-    if case is DoubleCase.RACAH_I:
-        return CoefficientSextet(
-            case, params,
-            hatted=RacahParams(al, be + 1, ga + 1, de - 1, params.minus_n), xshift=F(0),
-            a=lambda n: -(n - de + al + 1) * (n + be + 1) / (2 * n + s + 2),
-            b=lambda n: (n + be + de + 1) * (n + al + 1) / (2 * n + s + 2),
-            a_hat=lambda n: -(n + 1) * (n - ga + s + 1) / (2 * n + s + 3),
-            b_hat=lambda n: (n + s + 2) * (n + ga + 2) / (2 * n + s + 3),
-            d=lambda x: ga + 1,
-            d_hat=lambda x: (x + de) * (x + ga + 1) / (ga + 1),
-        )
-    if case is DoubleCase.RACAH_II:
-        return CoefficientSextet(
-            case, params,
-            hatted=RacahParams(al, be + 1, ga, de, params.minus_n), xshift=F(0),
-            a=lambda n: -(n - ga + s + 1) * (n + be + 1) / (2 * n + s + 2),
-            b=lambda n: (n + ga + 1) * (n + al + 1) / (2 * n + s + 2),
-            a_hat=lambda n: -(n + 1) * (n - de + al + 1) / (2 * n + s + 3),
-            b_hat=lambda n: (n + be + de + 2) * (n + s + 2) / (2 * n + s + 3),
-            d=lambda x: be + de + 1,
-            d_hat=lambda x: (x + be + de + 1) * (x + ga - be) / (be + de + 1),
-        )
-    if case is DoubleCase.RACAH_III:
-        return CoefficientSextet(
-            case, params,
-            hatted=RacahParams(al + 1, be, ga + 1, de + 1, params.minus_n), xshift=F(-1),
-            a=lambda n: -1 / (2 * n + s + 2),
-            b=lambda n: 1 / (2 * n + s + 2),
-            a_hat=lambda n: -(n + 1) * (n - ga + s + 1) * (n - de + al + 1) * (n + be + 1) / (2 * n + s + 3),
-            b_hat=lambda n: (n + ga + 2) * (n + be + de + 2) * (n + al + 2) * (n + s + 2) / (2 * n + s + 3),
-            d=lambda x: (ga + 1) * (be + de + 1) * (al + 1),
-            d_hat=lambda x: x * (x + ga + de + 1) / ((ga + 1) * (be + de + 1) * (al + 1)),
-        )
-    return CoefficientSextet(
-        case, params,
-        hatted=RacahParams(al + 1, be, ga, de, params.minus_n), xshift=F(0),
-        a=lambda n: -(n - ga + s + 1) * (n - de + al + 1) / (2 * n + s + 2),
-        b=lambda n: (n + ga + 1) * (n + be + de + 1) / (2 * n + s + 2),
-        a_hat=lambda n: -(n + 1) * (n + be + 1) / (2 * n + s + 3),
-        b_hat=lambda n: (n + al + 2) * (n + s + 2) / (2 * n + s + 3),
-        d=lambda x: al + 1,
-        d_hat=lambda x: (x + ga + de - al) * (x + al + 1) / (al + 1),
-    )
+def christoffel_nu(case: DoubleCase, params: FamilyParams) -> Fraction:
+    """The kernel-transform parameter at which the case's base family maps
+    onto its hatted partner."""
+    return case_record(case, params).nu(params)
 
 
 def _lazy_sum(*terms) -> Fraction:
@@ -364,28 +283,372 @@ def locate_failure(cs: CoefficientSextet) -> str | None:
     return None
 
 
-def christoffel_nu(case: DoubleCase, params: FamilyParams) -> Fraction:
-    """The kernel-transform parameter at which the case's base family maps
-    onto its hatted partner."""
-    _require(params, case.family, case)
-    if case is DoubleCase.DUAL_HAHN_I:
-        return Fraction(0)
-    if case is DoubleCase.DUAL_HAHN_II:
-        return Fraction(params.N)
-    if case is DoubleCase.DUAL_HAHN_III:
-        return -params.delta
-    if case is DoubleCase.HAHN_I:
-        return -params.alpha - 1
-    if case is DoubleCase.HAHN_II:
-        return Fraction(0)
-    if case is DoubleCase.HAHN_III:
-        return params.N + params.beta + 1
-    if case is DoubleCase.HAHN_IV:
-        return Fraction(params.N)
-    if case is DoubleCase.RACAH_I:
-        return -params.delta
-    if case is DoubleCase.RACAH_II:
-        return params.beta - params.gamma
-    if case is DoubleCase.RACAH_III:
-        return Fraction(0)
-    return -params.alpha - 1
+# ---------------------------------------------------------------------------
+# per-case formulas, paired with their cases in CASE_TABLE below
+
+_DUAL_HAHN_DEFAULTS = {"gamma": F(1, 2), "delta": F(1, 3)}
+_HAHN_DEFAULTS = {"alpha": F(1, 2), "beta": F(1, 3)}
+# beta None: the gallery builder fills in N + gamma + 2
+_RACAH_DEFAULTS = {"beta": None, "gamma": F(1, 3), "delta": F(1, 5)}
+
+
+def _dual_hahn_i(p: DualHahnParams) -> dict:
+    g, d_, N = p.gamma, p.delta, p.N
+    return dict(
+        hatted=DualHahnParams(g + 1, d_ + 1, N - 1), xshift=F(-1),
+        a=lambda n: F(1),
+        b=lambda n: F(-1),
+        a_hat=lambda n: -(n + 1) * (N - n + d_),
+        b_hat=lambda n: (N - n - 1) * (n + g + 2),
+        d=lambda x: N * (g + 1),
+        d_hat=lambda x: x * (x + g + d_ + 1) / (N * (g + 1)),
+    )
+
+
+def _dual_hahn_i_squares(p: DualHahnParams) -> List[Fraction]:
+    g, d, N = p.gamma, p.delta, p.N
+    sq = []
+    for k in range(N):
+        sq.extend([(k + g + 1) * (N - k), (k + 1) * (N + d - k)])
+    return sq
+
+
+def _dual_hahn_i_nonsym(p: DualHahnParams) -> Tuple[list, list]:
+    g, d, N = p.gamma, p.delta, p.N
+    sup, sub = [], []
+    for k in range(N):
+        sup.extend([g + k + 1, F(k + 1)])
+        sub.extend([F(N - k), N + d - k])
+    return sup, sub
+
+
+def _dual_hahn_i_prefactor(p: DualHahnParams, n: int) -> ScaledRoot:
+    g, N = p.gamma, p.N
+    return ScaledRoot(F(-1, 1) / ((g + 1) * N), (n + g + 1) * (N - n) / 2)
+
+
+def _dual_hahn_i_commutator(p: DualHahnParams, j0: Fraction, par: Fraction) -> Fraction:
+    g, d, N = p.gamma, p.delta, p.N
+    return 2 * j0 + 2 * (g + d + 1) * j0 * par - (2 * N + 1) * (g - d) * par + (g - d)
+
+
+def _dual_hahn_ii(p: DualHahnParams) -> dict:
+    g, d_, N = p.gamma, p.delta, p.N
+    return dict(
+        hatted=DualHahnParams(g, d_, N - 1), xshift=F(0),
+        a=lambda n: n - d_ - N,
+        b=lambda n: -(n + g + 1),
+        a_hat=lambda n: F(n + 1),
+        b_hat=lambda n: F(-(n - N + 1)),
+        d=lambda x: F(N),
+        d_hat=lambda x: -(N - x) * (x + g + d_ + N + 1) / N,
+    )
+
+
+def _dual_hahn_ii_squares(p: DualHahnParams) -> List[Fraction]:
+    g, d, N = p.gamma, p.delta, p.N
+    sq = []
+    for k in range(N):
+        sq.extend([(N + d - k) * (N - k), (k + 1) * (k + g + 1)])
+    return sq
+
+
+def _dual_hahn_ii_nonsym(p: DualHahnParams) -> Tuple[list, list]:
+    g, d, N = p.gamma, p.delta, p.N
+    sup, sub = [], []
+    for k in range(N):
+        sup.extend([g + N - k, F(k + 1)])
+        sub.extend([F(N - k), d + k + 1])
+    return sup, sub
+
+
+def _dual_hahn_ii_commutator(p: DualHahnParams, j0: Fraction, par: Fraction) -> Fraction:
+    g, d, N = p.gamma, p.delta, p.N
+    return -2 * j0 + 2 * (g + d + 2 * N + 1) * j0 * par + (2 * N + 1) * (g - d) * par - (g - d)
+
+
+def _dual_hahn_iii(p: DualHahnParams) -> dict:
+    g, d_, N = p.gamma, p.delta, p.N
+    return dict(
+        hatted=DualHahnParams(g + 1, d_ - 1, N), xshift=F(0),
+        a=lambda n: -(n - d_ - N),
+        b=lambda n: F(n - N),
+        a_hat=lambda n: F(-(n + 1)),
+        b_hat=lambda n: n + g + 2,
+        d=lambda x: g + 1,
+        d_hat=lambda x: (x + g + 1) * (x + d_) / (g + 1),
+    )
+
+
+def _dual_hahn_iii_squares(p: DualHahnParams) -> List[Fraction]:
+    g, d, N = p.gamma, p.delta, p.N
+    sq = []
+    for k in range(N + 1):
+        sq.append((k + g + 1) * (N + d + 1 - k))
+        if k < N:
+            sq.append(F((k + 1) * (N - k)))
+    return sq
+
+
+def _dual_hahn_iii_nonsym(p: DualHahnParams) -> Tuple[list, list]:
+    g, d, N = p.gamma, p.delta, p.N
+    sup, sub = [], []
+    for k in range(N + 1):
+        sup.append(g + k + 1)
+        sub.append(d + N + 1 - k)
+        if k < N:
+            sup.append(F(k + 1))
+            sub.append(F(N - k))
+    return sup, sub
+
+
+def _dual_hahn_iii_commutator(p: DualHahnParams, j0: Fraction, par: Fraction) -> Fraction:
+    g, d, N = p.gamma, p.delta, p.N
+    return (2 * j0 + 2 * (g - d) * j0 * par
+            - ((2 * N + 2) * (g + d + 1) + (2 * g + 1) * (2 * d + 1)) * par + (g - d))
+
+
+def _hahn_i(p: HahnParams) -> dict:
+    al, be, N = p.alpha, p.beta, p.N
+    s = al + be
+    # relation 2 carries the opposite overall sign from relation 1's
+    # natural gauge; d absorbs it so the requirement system closes.
+    return dict(
+        hatted=HahnParams(al + 1, be, N), xshift=F(0),
+        a=lambda n: (n + s + N + 2) / (2 * n + s + 2),
+        b=lambda n: -(N - n) / (2 * n + s + 2),
+        a_hat=lambda n: (n + 1) * (n + be + 1) / (2 * n + s + 3),
+        b_hat=lambda n: -(n + s + 2) * (n + al + 2) / (2 * n + s + 3),
+        d=lambda x: -(al + 1),
+        d_hat=lambda x: (al + x + 1) / (al + 1),
+    )
+
+
+def _hahn_paired_squares(a: Fraction, b: Fraction, N: int) -> List[Fraction]:
+    """Offdiagonal squares of the first Hahn case's matrix; the third case
+    has the same with alpha and beta swapped."""
+    s = a + b
+    sq = []
+    for k in range(N + 1):
+        sq.append((k + a + 1) * (k + s + 1) * (k + s + 2 + N)
+                  / ((2 * k + s + 1) * (2 * k + s + 2)))
+        if k < N:
+            sq.append((k + b + 1) * (k + 1) * (N - k)
+                      / ((2 * k + s + 2) * (2 * k + s + 3)))
+    return sq
+
+
+def _hahn_i_prefactor(p: HahnParams, n: int) -> ScaledRoot:
+    a, b, N = p.alpha, p.beta, p.N
+    s = a + b
+    rad = ((n + a + 1) * (n + s + 1) * (2 * n + 2 + s)
+           / (2 * (n + N + s + 2) * (2 * n + s + 1)))
+    return ScaledRoot(F(-1, 1) / (a + 1), rad)
+
+
+def _hahn_ii(p: HahnParams) -> dict:
+    al, be, N = p.alpha, p.beta, p.N
+    s = al + be
+    return dict(
+        hatted=HahnParams(al + 1, be, N - 1), xshift=F(-1),
+        a=lambda n: 1 / (2 * n + s + 2),
+        b=lambda n: -1 / (2 * n + s + 2),
+        a_hat=lambda n: (n + 1) * (n + be + 1) * (n + s + N + 2) / (2 * n + s + 3),
+        b_hat=lambda n: -(n + s + 2) * (N - n - 1) * (n + al + 2) / (2 * n + s + 3),
+        d=lambda x: -N * (al + 1),
+        d_hat=lambda x: x / (N * (al + 1)),
+    )
+
+
+def _hahn_middle_squares(a: Fraction, b: Fraction, N: int) -> List[Fraction]:
+    """Offdiagonal squares of the second Hahn case's matrix; the fourth
+    case has the same with alpha and beta swapped."""
+    s = a + b
+    sq = []
+    for k in range(N):
+        sq.append((k + a + 1) * (k + s + 1) * (N - k)
+                  / ((2 * k + s + 1) * (2 * k + s + 2)))
+        sq.append((k + b + 1) * (k + s + 2 + N) * (k + 1)
+                  / ((2 * k + s + 2) * (2 * k + s + 3)))
+    return sq
+
+
+def _hahn_ii_prefactor(p: HahnParams, n: int) -> ScaledRoot:
+    a, b, N = p.alpha, p.beta, p.N
+    s = a + b
+    rad = ((N - n) * (n + a + 1) * (n + s + 1) * (2 * n + s + 2)
+           / (2 * (2 * n + s + 1)))
+    return ScaledRoot(F(-1, 1) / ((a + 1) * N), rad)
+
+
+def _hahn_iii(p: HahnParams) -> dict:
+    al, be, N = p.alpha, p.beta, p.N
+    s = al + be
+    return dict(
+        hatted=HahnParams(al, be + 1, N), xshift=F(0),
+        a=lambda n: (n + be + 1) * (n + N + 2 + s) / (2 * n + s + 2),
+        b=lambda n: (N - n) * (n + al + 1) / (2 * n + s + 2),
+        a_hat=lambda n: (n + 1) / (2 * n + s + 3),
+        b_hat=lambda n: (n + s + 2) / (2 * n + s + 3),
+        d=lambda x: F(1),
+        d_hat=lambda x: be + 1 + N - x,
+    )
+
+
+def _hahn_iv(p: HahnParams) -> dict:
+    al, be, N = p.alpha, p.beta, p.N
+    s = al + be
+    return dict(
+        hatted=HahnParams(al, be + 1, N - 1), xshift=F(0),
+        a=lambda n: (n + be + 1) / (2 * n + s + 2),
+        b=lambda n: (n + al + 1) / (2 * n + s + 2),
+        a_hat=lambda n: (n + 1) * (n + s + N + 2) / (2 * n + s + 3),
+        b_hat=lambda n: (N - n - 1) * (n + s + 2) / (2 * n + s + 3),
+        d=lambda x: F(N),
+        d_hat=lambda x: (N - x) / N,
+    )
+
+
+def _racah_i(p: RacahParams) -> dict:
+    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
+    s = al + be
+    return dict(
+        hatted=RacahParams(al, be + 1, ga + 1, de - 1, p.minus_n), xshift=F(0),
+        a=lambda n: -(n - de + al + 1) * (n + be + 1) / (2 * n + s + 2),
+        b=lambda n: (n + be + de + 1) * (n + al + 1) / (2 * n + s + 2),
+        a_hat=lambda n: -(n + 1) * (n - ga + s + 1) / (2 * n + s + 3),
+        b_hat=lambda n: (n + s + 2) * (n + ga + 2) / (2 * n + s + 3),
+        d=lambda x: ga + 1,
+        d_hat=lambda x: (x + de) * (x + ga + 1) / (ga + 1),
+    )
+
+
+def _racah_i_squares(p: RacahParams) -> List[Fraction]:
+    b, g, d, N = p.beta, p.gamma, p.delta, p.N
+    sq = []
+    for k in range(N + 1):
+        sq.append((N - b - k) * (g + 1 + k) * (N + d + 1 - k) * (k + b + 1)
+                  / ((N - b - 2 * k) * (2 * k - N + 1 + b)))
+        if k < N:
+            sq.append((g + N - b - k) * (k + 1) * (N - k) * (k + b + d + 2)
+                      / ((N - b - 2 * k - 2) * (2 * k - N + 1 + b)))
+    return sq
+
+
+def _racah_ii(p: RacahParams) -> dict:
+    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
+    s = al + be
+    return dict(
+        hatted=RacahParams(al, be + 1, ga, de, p.minus_n), xshift=F(0),
+        a=lambda n: -(n - ga + s + 1) * (n + be + 1) / (2 * n + s + 2),
+        b=lambda n: (n + ga + 1) * (n + al + 1) / (2 * n + s + 2),
+        a_hat=lambda n: -(n + 1) * (n - de + al + 1) / (2 * n + s + 3),
+        b_hat=lambda n: (n + be + de + 2) * (n + s + 2) / (2 * n + s + 3),
+        d=lambda x: be + de + 1,
+        d_hat=lambda x: (x + be + de + 1) * (x + ga - be) / (be + de + 1),
+    )
+
+
+def _racah_iii(p: RacahParams) -> dict:
+    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
+    s = al + be
+    return dict(
+        hatted=RacahParams(al + 1, be, ga + 1, de + 1, p.minus_n), xshift=F(-1),
+        a=lambda n: -1 / (2 * n + s + 2),
+        b=lambda n: 1 / (2 * n + s + 2),
+        a_hat=lambda n: -(n + 1) * (n - ga + s + 1) * (n - de + al + 1) * (n + be + 1) / (2 * n + s + 3),
+        b_hat=lambda n: (n + ga + 2) * (n + be + de + 2) * (n + al + 2) * (n + s + 2) / (2 * n + s + 3),
+        d=lambda x: (ga + 1) * (be + de + 1) * (al + 1),
+        d_hat=lambda x: x * (x + ga + de + 1) / ((ga + 1) * (be + de + 1) * (al + 1)),
+    )
+
+
+def _racah_iii_squares(p: RacahParams) -> List[Fraction]:
+    b, g, d, N = p.beta, p.gamma, p.delta, p.N
+    sq = []
+    for k in range(N):
+        sq.append((k + g + 1) * (-N + b + k) * (N - k) * (k + b + d + 1)
+                  / ((N - b - 2 * k) * (N - b - 2 * k - 1)))
+        sq.append((g + N - b - k) * (k + 1) * (k + b + 1) * (k - d - N)
+                  / ((N - b - 2 * k - 2) * (N - b - 2 * k - 1)))
+    return sq
+
+
+def _racah_iv(p: RacahParams) -> dict:
+    al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
+    s = al + be
+    return dict(
+        hatted=RacahParams(al + 1, be, ga, de, p.minus_n), xshift=F(0),
+        a=lambda n: -(n - ga + s + 1) * (n - de + al + 1) / (2 * n + s + 2),
+        b=lambda n: (n + ga + 1) * (n + be + de + 1) / (2 * n + s + 2),
+        a_hat=lambda n: -(n + 1) * (n + be + 1) / (2 * n + s + 3),
+        b_hat=lambda n: (n + al + 2) * (n + s + 2) / (2 * n + s + 3),
+        d=lambda x: al + 1,
+        d_hat=lambda x: (x + ga + de - al) * (x + al + 1) / (al + 1),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the case table
+
+CASE_TABLE: Dict[DoubleCase, CaseRecord] = {
+    DoubleCase.DUAL_HAHN_I: CaseRecord(
+        DualHahnParams, _dual_hahn_i, nu=lambda p: F(0), even_dim=False,
+        squares=_dual_hahn_i_squares,
+        eig_square=lambda p, k: k * (k + p.gamma + p.delta + 1),
+        defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=0, nonsym=_dual_hahn_i_nonsym,
+        odd_prefactor=_dual_hahn_i_prefactor,
+        commutator=_dual_hahn_i_commutator),
+    DoubleCase.DUAL_HAHN_II: CaseRecord(
+        DualHahnParams, _dual_hahn_ii, nu=lambda p: F(p.N), even_dim=False,
+        squares=_dual_hahn_ii_squares,
+        eig_square=lambda p, k: k * (p.gamma + p.delta + 1 + 2 * p.N - k),
+        defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=0, nonsym=_dual_hahn_ii_nonsym,
+        commutator=_dual_hahn_ii_commutator, commutator_sign=-1),
+    DoubleCase.DUAL_HAHN_III: CaseRecord(
+        DualHahnParams, _dual_hahn_iii, nu=lambda p: -p.delta, even_dim=True,
+        squares=_dual_hahn_iii_squares,
+        eig_square=lambda p, k: (k + p.gamma + 1) * (k + p.delta + 1),
+        defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=1, nonsym=_dual_hahn_iii_nonsym,
+        commutator=_dual_hahn_iii_commutator),
+    DoubleCase.HAHN_I: CaseRecord(
+        HahnParams, _hahn_i, nu=lambda p: -p.alpha - 1, even_dim=True,
+        squares=lambda p: _hahn_paired_squares(p.alpha, p.beta, p.N),
+        eig_square=lambda p, k: k + p.alpha + 1,
+        defaults=_HAHN_DEFAULTS, u_delta_shift=0, odd_prefactor=_hahn_i_prefactor),
+    DoubleCase.HAHN_II: CaseRecord(
+        HahnParams, _hahn_ii, nu=lambda p: F(0), even_dim=False,
+        squares=lambda p: _hahn_middle_squares(p.alpha, p.beta, p.N),
+        eig_square=lambda p, k: F(k),
+        defaults=_HAHN_DEFAULTS, u_delta_shift=0, odd_prefactor=_hahn_ii_prefactor),
+    DoubleCase.HAHN_III: CaseRecord(
+        HahnParams, _hahn_iii, nu=lambda p: p.N + p.beta + 1, even_dim=True,
+        squares=lambda p: _hahn_paired_squares(p.beta, p.alpha, p.N),
+        eig_square=lambda p, k: k + p.beta + 1,
+        defaults=_HAHN_DEFAULTS),
+    DoubleCase.HAHN_IV: CaseRecord(
+        HahnParams, _hahn_iv, nu=lambda p: F(p.N), even_dim=False,
+        squares=lambda p: _hahn_middle_squares(p.beta, p.alpha, p.N),
+        eig_square=lambda p, k: F(k),
+        defaults=_HAHN_DEFAULTS),
+    DoubleCase.RACAH_I: CaseRecord(
+        RacahParams, _racah_i, nu=lambda p: -p.delta, even_dim=True,
+        squares=_racah_i_squares,
+        eig_square=lambda p, k: (k + p.gamma + 1) * (k + p.delta + 1),
+        defaults=_RACAH_DEFAULTS, u_delta_shift=1),
+    DoubleCase.RACAH_II: CaseRecord(
+        RacahParams, _racah_ii, nu=lambda p: p.beta - p.gamma, even_dim=False),
+    DoubleCase.RACAH_III: CaseRecord(
+        RacahParams, _racah_iii, nu=lambda p: F(0), even_dim=False,
+        squares=_racah_iii_squares,
+        eig_square=lambda p, k: k * (k + p.gamma + p.delta + 1),
+        defaults=_RACAH_DEFAULTS, u_delta_shift=0),
+    DoubleCase.RACAH_IV: CaseRecord(
+        RacahParams, _racah_iv, nu=lambda p: -p.alpha - 1, even_dim=False),
+}
+
+MATRIX_CASES = tuple(c for c in DoubleCase if c.record.squares is not None)
+EIGVEC_CASES = tuple(c for c in DoubleCase if c.record.u_delta_shift is not None)
+NONSYM_CASES = tuple(c for c in DoubleCase if c.record.nonsym is not None)
+SYSTEM_CASES = tuple(c for c in DoubleCase if c.record.odd_prefactor is not None)
+ALGEBRA_CASES = tuple(c for c in DoubleCase if c.record.commutator is not None)

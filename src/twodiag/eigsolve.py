@@ -12,15 +12,14 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .doubles import DoubleCase
-from .families import DualHahnParams, HahnParams, RacahParams
+from .doubles import MATRIX_CASES, NONSYM_CASES, DoubleCase
+from .families import RacahParams
 from .matrices import (
     MatrixWithSpectrum,
     double_matrix,
@@ -61,9 +60,6 @@ class FloatTridiag:
     @property
     def dim(self) -> int:
         return len(self.diagonal)
-
-    def max_abs_entry(self) -> float:
-        return max(map(abs, list(self.diagonal) + list(self.offdiagonal)), default=0.0)
 
     def to_dense(self) -> np.ndarray:
         out = np.diag(np.asarray(self.diagonal, dtype=float))
@@ -179,17 +175,16 @@ class BenchReport:
 
 FAMILY_CHOICES = (
     ["kac", "kac-odd", "kac-even"]
-    + [f"double:{c.value}" for c in DoubleCase]
-    + [f"nonsym:{c.value}" for c in (DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II,
-                                     DoubleCase.DUAL_HAHN_III)]
+    + [f"double:{c.value}" for c in MATRIX_CASES]
+    + [f"nonsym:{c.value}" for c in NONSYM_CASES]
 )
 
+_KAC_DEFAULTS = {"gamma": Fraction(1, 2), "delta": Fraction(1, 3)}
 
-def _case_by_value(name: str) -> DoubleCase:
-    for c in DoubleCase:
-        if c.value == name:
-            return c
-    raise ValueError(f"unknown case {name!r}; choose from {[c.value for c in DoubleCase]}")
+
+def _selector_case(selector: str) -> DoubleCase:
+    """The doubling case named by a double:/nonsym: selector."""
+    return DoubleCase(selector.split(":", 1)[1])
 
 
 def _dim_to_n(selector: str, dim: int) -> int:
@@ -198,59 +193,53 @@ def _dim_to_n(selector: str, dim: int) -> int:
         raise ValueError("dimension must be >= 2")
     if selector == "kac":
         return dim - 1
-    odd_like = selector in ("kac-odd",) or selector.endswith(
-        ("DualHahnI", "DualHahnII", "HahnII", "HahnIV", "RacahIII"))
-    if odd_like:
-        if dim % 2 == 0:
-            raise ValueError(f"{selector} needs an odd dimension, got {dim}")
-        return (dim - 1) // 2
-    if selector == "kac-even":
-        if dim % 2 == 1:
-            raise ValueError(f"{selector} needs an even dimension, got {dim}")
-        return dim // 2
-    if dim % 2 == 1:
-        raise ValueError(f"{selector} needs an even dimension, got {dim}")
-    return dim // 2 - 1
+    if selector.startswith("kac"):
+        even = selector == "kac-even"
+    else:
+        even = _selector_case(selector).record.even_dim
+    if dim % 2 != (0 if even else 1):
+        raise ValueError(f"{selector} needs an {'even' if even else 'odd'} dimension, got {dim}")
+    # kac-even has dimension 2N, the even doubling cases 2N+2
+    return dim // 2 - (1 if even and selector != "kac-even" else 0)
 
 
 def _default_params(selector: str) -> Dict[str, Fraction]:
-    if selector in ("kac",):
+    """The parameters a selector takes, with their defaults."""
+    if selector not in FAMILY_CHOICES:
+        raise ValueError(f"unknown family {selector!r}; choose from {', '.join(FAMILY_CHOICES)}")
+    if selector == "kac":
         return {}
     if selector.startswith("kac"):
-        return {"gamma": Fraction(1, 2), "delta": Fraction(1, 3)}
-    case = _case_by_value(selector.split(":", 1)[1])
-    if case in (DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II, DoubleCase.DUAL_HAHN_III):
-        return {"gamma": Fraction(1, 2), "delta": Fraction(1, 3)}
-    if case in (DoubleCase.RACAH_I, DoubleCase.RACAH_III):
-        return {"beta": None, "gamma": Fraction(1, 3), "delta": Fraction(1, 5)}
-    return {"alpha": Fraction(1, 2), "beta": Fraction(1, 3)}
+        return dict(_KAC_DEFAULTS)
+    return dict(_selector_case(selector).record.defaults)
 
 
 def build_gallery_matrix(selector: str, n: int,
                          params: Optional[Dict[str, Fraction]] = None) -> MatrixWithSpectrum:
     """Construct the (matrix, spectrum) bundle for a family selector at size
-    parameter n, filling in default parameters where none are given."""
-    given = dict(params or {})
-    defaults = _default_params(selector)
-    merged = {**defaults, **given}
+    parameter n, filling in default parameters where none are given.  A
+    parameter the selector does not take is an error."""
+    merged = _default_params(selector)
+    for name, value in (params or {}).items():
+        if name not in merged:
+            raise ValueError(f"{selector} takes no --{name} "
+                             f"(it takes: {', '.join(merged) or 'none'})")
+        merged[name] = value
     if selector == "kac":
         return sylvester_kac(n)
     if selector == "kac-odd":
         return extended_kac_odd(n, merged["gamma"], merged["delta"])
     if selector == "kac-even":
         return extended_kac_even(n, merged["gamma"], merged["delta"])
-    kind, case_name = selector.split(":", 1)
-    case = _case_by_value(case_name)
-    if case.family is DualHahnParams:
-        fam = DualHahnParams(merged["gamma"], merged["delta"], n)
-    elif case.family is HahnParams:
-        fam = HahnParams(merged["alpha"], merged["beta"], n)
+    case = _selector_case(selector)
+    if case.family is RacahParams:
+        if merged["beta"] is None:
+            merged["beta"] = n + merged["gamma"] + 2
+        fam = RacahParams(Fraction(-n - 1), minus_n="alpha", **merged)
     else:
-        beta = merged.get("beta") or (n + merged["gamma"] + 2)
-        fam = RacahParams(Fraction(-n - 1), beta, merged["gamma"], merged["delta"], "alpha")
-    if kind == "nonsym":
-        return nonsymmetric_form(case, fam)
-    return double_matrix(case, fam)
+        fam = case.family(N=n, **merged)
+    build = nonsymmetric_form if selector.startswith("nonsym:") else double_matrix
+    return build(case, fam)
 
 
 def to_float_tridiag(m: MatrixWithSpectrum) -> FloatTridiag:
@@ -260,16 +249,10 @@ def to_float_tridiag(m: MatrixWithSpectrum) -> FloatTridiag:
 
 
 def _match_error(computed: np.ndarray, closed: np.ndarray) -> float:
-    """Max |computed - closed| after sorting; falls back to greedy nearest
-    matching (with a warning) when the closed spectrum has near-clusters."""
-    err = float(np.max(np.abs(computed - closed)))
-    gaps = np.diff(closed)
-    scale = max(float(np.max(np.abs(closed))), 1.0)
-    if len(gaps) and float(np.min(gaps)) < 1e-9 * scale:
-        warnings.warn("clustered eigenvalues; using greedy nearest matching")
-        greedy = float(max(np.min(np.abs(closed - c)) for c in computed))
-        err = min(err, greedy)
-    return err
+    """Max |computed - closed| between the two sorted spectra.  Pairing in
+    sorted order minimizes the largest error over all matchings of two
+    real spectra, clustered or not."""
+    return float(np.max(np.abs(computed - closed)))
 
 
 def benchmark(

@@ -252,10 +252,6 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
     )
 
 
-def family_lambda(params: FamilyParams, x: RationalLike) -> Fraction:
-    return recurrence_data(params).Lam(x)
-
-
 # ---------------------------------------------------------------------------
 # weights and norms
 

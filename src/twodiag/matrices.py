@@ -10,19 +10,17 @@ tridiagonal matrix depends only on the superdiagonal-subdiagonal products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .doubles import DoubleCase, FamilyMismatch
+from .doubles import DoubleCase, case_record, coefficients
 from .exact import RationalLike, ScaledRoot, SqrtRational
 from .families import (
     DualHahnParams,
     FamilyParams,
-    HahnParams,
-    RacahParams,
     family_eval,
     family_norm,
     family_weight,
@@ -280,89 +278,22 @@ def extended_kac_even(N: int, gamma: RationalLike, delta: RationalLike) -> Matri
 # ---------------------------------------------------------------------------
 # doubling-case matrices
 
-def _racah_alpha_cap(params: FamilyParams, case: DoubleCase) -> RacahParams:
-    if not isinstance(params, RacahParams):
-        raise FamilyMismatch(f"{case.value} needs RacahParams")
-    if params.minus_n != "alpha":
+def _require_alpha_cap(case: DoubleCase, params: FamilyParams) -> None:
+    """The Racah constructions are written for the alpha degree cap."""
+    if getattr(params, "minus_n", "alpha") != "alpha":
         raise UnsupportedCase(
             f"{case.value}: closed matrix form implemented for the alpha degree cap only"
         )
-    return params
 
 
 def double_matrix_squares(case: DoubleCase, params: FamilyParams) -> Tuple[int, List[Fraction], List[Fraction]]:
     """(dimension, offdiagonal squares M_k^2, eigenvalue squares with zeros
     omitted) for a doubling case; purely rational, no realness requirement."""
-    if not isinstance(params, case.family):
-        raise FamilyMismatch(
-            f"{case.value} needs {case.family.__name__}, got {type(params).__name__}")
-    if case is DoubleCase.DUAL_HAHN_I:
-        g, d, N = params.gamma, params.delta, params.N
-        sq = []
-        for k in range(N):
-            sq.extend([(k + g + 1) * (N - k), (k + 1) * (N + d - k)])
-        return 2 * N + 1, sq, [k * (k + g + d + 1) for k in range(1, N + 1)]
-    if case is DoubleCase.DUAL_HAHN_II:
-        g, d, N = params.gamma, params.delta, params.N
-        sq = []
-        for k in range(N):
-            sq.extend([(N + d - k) * (N - k), (k + 1) * (k + g + 1)])
-        return 2 * N + 1, sq, [k * (g + d + 1 + 2 * N - k) for k in range(1, N + 1)]
-    if case is DoubleCase.DUAL_HAHN_III:
-        g, d, N = params.gamma, params.delta, params.N
-        sq = []
-        for k in range(N + 1):
-            sq.append((k + g + 1) * (N + d + 1 - k))
-            if k < N:
-                sq.append(Fraction((k + 1) * (N - k)))
-        return 2 * N + 2, sq, [(k + g + 1) * (k + d + 1) for k in range(N + 1)]
-    if case in (DoubleCase.HAHN_I, DoubleCase.HAHN_III):
-        a, b, N = params.alpha, params.beta, params.N
-        if case is DoubleCase.HAHN_III:
-            a, b = b, a
-        s = a + b
-        sq = []
-        for k in range(N + 1):
-            sq.append((k + a + 1) * (k + s + 1) * (k + s + 2 + N)
-                      / ((2 * k + s + 1) * (2 * k + s + 2)))
-            if k < N:
-                sq.append((k + b + 1) * (k + 1) * (N - k)
-                          / ((2 * k + s + 2) * (2 * k + s + 3)))
-        return 2 * N + 2, sq, [k + a + 1 for k in range(N + 1)]
-    if case in (DoubleCase.HAHN_II, DoubleCase.HAHN_IV):
-        a, b, N = params.alpha, params.beta, params.N
-        if case is DoubleCase.HAHN_IV:
-            a, b = b, a
-        s = a + b
-        sq = []
-        for k in range(N):
-            sq.append((k + a + 1) * (k + s + 1) * (N - k)
-                      / ((2 * k + s + 1) * (2 * k + s + 2)))
-            sq.append((k + b + 1) * (k + s + 2 + N) * (k + 1)
-                      / ((2 * k + s + 2) * (2 * k + s + 3)))
-        return 2 * N + 1, sq, [Fraction(k) for k in range(1, N + 1)]
-    if case is DoubleCase.RACAH_I:
-        p = _racah_alpha_cap(params, case)
-        b, g, d, N = p.beta, p.gamma, p.delta, p.N
-        sq = []
-        for k in range(N + 1):
-            sq.append((N - b - k) * (g + 1 + k) * (N + d + 1 - k) * (k + b + 1)
-                      / ((N - b - 2 * k) * (2 * k - N + 1 + b)))
-            if k < N:
-                sq.append((g + N - b - k) * (k + 1) * (N - k) * (k + b + d + 2)
-                          / ((N - b - 2 * k - 2) * (2 * k - N + 1 + b)))
-        return 2 * N + 2, sq, [(k + g + 1) * (k + d + 1) for k in range(N + 1)]
-    if case is DoubleCase.RACAH_III:
-        p = _racah_alpha_cap(params, case)
-        b, g, d, N = p.beta, p.gamma, p.delta, p.N
-        sq = []
-        for k in range(N):
-            sq.append((k + g + 1) * (-N + b + k) * (N - k) * (k + b + d + 1)
-                      / ((N - b - 2 * k) * (N - b - 2 * k - 1)))
-            sq.append((g + N - b - k) * (k + 1) * (k + b + 1) * (k - d - N)
-                      / ((N - b - 2 * k - 2) * (N - b - 2 * k - 1)))
-        return 2 * N + 1, sq, [k * (k + g + d + 1) for k in range(1, N + 1)]
-    raise UnsupportedCase(f"{case.value}: no closed matrix form in the classification")
+    rec = case_record(case, params)
+    if rec.squares is None:
+        raise UnsupportedCase(f"{case.value}: no closed matrix form in the classification")
+    _require_alpha_cap(case, params)
+    return rec.dim(params.N), rec.squares(params), rec.eig_squares(params)
 
 
 def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:
@@ -383,28 +314,9 @@ def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:
 def nonsymmetric_entries(case: DoubleCase, params: DualHahnParams) -> TwoDiagonal:
     """The integer-friendly two-diagonal form alone, with no realness
     requirement on the spectrum (entries are always rational)."""
-    if case not in (DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II, DoubleCase.DUAL_HAHN_III):
+    if case.record.nonsym is None:
         raise UnsupportedCase(f"{case.value}: non-symmetric form given for dual Hahn cases only")
-    if not isinstance(params, DualHahnParams):
-        raise FamilyMismatch("nonsymmetric forms are defined for dual Hahn parameters")
-    g, d, N = params.gamma, params.delta, params.N
-    sup: List[Fraction] = []
-    sub: List[Fraction] = []
-    if case is DoubleCase.DUAL_HAHN_I:
-        for k in range(N):
-            sup.extend([g + k + 1, Fraction(k + 1)])
-            sub.extend([Fraction(N - k), N + d - k])
-    elif case is DoubleCase.DUAL_HAHN_II:
-        for k in range(N):
-            sup.extend([g + N - k, Fraction(k + 1)])
-            sub.extend([Fraction(N - k), d + k + 1])
-    else:
-        for k in range(N + 1):
-            sup.append(g + k + 1)
-            sub.append(d + N + 1 - k)
-            if k < N:
-                sup.append(Fraction(k + 1))
-                sub.append(Fraction(N - k))
+    sup, sub = case_record(case, params).nonsym(params)
     return TwoDiagonal(tuple(sup), tuple(sub))
 
 
@@ -450,135 +362,49 @@ def _norm_rad(fam: FamilyParams, x: int, n: int, halved: bool) -> Fraction:
     return w / ((2 if halved else 1) * h)
 
 
-def _u_paired(N: int, fam_even: FamilyParams, fam_odd: FamilyParams,
-              eps_square) -> Tuple[list, list]:
-    """Rows for the (2N+2)-dimensional pattern without a middle column."""
-    dim = 2 * N + 2
-    rows = [[ScaledRoot.zero()] * dim for _ in range(dim)]
-    for n in range(N + 1):
-        sgn = Fraction((-1) ** n)
-        for x in range(N + 1):
-            ve = sgn * family_eval(fam_even, n, x)
-            re = _norm_rad(fam_even, x, n, halved=True)
-            rows[2 * n][N - x] = ScaledRoot(ve, re)
-            rows[2 * n][N + 1 + x] = ScaledRoot(ve, re)
-            vo = sgn * family_eval(fam_odd, n, x)
-            ro = _norm_rad(fam_odd, x, n, halved=True)
-            rows[2 * n + 1][N - x] = ScaledRoot(-vo, ro)
-            rows[2 * n + 1][N + 1 + x] = ScaledRoot(vo, ro)
-    dcol = [SqrtRational(0, Fraction(0))] * dim
-    for x in range(N + 1):
-        s = Fraction(eps_square(x))
-        dcol[N - x] = -SqrtRational.sqrt(s)
-        dcol[N + 1 + x] = SqrtRational.sqrt(s)
-    return rows, dcol
-
-
-def _u_middle(N: int, fam_even: FamilyParams, fam_odd: FamilyParams,
-              eps_square) -> Tuple[list, list]:
-    """Rows for the (2N+1)-dimensional pattern with a zero middle column in
-    odd rows; odd-row polynomials are evaluated at the shifted point x-1."""
-    dim = 2 * N + 1
-    rows = [[ScaledRoot.zero()] * dim for _ in range(dim)]
-    for n in range(N + 1):
-        sgn = Fraction((-1) ** n)
-        rows[2 * n][N] = ScaledRoot(sgn * family_eval(fam_even, n, 0),
-                                    _norm_rad(fam_even, 0, n, halved=False))
-        for x in range(1, N + 1):
-            ve = sgn * family_eval(fam_even, n, x)
-            re = _norm_rad(fam_even, x, n, halved=True)
-            rows[2 * n][N - x] = ScaledRoot(ve, re)
-            rows[2 * n][N + x] = ScaledRoot(ve, re)
-        if n <= N - 1:
-            for x in range(1, N + 1):
-                vo = sgn * family_eval(fam_odd, n, x - 1)
-                ro = _norm_rad(fam_odd, x - 1, n, halved=True)
-                rows[2 * n + 1][N - x] = ScaledRoot(-vo, ro)
-                rows[2 * n + 1][N + x] = ScaledRoot(vo, ro)
-    dcol = [SqrtRational(0, Fraction(0))] * dim
-    for x in range(1, N + 1):
-        s = Fraction(eps_square(x))
-        dcol[N - x] = -SqrtRational.sqrt(s)
-        dcol[N + x] = SqrtRational.sqrt(s)
-    return rows, dcol
-
-
-def _u_edge(N: int, fam_even: FamilyParams, fam_odd: FamilyParams,
-            eps_square) -> Tuple[list, list]:
-    """Rows for the (2N+1)-dimensional pattern with the distinguished column
-    at the right edge of the half-range (second dual Hahn case)."""
-    dim = 2 * N + 1
-    rows = [[ScaledRoot.zero()] * dim for _ in range(dim)]
-    for n in range(N + 1):
-        rows[2 * n][N] = ScaledRoot(family_eval(fam_even, n, N),
-                                    _norm_rad(fam_even, N, n, halved=False))
-        for x in range(N):
-            ve = family_eval(fam_even, n, x)
-            re = _norm_rad(fam_even, x, n, halved=True)
-            rows[2 * n][x] = ScaledRoot(ve, re)
-            rows[2 * n][2 * N - x] = ScaledRoot(ve, re)
-        if n <= N - 1:
-            for x in range(N):
-                vo = family_eval(fam_odd, n, x)
-                ro = _norm_rad(fam_odd, x, n, halved=True)
-                rows[2 * n + 1][x] = ScaledRoot(-vo, ro)
-                rows[2 * n + 1][2 * N - x] = ScaledRoot(vo, ro)
-    dcol = [SqrtRational(0, Fraction(0))] * dim
-    for x in range(N):
-        s = Fraction(eps_square(N - x))
-        dcol[x] = -SqrtRational.sqrt(s)
-        dcol[2 * N - x] = SqrtRational.sqrt(s)
-    return rows, dcol
-
-
 def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     """The orthogonal eigenvector matrix U of a doubling case, as displayed
-    in the corresponding matrix construction."""
-    if case is DoubleCase.DUAL_HAHN_I:
-        g, d, N = params.gamma, params.delta, params.N
-        rows, dcol = _u_middle(
-            N, DualHahnParams(g, d, N), DualHahnParams(g + 1, d + 1, N - 1),
-            lambda k: k * (k + g + d + 1))
-    elif case is DoubleCase.DUAL_HAHN_II:
-        g, d, N = params.gamma, params.delta, params.N
-        rows, dcol = _u_edge(
-            N, DualHahnParams(g, d, N), DualHahnParams(g, d, N - 1),
-            lambda k: k * (g + d + 1 + 2 * N - k))
-    elif case is DoubleCase.DUAL_HAHN_III:
-        g, d, N = params.gamma, params.delta, params.N
-        rows, dcol = _u_paired(
-            N, DualHahnParams(g, d + 1, N), DualHahnParams(g + 1, d, N),
-            lambda k: (k + g + 1) * (k + d + 1))
-    elif case is DoubleCase.HAHN_I:
-        a, b, N = params.alpha, params.beta, params.N
-        rows, dcol = _u_paired(
-            N, HahnParams(a, b, N), HahnParams(a + 1, b, N),
-            lambda k: k + a + 1)
-    elif case is DoubleCase.HAHN_II:
-        a, b, N = params.alpha, params.beta, params.N
-        rows, dcol = _u_middle(
-            N, HahnParams(a, b, N), HahnParams(a + 1, b, N - 1),
-            lambda k: Fraction(k))
-    elif case is DoubleCase.RACAH_I:
-        p = _racah_alpha_cap(params, case)
-        a, b, g, d, N = p.alpha, p.beta, p.gamma, p.delta, p.N
-        rows, dcol = _u_paired(
-            N,
-            RacahParams(a, b, g, d + 1, "alpha"),
-            RacahParams(a, b + 1, g + 1, d, "alpha"),
-            lambda k: (k + g + 1) * (k + d + 1))
-    elif case is DoubleCase.RACAH_III:
-        p = _racah_alpha_cap(params, case)
-        a, b, g, d, N = p.alpha, p.beta, p.gamma, p.delta, p.N
-        rows, dcol = _u_middle(
-            N,
-            RacahParams(a, b, g, d, "alpha"),
-            RacahParams(a + 1, b, g + 1, d + 1, "alpha"),
-            lambda k: k * (k + g + d + 1))
-    else:
+    in the corresponding matrix construction.
+
+    Eigenvalue k owns columns N-k (negative root) and N+k (positive root,
+    one further right in even dimension); in odd dimension the single
+    column N holds the zero eigenvalue k = 0.  Row 2n holds (-1)^n y_n of
+    the even-row family at x = k, row 2n+1 its hatted partner at x + xshift
+    with opposite signs, scaled by sqrt(w(x) / 2h_n) (w(x) / h_n in the
+    single column).  Odd dimension with xshift 0 (second dual Hahn case)
+    runs the grid backwards, x = N - k, without the (-1)^n.
+    """
+    rec = case_record(case, params)
+    if rec.u_delta_shift is None:
         raise UnsupportedCase(f"{case.value}: no displayed eigenvector matrix")
-    return EigvecMatrix(case, len(rows),
-                        tuple(tuple(r) for r in rows), tuple(dcol))
+    _require_alpha_cap(case, params)
+    fam_even = (replace(params, delta=params.delta + rec.u_delta_shift)
+                if rec.u_delta_shift else params)
+    pair = coefficients(case, fam_even)
+    fam_odd, xshift = pair.hatted, int(pair.xshift)
+    N, dim = params.N, rec.dim(params.N)
+    right = 1 if rec.even_dim else 0
+    edge = not rec.even_dim and xshift == 0
+    rows = [[ScaledRoot.zero()] * dim for _ in range(dim)]
+    for n in range(N + 1):
+        sgn = Fraction(1 if edge else (-1) ** n)
+        for k in range(N + 1):
+            x = N - k if edge else k
+            neg, pos = N - k, N + k + right
+            ve = sgn * family_eval(fam_even, n, x)
+            re = _norm_rad(fam_even, x, n, halved=neg != pos)
+            rows[2 * n][neg] = rows[2 * n][pos] = ScaledRoot(ve, re)
+            if neg != pos and n <= fam_odd.N:
+                vo = sgn * family_eval(fam_odd, n, x + xshift)
+                ro = _norm_rad(fam_odd, x + xshift, n, halved=True)
+                rows[2 * n + 1][neg] = ScaledRoot(-vo, ro)
+                rows[2 * n + 1][pos] = ScaledRoot(vo, ro)
+    dcol = [SqrtRational(0, Fraction(0))] * dim
+    for k in range(1 - right, N + 1):
+        s = Fraction(rec.eig_square(params, k))
+        dcol[N - k] = -SqrtRational.sqrt(s)
+        dcol[N + k + right] = SqrtRational.sqrt(s)
+    return EigvecMatrix(case, dim, tuple(tuple(r) for r in rows), tuple(dcol))
 
 
 def orthogonality_residual(u: EigvecMatrix) -> float:
@@ -591,7 +417,8 @@ def orthogonality_residual(u: EigvecMatrix) -> float:
 def eigen_residual(case: DoubleCase, params: FamilyParams) -> float:
     """max |M U - U D| in floating point, scaled by max |M| entry."""
     u = eigvec_matrix(case, params)
+    uf = u.to_float()
     m = double_matrix(case, params).matrix.to_dense()
-    res = np.abs(m @ u.to_float() - u.to_float() * u.d_floats()[None, :]).max()
+    res = np.abs(m @ uf - uf * u.d_floats()[None, :]).max()
     scale = max(np.abs(m).max(), 1.0)
     return float(res / scale)

@@ -12,31 +12,19 @@ matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Tuple
 
-from .doubles import DoubleCase
+from .doubles import SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients
 from .exact import ScaledRoot, SqrtRational
-from .families import (
-    DualHahnParams,
-    FamilyParams,
-    HahnParams,
-    dual_hahn_eval,
-    dual_hahn_norm,
-    dual_hahn_weight,
-    hahn_eval,
-    hahn_norm,
-    hahn_weight,
-)
+from .families import FamilyParams, family_eval, family_norm, family_weight
 from .matrices import InadmissibleParams, UnsupportedCase, double_matrix
 
 
 class UnsupportedPoint(ValueError):
     """The evaluation point is not in the system's support set."""
-
-
-SYSTEM_CASES = (DoubleCase.DUAL_HAHN_I, DoubleCase.HAHN_I, DoubleCase.HAHN_II)
 
 
 @dataclass(frozen=True)
@@ -58,30 +46,23 @@ class DoubledSystem:
             raise UnsupportedCase(
                 f"{self.case.value}: no closed doubled system; use its matrix spectrum"
             )
-        if self.case is DoubleCase.DUAL_HAHN_I:
-            if not isinstance(self.params, DualHahnParams):
-                raise TypeError("dual Hahn parameters required")
-            if not (self.params.gamma > -1 and self.params.delta > -1):
-                raise InadmissibleParams("need gamma > -1 and delta > -1")
-        else:
-            if not isinstance(self.params, HahnParams):
-                raise TypeError("Hahn parameters required")
-            if not (self.params.alpha > -1 and self.params.beta > -1):
-                raise InadmissibleParams("need alpha > -1 and beta > -1")
+        case_record(self.case, self.params)  # FamilyMismatch for foreign parameters
+        # the two free parameters: gamma, delta (dual Hahn) or alpha, beta (Hahn)
+        first, second = (f.name for f in fields(self.params)[:2])
+        if not (getattr(self.params, first) > -1 and getattr(self.params, second) > -1):
+            raise InadmissibleParams(f"need {first} > -1 and {second} > -1")
+
+    @cached_property
+    def _pair(self) -> CoefficientSextet:
+        return coefficients(self.case, self.params)
 
     @property
     def dim(self) -> int:
-        N = self.params.N
-        return 2 * N + 2 if self.case is DoubleCase.HAHN_I else 2 * N + 1
+        return self.case.record.dim(self.params.N)
 
     def point_square(self, k: int) -> Fraction:
         """q^2 of the k-th nonnegative support point."""
-        p = self.params
-        if self.case is DoubleCase.DUAL_HAHN_I:
-            return k * (k + p.gamma + p.delta + 1)
-        if self.case is DoubleCase.HAHN_I:
-            return k + p.alpha + 1
-        return Fraction(k)
+        return self.case.record.eig_square(self.params, k)
 
     def support(self) -> Tuple[SqrtRational, ...]:
         N = self.params.N
@@ -102,55 +83,26 @@ class DoubledSystem:
         raise UnsupportedPoint(f"{q} is not in the support")
 
     def weight_at(self, k: int, q_is_zero: bool) -> Fraction:
-        p = self.params
-        if self.case is DoubleCase.DUAL_HAHN_I:
-            w = dual_hahn_weight(k, p)
-        else:
-            w = hahn_weight(k, p)
+        w = family_weight(self.params, k)
         return 2 * w if q_is_zero else w
 
     def norm(self, n: int) -> Fraction:
-        m = n // 2
-        if self.case is DoubleCase.DUAL_HAHN_I:
-            return dual_hahn_norm(m, self.params)
-        return hahn_norm(m, self.params)
+        return family_norm(self.params, n // 2)
 
     def even_core(self, n: int, k: int) -> Fraction:
         """Base-family polynomial value entering P_{2n} at support index k."""
-        p = self.params
-        if self.case is DoubleCase.DUAL_HAHN_I:
-            return dual_hahn_eval(n, k, p)
-        return hahn_eval(n, k, p)
+        return family_eval(self.params, n, k)
 
     def odd_core(self, n: int, k: int) -> Fraction:
-        """Shifted-family polynomial value entering P_{2n+1}."""
-        p = self.params
-        if self.case is DoubleCase.DUAL_HAHN_I:
-            hat = DualHahnParams(p.gamma + 1, p.delta + 1, p.N - 1)
-            return dual_hahn_eval(n, Fraction(k - 1), hat)
-        if self.case is DoubleCase.HAHN_I:
-            hat = HahnParams(p.alpha + 1, p.beta, p.N)
-            return hahn_eval(n, k, hat)
-        hat = HahnParams(p.alpha + 1, p.beta, p.N - 1)
-        return hahn_eval(n, Fraction(k - 1), hat)
+        """Hatted-family polynomial value entering P_{2n+1}, taken at the
+        shifted grid point k + xshift."""
+        pair = self._pair
+        return family_eval(pair.hatted, n, k + pair.xshift)
 
     def odd_prefactor(self, n: int) -> ScaledRoot:
         """The constant multiplying q * (shifted polynomial) in P_{2n+1},
         including the overall 1/sqrt(2); its square is rational."""
-        p = self.params
-        if self.case is DoubleCase.DUAL_HAHN_I:
-            g, d, N = p.gamma, p.delta, p.N
-            return ScaledRoot(Fraction(-1, 1) / ((g + 1) * N),
-                              (n + g + 1) * (N - n) / 2)
-        a, b, N = p.alpha, p.beta, p.N
-        s = a + b
-        if self.case is DoubleCase.HAHN_I:
-            rad = ((n + a + 1) * (n + s + 1) * (2 * n + 2 + s)
-                   / (2 * (n + N + s + 2) * (2 * n + s + 1)))
-            return ScaledRoot(Fraction(-1, 1) / (a + 1), rad)
-        rad = ((N - n) * (n + a + 1) * (n + s + 1) * (2 * n + s + 2)
-               / (2 * (2 * n + s + 1)))
-        return ScaledRoot(Fraction(-1, 1) / ((a + 1) * N), rad)
+        return self.case.record.odd_prefactor(self.params, n)
 
 
 def doubled_system(case: DoubleCase, params: FamilyParams) -> DoubledSystem:

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
-from .doubles import DoubleCase, FamilyMismatch
+from .doubles import ALGEBRA_CASES, DoubleCase
 from .exact import SqrtRational
 from .families import DualHahnParams
 from .matrices import InadmissibleParams, UnsupportedCase, double_matrix_squares
-
-ALGEBRA_CASES = (DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II, DoubleCase.DUAL_HAHN_III)
 
 
 @dataclass(frozen=True)
@@ -62,33 +60,16 @@ class AlgebraRealization:
 def build_generators(case: DoubleCase, params: DualHahnParams) -> AlgebraRealization:
     if case not in ALGEBRA_CASES:
         raise UnsupportedCase(f"{case.value}: algebra realizations cover the dual Hahn cases")
-    if not isinstance(params, DualHahnParams):
-        raise FamilyMismatch("dual Hahn parameters required")
     dim, squares, _ = double_matrix_squares(case, params)
     halves = []
     for i, q in enumerate(squares):
         if q < 0:
             raise InadmissibleParams(f"M_{i}^2 = {q} < 0")
         halves.append(SqrtRational.sqrt(q))
-    N = params.N
-    if case is DoubleCase.DUAL_HAHN_III:
-        j0 = tuple(Fraction(2 * k - 2 * N - 1, 2) for k in range(dim))
-    else:
-        j0 = tuple(Fraction(k - N) for k in range(dim))
+    # equidistant about zero: k - N for dimension 2N+1, k - N - 1/2 for 2N+2
+    j0 = tuple(Fraction(2 * k - dim + 1, 2) for k in range(dim))
     parity = tuple(Fraction((-1) ** k) for k in range(dim))
     return AlgebraRealization(case, params, tuple(halves), j0, parity)
-
-
-def commutator_rhs(case: DoubleCase, params: DualHahnParams, j0: Fraction, p: Fraction) -> Fraction:
-    """Case-specific closed form of the [J_plus, J_minus] diagonal at a
-    basis index with J_0 entry j0 and parity p."""
-    g, d, N = params.gamma, params.delta, params.N
-    if case is DoubleCase.DUAL_HAHN_I:
-        return 2 * j0 + 2 * (g + d + 1) * j0 * p - (2 * N + 1) * (g - d) * p + (g - d)
-    if case is DoubleCase.DUAL_HAHN_II:
-        return -2 * j0 + 2 * (g + d + 2 * N + 1) * j0 * p + (2 * N + 1) * (g - d) * p - (g - d)
-    return (2 * j0 + 2 * (g - d) * j0 * p
-            - ((2 * N + 2) * (g + d + 1) + (2 * g + 1) * (2 * d + 1)) * p + (g - d))
 
 
 def verify_algebra(case: DoubleCase, params: DualHahnParams) -> Dict[str, List[Fraction]]:
@@ -108,7 +89,7 @@ def verify_algebra(case: DoubleCase, params: DualHahnParams) -> Dict[str, List[F
     # [J0, J+]_{i,i-1} = 2 M_{i-1} (j0_i - j0_{i-1}); must equal (J+)_{i,i-1}
     res["j0_ladder"] = [alg.j0[i] - alg.j0[i - 1] - 1 for i in range(1, alg.dim)]
     comm = alg.commutator_diagonal()
-    res["commutator"] = [comm[i] - commutator_rhs(case, params, alg.j0[i], alg.parity[i])
+    res["commutator"] = [comm[i] - case.record.commutator(params, alg.j0[i], alg.parity[i])
                          for i in range(alg.dim)]
     return res
 
@@ -121,24 +102,21 @@ def commutator_sign(case: DoubleCase) -> int:
     operators match after the rescaling J_pm -> i J_pm, which flips the
     commutator); the other two realize it directly.
     """
-    return -1 if case is DoubleCase.DUAL_HAHN_II else 1
+    return case.record.commutator_sign
 
 
 def structure_constants(case: DoubleCase, params: DualHahnParams) -> StructureConstants:
     """(nu, sigma, rho) of the normal form, with the sign convention of
-    commutator_sign."""
+    commutator_sign, read off the case's closed form: divided by the sign
+    it is 2 j0 + 2 nu j0 p + (sigma/2) p + rho/2, so its values at
+    j0, p in {0, 1} determine the three constants."""
     if case not in ALGEBRA_CASES:
         raise UnsupportedCase(f"{case.value}: algebra realizations cover the dual Hahn cases")
-    g, d, N = params.gamma, params.delta, params.N
-    if case is DoubleCase.DUAL_HAHN_I:
-        return StructureConstants(g + d + 1, -2 * (2 * N + 1) * (g - d), 2 * (g - d))
-    if case is DoubleCase.DUAL_HAHN_II:
-        return StructureConstants(-(g + d + 2 * N + 1), -2 * (2 * N + 1) * (g - d), 2 * (g - d))
-    return StructureConstants(
-        g - d,
-        -2 * ((2 * N + 2) * (g + d + 1) + (2 * g + 1) * (2 * d + 1)),
-        2 * (g - d),
-    )
+    sgn = commutator_sign(case)
+    c = {(j0, p): sgn * case.record.commutator(params, Fraction(j0), Fraction(p))
+         for j0 in (0, 1) for p in (0, 1)}
+    return StructureConstants(nu=(c[1, 1] - c[1, 0] - c[0, 1] + c[0, 0]) / 2,
+                              sigma=2 * (c[0, 1] - c[0, 0]), rho=2 * c[0, 0])
 
 
 def verify_normal_form(case: DoubleCase, params: DualHahnParams) -> List[Fraction]:

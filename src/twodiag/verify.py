@@ -14,7 +14,11 @@ from typing import Callable, Dict, List
 
 from . import orthosystems, oscillator, transforms
 from .doubles import (
+    EIGVEC_CASES,
+    MATRIX_CASES,
+    NONSYM_CASES,
     DoubleCase,
+    christoffel_nu,
     coefficients,
     locate_failure,
     pair_grid_max_residue,
@@ -47,12 +51,6 @@ from .matrices import (
 from .sampling import rand_dual_hahn, rand_hahn, rand_params_for_case, rand_racah
 
 SUITES = ("pairs", "requirements", "christoffel", "orthogonality", "spectra", "algebra")
-
-MATRIX_CASES = tuple(c for c in DoubleCase
-                     if c not in (DoubleCase.RACAH_II, DoubleCase.RACAH_IV))
-NONSYM_CASES = (DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II, DoubleCase.DUAL_HAHN_III)
-EIGVEC_CASES = (DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II, DoubleCase.DUAL_HAHN_III,
-                DoubleCase.HAHN_I, DoubleCase.HAHN_II, DoubleCase.RACAH_I, DoubleCase.RACAH_III)
 
 
 @dataclass
@@ -102,8 +100,6 @@ def suite_christoffel(rng: random.Random, max_n: int, draws: int) -> List[CheckO
     for case in DoubleCase:
         for i in range(draws):
             params = rand_params_for_case(case, rng, max_n, i)
-            from .doubles import christoffel_nu
-
             nu = christoffel_nu(case, params)
             res = transforms.verify_same_family(case, params)
             res += transforms.verify_recurrence_link(params, nu, params.N - 1)
@@ -141,8 +137,7 @@ def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[Chec
 
     for i in range(draws):
         for case in orthosystems.SYSTEM_CASES:
-            params = (rand_dual_hahn(rng, max_n) if case is DoubleCase.DUAL_HAHN_I
-                      else rand_hahn(rng, max_n))
+            params = rand_params_for_case(case, rng, max_n)
             system = orthosystems.doubled_system(case, params)
             res = orthosystems.verify_discrete_orthogonality(system)
             ok = all(r == 0 for r in res) and orthosystems.support_matches_spectrum(system)
@@ -205,7 +200,7 @@ def suite_spectra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutco
             out.append(CheckOutcome(f"spectra double:{case.value} [{_params_label(params)}]", ok))
     for case in NONSYM_CASES:
         for i in range(draws):
-            params = rand_dual_hahn(rng, min(max_n, 12))
+            params = rand_params_for_case(case, rng, min(max_n, 12))
             m = nonsymmetric_form(case, params)
             ok = verify_spectrum_exact(m.matrix, m.spectrum)
             out.append(CheckOutcome(f"spectra nonsym:{case.value} [{_params_label(params)}]", ok))

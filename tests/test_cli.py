@@ -176,3 +176,40 @@ def test_poly_racah(capsys):
 def test_poly_missing_params(capsys):
     with pytest.raises(SystemExit):
         main(["poly", "hahn", "-n", "1", "-N", "3"])
+
+
+def _one_line_error(err: str) -> str:
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+def test_gen_refuses_case_without_matrix(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "double:RacahII", "-N", "3"])
+    assert info.value.code == 2
+    assert "double:RacahII" in _one_line_error(capsys.readouterr().err)
+
+
+def test_gen_racah_zero_beta_is_not_replaced(capsys):
+    code, out, err = run(capsys, "gen", "double:RacahI", "-N", "2", "--beta", "0",
+                         "--format", "json")
+    assert code == 2 and out == ""
+    _one_line_error(err)
+
+
+def test_flags_the_selector_does_not_take(capsys):
+    code, out, err = run(capsys, "gen", "double:RacahI", "-N", "3", "--alpha", "1")
+    assert code == 2 and out == ""
+    assert "--alpha" in _one_line_error(err)
+    code, out, err = run(capsys, "spectrum", "kac", "-N", "3", "--gamma", "1")
+    assert code == 2 and out == ""
+    assert "--gamma" in _one_line_error(err)
+
+
+def test_verify_rejects_max_n_below_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--max-N", "1"])
+    assert "--max-N" in str(info.value.code)
+    assert capsys.readouterr().out == ""

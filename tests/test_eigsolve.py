@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -88,14 +87,15 @@ def test_dim_to_n_mapping():
         _dim_to_n("double:HahnI", 11)
 
 
-def test_match_error_greedy_fallback_warns():
+def test_match_error_sorted_pairing():
     closed = np.array([-1.0, 0.0, 0.0, 1.0])
     computed = np.array([-1.0, -1e-14, 1e-14, 1.0])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        err = _match_error(computed, closed)
-    assert err < 1e-13
-    assert any("cluster" in str(w.message) for w in caught)
+    assert _match_error(computed, closed) == 1e-14
+    # a clustered closed spectrum does not excuse a missing eigenvalue: the
+    # computed 0.2 pairs with the closed 1.0, not with the nearer 0.0
+    closed = np.array([0.0, 0.0, 1.0])
+    computed = np.array([0.0, 0.1, 0.2])
+    assert _match_error(computed, closed) == 0.8
 
 
 def test_benchmark_zero_reps_is_empty():
@@ -124,7 +124,8 @@ def test_benchmark_double_family_integer_eigenvalues():
                      params={"gamma": F(2), "delta": F(2)})
     bundle = build_gallery_matrix("double:DualHahnIII", 20,
                                   {"gamma": F(2), "delta": F(2)})
-    assert sorted(e.exact_rational() for e in bundle.spectrum.entries) is not None
+    assert (sorted(e.exact_rational() for e in bundle.spectrum.entries)
+            == sorted(s * (k + 3) for k in range(21) for s in (1, -1)))
     assert reps[0].max_abs_eig_error < 1e-11 * 42
 
 
@@ -142,3 +143,19 @@ def test_gallery_builder_racah_defaults():
     assert bundle.matrix.dim == 9
     r = sym_tridiag_eigen(to_float_tridiag(bundle))
     assert np.abs(r.values - np.sort(bundle.spectrum.floats())).max() < 1e-12
+
+
+def test_gallery_builder_honours_zero_beta():
+    # beta = 0 is a pole of the RacahI squares; it must reach the
+    # construction rather than be replaced by the default beta
+    with pytest.raises(ZeroDivisionError):
+        build_gallery_matrix("double:RacahI", 2, {"beta": F(0)})
+
+
+def test_gallery_builder_rejects_parameters_the_selector_does_not_take():
+    with pytest.raises(ValueError, match="--alpha"):
+        build_gallery_matrix("double:RacahI", 3, {"alpha": F(1)})
+    with pytest.raises(ValueError, match="--gamma"):
+        build_gallery_matrix("kac", 3, {"gamma": F(1)})
+    with pytest.raises(ValueError, match="RacahII"):
+        build_gallery_matrix("double:RacahII", 3)
