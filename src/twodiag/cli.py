@@ -57,6 +57,18 @@ def _collect_params(args) -> Dict[str, Fraction]:
     return out
 
 
+def _invocation(args) -> str:
+    """The subcommand, selector, size and given parameters, for error lines."""
+    words = [args.command, getattr(args, "family", None)]
+    if getattr(args, "N", None) is not None:
+        words.append(f"-N {args.N}")
+    if getattr(args, "dims", ""):
+        words.append(f"--dims {args.dims}")
+    given = _collect_params(args)
+    text = " ".join(w for w in words if w)
+    return text + (" with " + ", ".join(f"{k}={v}" for k, v in given.items()) if given else "")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twodiag",
@@ -236,6 +248,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: {_invocation(args)}: a value is too large for a float ({exc})",
+              file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

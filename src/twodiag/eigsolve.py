@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -218,7 +218,8 @@ def build_gallery_matrix(selector: str, n: int,
                          params: Optional[Dict[str, Fraction]] = None) -> MatrixWithSpectrum:
     """Construct the (matrix, spectrum) bundle for a family selector at size
     parameter n, filling in default parameters where none are given.  A
-    parameter the selector does not take is an error."""
+    parameter the selector does not take is an error, and a vanishing
+    denominator is reported with the selector, n and every parameter in use."""
     merged = _default_params(selector)
     for name, value in (params or {}).items():
         if name not in merged:
@@ -239,7 +240,12 @@ def build_gallery_matrix(selector: str, n: int,
     else:
         fam = case.family(N=n, **merged)
     build = nonsymmetric_form if selector.startswith("nonsym:") else double_matrix
-    return build(case, fam)
+    try:
+        return build(case, fam)
+    except ZeroDivisionError as exc:
+        used = ", ".join(f"{f.name}={getattr(fam, f.name)}" for f in fields(fam)
+                         if f.name not in ("N", "minus_n"))
+        raise type(exc)(f"{selector} -N {n} with {used}: a denominator vanishes") from exc
 
 
 def to_float_tridiag(m: MatrixWithSpectrum) -> FloatTridiag:

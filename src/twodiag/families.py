@@ -6,6 +6,14 @@ terminating 4F3; all values are exact rationals for rational parameters.
 The recurrence used throughout is
 
     Lam(x) y_n(x) = A(n) y_{n+1}(x) - (A(n)+C(n)) y_n(x) + C(n) y_{n-1}(x).
+
+Two ways to the same numbers live here.  The per-point evaluators
+(`*_eval` by the series, `*_weight`/`*_norm` by their closed forms) are
+the independent oracle that the pair, requirement and orthogonality checks
+use.  The whole-table builders (`family_column`, `family_weights`,
+`family_norms`) run the recurrence above in n, and the ratio recurrences of
+weight and norm, to fill a whole column or table in O(N) steps; the
+eigenvector matrices are built from them.
 """
 
 from __future__ import annotations
@@ -299,19 +307,22 @@ def _racah_dual_params(params: RacahParams) -> RacahParams:
     return RacahParams(params.gamma, params.delta, params.alpha, params.beta, sel)
 
 
-@lru_cache(maxsize=4096)
-def racah_weights(params: RacahParams) -> tuple[Fraction, ...]:
-    """Racah weight on x = 0..N, normalized to w(0) = 1.
-
-    The ratio w(x)/w(x-1) follows from the recurrence data of the
-    parameter-swapped (dual) family, which governs the x-direction
-    three-term relation of the polynomial values.
-    """
-    rec = recurrence_data(_racah_dual_params(params))
-    out = [Fraction(1)]
-    for x in range(1, params.N + 1):
+def _weights_by_ratio(dual: FamilyParams, w0: Fraction) -> tuple[Fraction, ...]:
+    """w(0), ..., w(N) from w(x)/w(x-1) = A(x-1)/C(x), with A and C the
+    recurrence data of the dual family (the one whose degree is x), which
+    governs the x-direction three-term relation of the polynomial values."""
+    rec = recurrence_data(dual)
+    out = [w0]
+    for x in range(1, dual.N + 1):
         out.append(out[-1] * rec.A(x - 1) / rec.C(x))
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def racah_weights(params: RacahParams) -> tuple[Fraction, ...]:
+    """Racah weight on x = 0..N, normalized to w(0) = 1, by the ratio
+    recurrence of the parameter-swapped (dual) family."""
+    return _weights_by_ratio(_racah_dual_params(params), Fraction(1))
 
 
 @lru_cache(maxsize=4096)
@@ -321,11 +332,44 @@ def racah_norms(params: RacahParams) -> tuple[Fraction, ...]:
     h_0 is the total weight; the ratio h_n/h_{n-1} = C(n)/A(n-1) follows
     from pairing the recurrence against the orthogonality sum.
     """
+    return _norms_by_ratio(params, Fraction(sum(racah_weights(params))))
+
+
+@lru_cache(maxsize=4096)
+def hahn_weights(params: HahnParams) -> tuple[Fraction, ...]:
+    """Hahn weight on x = 0..N: w(0) in closed form, then the ratio from
+    the dual Hahn recurrence."""
+    dual = DualHahnParams(params.alpha, params.beta, params.N)
+    return _weights_by_ratio(dual, hahn_weight(0, params))
+
+
+@lru_cache(maxsize=4096)
+def dual_hahn_weights(params: DualHahnParams) -> tuple[Fraction, ...]:
+    """Dual Hahn weight on x = 0..N: w(0) in closed form, then the ratio
+    from the Hahn recurrence."""
+    dual = HahnParams(params.gamma, params.delta, params.N)
+    return _weights_by_ratio(dual, dual_hahn_weight(0, params))
+
+
+def _norms_by_ratio(params: FamilyParams, h0: Fraction) -> tuple[Fraction, ...]:
+    """h_0, ..., h_N from h_n/h_{n-1} = C(n)/A(n-1)."""
     rec = recurrence_data(params)
-    h = [Fraction(sum(racah_weights(params)))]
+    h = [h0]
     for n in range(1, params.N + 1):
         h.append(h[-1] * rec.C(n) / rec.A(n - 1))
     return tuple(h)
+
+
+@lru_cache(maxsize=4096)
+def hahn_norms(params: HahnParams) -> tuple[Fraction, ...]:
+    """Hahn norms h_0..h_N: h_0 in closed form, then the recurrence ratio."""
+    return _norms_by_ratio(params, hahn_norm(0, params))
+
+
+@lru_cache(maxsize=4096)
+def dual_hahn_norms(params: DualHahnParams) -> tuple[Fraction, ...]:
+    """Dual Hahn norms h_0..h_N: h_0 in closed form, then the recurrence ratio."""
+    return _norms_by_ratio(params, dual_hahn_norm(0, params))
 
 
 def racah_weight(x: int, params: RacahParams) -> Fraction:
@@ -358,3 +402,57 @@ def family_norm(params: FamilyParams, n: int) -> Fraction:
     if isinstance(params, RacahParams):
         return racah_norm(n, params)
     raise TypeError(f"no norm for {type(params).__name__}")
+
+
+def family_weights(params: FamilyParams) -> tuple[Fraction, ...]:
+    """The weight table w(0..N), built by its ratio recurrence."""
+    if isinstance(params, HahnParams):
+        return hahn_weights(params)
+    if isinstance(params, DualHahnParams):
+        return dual_hahn_weights(params)
+    if isinstance(params, RacahParams):
+        return racah_weights(params)
+    raise TypeError(f"no weight for {type(params).__name__}")
+
+
+def family_norms(params: FamilyParams) -> tuple[Fraction, ...]:
+    """The norm table h_0..h_N, built by its ratio recurrence."""
+    if isinstance(params, HahnParams):
+        return hahn_norms(params)
+    if isinstance(params, DualHahnParams):
+        return dual_hahn_norms(params)
+    if isinstance(params, RacahParams):
+        return racah_norms(params)
+    raise TypeError(f"no norm for {type(params).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# value columns by the three-term recurrence
+
+@lru_cache(maxsize=4096)
+def _recurrence_rows(params: FamilyParams) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """(A(n), A(n)+C(n), C(n)) for n = 0..N-1: the x-independent part of
+    every value column, computed once per parameter set."""
+    rec = recurrence_data(params)
+    rows = []
+    for n in range(params.N):
+        a, c = rec.A(n), rec.C(n)
+        rows.append((a, a + c, c))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=1024)
+def family_column(params: FamilyParams, x: RationalLike) -> tuple[Fraction, ...]:
+    """y_0(x), ..., y_N(x) by the three-term recurrence, upward from
+    y_0 = 1:  y_{n+1} = ((Lam(x) + A(n) + C(n)) y_n - C(n) y_{n-1}) / A(n).
+
+    Equal to family_eval(params, n, x) for every n; a vanishing A(n) with
+    n < N (a pole of the series) raises ZeroDivisionError.
+    """
+    lam = recurrence_data(params).Lam(x)
+    prev, cur = Fraction(0), Fraction(1)
+    out = [cur]
+    for a, ac, c in _recurrence_rows(params):
+        prev, cur = cur, ((lam + ac) * cur - c * prev) / a
+        out.append(cur)
+    return tuple(out)

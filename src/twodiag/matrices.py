@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -21,9 +22,9 @@ from .exact import RationalLike, ScaledRoot, SqrtRational
 from .families import (
     DualHahnParams,
     FamilyParams,
-    family_eval,
-    family_norm,
-    family_weight,
+    family_column,
+    family_norms,
+    family_weights,
 )
 
 
@@ -156,39 +157,56 @@ class MatrixWithSpectrum:
 # ---------------------------------------------------------------------------
 # characteristic polynomial machinery
 
-def charpoly_from_products(products: Sequence[RationalLike]) -> List[Fraction]:
-    """Coefficients (ascending powers) of det(lambda I - A) for a
-    zero-diagonal tridiagonal A with the given offdiagonal products, via the
-    principal-minor recurrence p_k = lambda p_{k-1} - q_{k-1} p_{k-2}."""
-    prev = [Fraction(1)]          # p_0
-    cur = [Fraction(0), Fraction(1)]  # p_1 = lambda
-    for q in products:
+def _half_charpoly(products: Sequence[RationalLike]) -> List[Fraction]:
+    """Coefficients (ascending powers of mu) of P with
+    det(lambda I - A) = lambda^(dim mod 2) P(lambda^2).
+
+    The principal minors of a zero-diagonal tridiagonal are
+    p_k = lambda^(k mod 2) P_k(lambda^2), so the minor recurrence
+    p_k = lambda p_{k-1} - q_{k-2} p_{k-2} becomes
+    P_k = mu P_{k-1} - q_{k-2} P_{k-2} for even k and
+    P_k = P_{k-1} - q_{k-2} P_{k-2} for odd k, on half the coefficients."""
+    prev = [Fraction(1)]  # P_0
+    cur = [Fraction(1)]   # P_1
+    for k, q in enumerate(products, start=2):
         q = Fraction(q)
-        nxt = [Fraction(0)] + cur            # lambda * p_k
+        nxt = [Fraction(0)] + cur if k % 2 == 0 else list(cur)
         for i, coef in enumerate(prev):
             nxt[i] -= q * coef
         prev, cur = cur, nxt
     return cur
 
 
+def _spread(half: List[Fraction], odd: int) -> List[Fraction]:
+    """Ascending lambda coefficients of lambda^odd * half(lambda^2)."""
+    out = [Fraction(0)] * (2 * len(half) - 1 + odd)
+    out[odd::2] = half
+    return out
+
+
+def charpoly_from_products(products: Sequence[RationalLike]) -> List[Fraction]:
+    """Coefficients (ascending powers) of det(lambda I - A) for a
+    zero-diagonal tridiagonal A with the given offdiagonal products
+    q_0, q_1, ..., via the principal-minor recurrence
+    p_k = lambda p_{k-1} - q_{k-2} p_{k-2} run in lambda^2 (`_half_charpoly`)."""
+    return _spread(_half_charpoly(products), (len(products) + 1) % 2)
+
+
 def charpoly(m: TwoDiagonal | SymTridiag) -> List[Fraction]:
     return charpoly_from_products(m.products())
 
 
-def _poly_mul_lam2_minus(poly: List[Fraction], s: Fraction) -> List[Fraction]:
-    """Multiply an ascending-coefficient polynomial by (lambda^2 - s)."""
-    out = [Fraction(0)] * (len(poly) + 2)
-    for i, c in enumerate(poly):
-        out[i + 2] += c
-        out[i] -= s * c
-    return out
-
-
 def spectrum_poly(zeros: int, squares: Sequence[RationalLike]) -> List[Fraction]:
-    poly = [Fraction(1)]
+    """Ascending coefficients of lambda^zeros prod(lambda^2 - s), the
+    product formed in lambda^2."""
+    half = [Fraction(1)]
     for s in squares:
-        poly = _poly_mul_lam2_minus(poly, Fraction(s))
-    return [Fraction(0)] * zeros + poly
+        s = Fraction(s)
+        nxt = [Fraction(0)] + half          # mu * half
+        for i, c in enumerate(half):
+            nxt[i] -= s * c
+        half = nxt
+    return [Fraction(0)] * zeros + _spread(half, 0)
 
 
 def verify_spectrum_exact(m: TwoDiagonal | SymTridiag, s: Spectrum) -> bool:
@@ -354,14 +372,16 @@ class EigvecMatrix:
         return np.array([float(e) for e in self.eigencolumn])
 
 
-def _norm_rad(fam: FamilyParams, x: int, n: int, halved: bool) -> Fraction:
-    w = family_weight(fam, x)
-    h = family_norm(fam, n)
-    if w <= 0 or h <= 0:
-        raise InadmissibleParams(f"weight/norm not positive at x={x}, n={n} for {fam}")
-    return w / ((2 if halved else 1) * h)
+def _positive_tables(fam: FamilyParams) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """The weight and norm tables of a family; raises InadmissibleParams
+    unless every entry is positive (real square roots need it)."""
+    w, h = family_weights(fam), family_norms(fam)
+    if min(w) <= 0 or min(h) <= 0:
+        raise InadmissibleParams(f"weight/norm not positive for {fam}")
+    return w, h
 
 
+@lru_cache(maxsize=4)
 def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     """The orthogonal eigenvector matrix U of a doubling case, as displayed
     in the corresponding matrix construction.
@@ -373,6 +393,12 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     with opposite signs, scaled by sqrt(w(x) / 2h_n) (w(x) / h_n in the
     single column).  Odd dimension with xshift 0 (second dual Hahn case)
     runs the grid backwards, x = N - k, without the (-1)^n.
+
+    Values come a column at a time from the three-term recurrence and
+    weights and norms from their ratio recurrences (`families.family_column`,
+    `family_weights`, `family_norms`).  The result is immutable and cached,
+    so a caller that rebuilds U for the same case and parameters gets the
+    same object back.
     """
     rec = case_record(case, params)
     if rec.u_delta_shift is None:
@@ -385,20 +411,23 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     N, dim = params.N, rec.dim(params.N)
     right = 1 if rec.even_dim else 0
     edge = not rec.even_dim and xshift == 0
+    w_even, h_even = _positive_tables(fam_even)
+    w_odd, h_odd = _positive_tables(fam_odd)
+    signs = [1 if edge else (-1) ** n for n in range(N + 1)]
     rows = [[ScaledRoot.zero()] * dim for _ in range(dim)]
-    for n in range(N + 1):
-        sgn = Fraction(1 if edge else (-1) ** n)
-        for k in range(N + 1):
-            x = N - k if edge else k
-            neg, pos = N - k, N + k + right
-            ve = sgn * family_eval(fam_even, n, x)
-            re = _norm_rad(fam_even, x, n, halved=neg != pos)
-            rows[2 * n][neg] = rows[2 * n][pos] = ScaledRoot(ve, re)
-            if neg != pos and n <= fam_odd.N:
-                vo = sgn * family_eval(fam_odd, n, x + xshift)
-                ro = _norm_rad(fam_odd, x + xshift, n, halved=True)
-                rows[2 * n + 1][neg] = ScaledRoot(-vo, ro)
-                rows[2 * n + 1][pos] = ScaledRoot(vo, ro)
+    for k in range(N + 1):
+        x = N - k if edge else k
+        neg, pos = N - k, N + k + right
+        halved = neg != pos
+        w = w_even[x] / 2 if halved else w_even[x]
+        for n, y in enumerate(family_column(fam_even, x)):
+            rows[2 * n][neg] = rows[2 * n][pos] = ScaledRoot(signs[n] * y, w / h_even[n])
+        if halved:
+            w = w_odd[x + xshift] / 2
+            for n, y in enumerate(family_column(fam_odd, x + xshift)):
+                r = w / h_odd[n]
+                rows[2 * n + 1][neg] = ScaledRoot(-signs[n] * y, r)
+                rows[2 * n + 1][pos] = ScaledRoot(signs[n] * y, r)
     dcol = [SqrtRational(0, Fraction(0))] * dim
     for k in range(1 - right, N + 1):
         s = Fraction(rec.eig_square(params, k))
@@ -415,7 +444,8 @@ def orthogonality_residual(u: EigvecMatrix) -> float:
 
 
 def eigen_residual(case: DoubleCase, params: FamilyParams) -> float:
-    """max |M U - U D| in floating point, scaled by max |M| entry."""
+    """max |M U - U D| in floating point, scaled by max |M| entry.  U comes
+    from the cache of `eigvec_matrix` when the caller has just built it."""
     u = eigvec_matrix(case, params)
     uf = u.to_float()
     m = double_matrix(case, params).matrix.to_dense()

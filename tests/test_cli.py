@@ -213,3 +213,31 @@ def test_verify_rejects_max_n_below_two(capsys):
         main(["verify", "--max-N", "1"])
     assert "--max-N" in str(info.value.code)
     assert capsys.readouterr().out == ""
+
+
+def test_pole_error_names_selector_n_and_parameters(capsys):
+    code, out, err = run(capsys, "gen", "double:RacahI", "-N", "2", "--beta", "0")
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    assert "Fraction" not in line
+    for word in ("double:RacahI", "-N 2", "alpha=-3", "beta=0", "gamma=1/3", "delta=1/5"):
+        assert word in line, line
+    code, _, err = run(capsys, "bench", "double:RacahI", "--dims", "8", "--beta", "1")
+    assert code == 2
+    assert "beta=1" in _one_line_error(err)
+
+
+def test_float_overflow_is_one_line_error(capsys):
+    huge = "1" + "0" * 400
+    code, out, err = run(capsys, "spectrum", "kac-odd", "-N", "2", "--gamma", huge)
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    assert "kac-odd -N 2" in line and f"gamma={huge}" in line and "float" in line
+
+
+def test_unwritable_output_is_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.mtx"
+    code, out, err = run(capsys, "gen", "kac", "-N", "2", "-o", str(target))
+    assert code == 2 and out == ""
+    assert str(target) in _one_line_error(err)
+    assert not target.exists()

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from twodiag.doubles import DoubleCase, coefficients
 from twodiag.exact import DenominatorPole, pochhammer
 from twodiag.families import (
     DualHahnParams,
@@ -12,7 +13,12 @@ from twodiag.families import (
     dual_hahn_eval,
     dual_hahn_norm,
     dual_hahn_weight,
+    family_column,
     family_eval,
+    family_norm,
+    family_norms,
+    family_weight,
+    family_weights,
     hahn_eval,
     hahn_norm,
     hahn_weight,
@@ -22,7 +28,7 @@ from twodiag.families import (
     racah_weight,
     recurrence_data,
 )
-from twodiag.sampling import rand_dual_hahn, rand_hahn, rand_racah
+from twodiag.sampling import rand_dual_hahn, rand_hahn, rand_params_for_case, rand_racah
 
 
 def hyp3f2_bruteforce(a1, a2, a3, b1, b2, terms):
@@ -237,3 +243,45 @@ def test_hahn_norm_degenerate_denominator_reported():
     p = HahnParams(F(-3, 2), F(-3, 2), 4)
     with pytest.raises(ZeroDivisionError):
         hahn_norm(1, p)
+
+
+def _case_families(seed):
+    """(family, its grid points) for both families of every doubling case,
+    Racah draws through all three degree caps; the hatted family is also
+    taken at x + xshift, the points the eigenvector matrices use."""
+    rng = random.Random(seed)
+    out = []
+    for i, case in enumerate(list(DoubleCase) * 3):
+        p = rand_params_for_case(case, rng, 7, i)
+        pair = coefficients(case, p)
+        shift = int(pair.xshift)
+        out.append((p, range(p.N + 1)))
+        out.append((pair.hatted, sorted({x + s for x in range(p.N + 1) for s in (0, shift)})))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_family_column_equals_series(seed):
+    for fam, xs in _case_families(seed):
+        for x in list(xs) + [F(-2, 3)]:
+            assert list(family_column(fam, x)) == [family_eval(fam, n, x)
+                                                   for n in range(fam.N + 1)], (fam, x)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weight_and_norm_tables_equal_closed_forms(seed):
+    for fam, _ in _case_families(seed):
+        assert list(family_weights(fam)) == [family_weight(fam, x) for x in range(fam.N + 1)]
+        assert list(family_norms(fam)) == [family_norm(fam, n) for n in range(fam.N + 1)]
+
+
+@pytest.mark.parametrize("params", [
+    HahnParams(-2, F(1, 3), 4),                      # alpha+1 = -1
+    DualHahnParams(-2, F(1, 3), 4),                  # gamma+1 = -1
+    RacahParams(-5, F(1, 2), -2, F(1, 3), "alpha"),  # gamma+1 = -1
+])
+def test_column_at_a_series_pole_raises(params):
+    with pytest.raises(DenominatorPole):
+        family_eval(params, 2, 3)
+    with pytest.raises(ZeroDivisionError):
+        family_column(params, 3)

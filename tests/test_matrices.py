@@ -1,13 +1,23 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodiag.doubles import DoubleCase
+from twodiag.doubles import CASE_TABLE, EIGVEC_CASES, DoubleCase, coefficients
+from twodiag.eigsolve import FAMILY_CHOICES, build_gallery_matrix
 from twodiag.exact import ScaledRoot
-from twodiag.families import DualHahnParams, HahnParams
+from twodiag.families import (
+    DualHahnParams,
+    HahnParams,
+    RacahParams,
+    family_eval,
+    family_norm,
+    family_weight,
+)
 from twodiag.matrices import (
     nonsymmetric_entries,
     InadmissibleParams,
@@ -323,3 +333,130 @@ def test_spectrum_properties():
     assert s.zero_count() == 1
     assert s.dim == m.matrix.dim
     assert [e.radicand for e in s.entries if e.sign > 0] == [1, 2, 3, 4, 5]
+
+
+def _series_u(case, params):
+    """U entry by entry from the series values and the per-point closed-form
+    weights and norms, in the layout `eigvec_matrix` documents."""
+    rec = CASE_TABLE[case]
+    even = replace(params, delta=params.delta + rec.u_delta_shift) if rec.u_delta_shift else params
+    pair = coefficients(case, even)
+    odd, xshift = pair.hatted, int(pair.xshift)
+    N, dim = params.N, rec.dim(params.N)
+    right = 1 if rec.even_dim else 0
+    edge = not rec.even_dim and xshift == 0
+
+    def entry(fam, n, x, sign, halved):
+        w, h = family_weight(fam, x), family_norm(fam, n)
+        if w <= 0 or h <= 0:
+            raise InadmissibleParams(f"weight/norm not positive at x={x}, n={n}")
+        return sign * family_eval(fam, n, x), w / ((2 if halved else 1) * h)
+
+    rows = [[ScaledRoot.zero()] * dim for _ in range(dim)]
+    for n in range(N + 1):
+        sign = 1 if edge else (-1) ** n
+        for k in range(N + 1):
+            x = N - k if edge else k
+            neg, pos = N - k, N + k + right
+            v, r = entry(even, n, x, sign, neg != pos)
+            rows[2 * n][neg] = rows[2 * n][pos] = ScaledRoot(v, r)
+            if neg != pos and n <= odd.N:
+                v, r = entry(odd, n, x + xshift, sign, True)
+                rows[2 * n + 1][neg] = ScaledRoot(-v, r)
+                rows[2 * n + 1][pos] = ScaledRoot(v, r)
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("case", EIGVEC_CASES, ids=lambda c: c.value)
+def test_eigvec_matrix_equals_series_reference(case):
+    rng = random.Random(case.value)
+    for max_n in (2, 3, 4, 6):
+        p = rand_params_for_case(case, rng, max_n)
+        assert eigvec_matrix(case, p).entries == _series_u(case, p), p
+
+
+def _real_eigenvalues(case, p):
+    try:
+        return all(CASE_TABLE[case].eig_square(p, k) >= 0 for k in range(p.N + 1))
+    except ZeroDivisionError:
+        return False
+
+
+def _outcome(build, case, p):
+    try:
+        return build(case, p)
+    except (ZeroDivisionError, ValueError):
+        return "raises"
+
+
+@pytest.mark.parametrize("case", EIGVEC_CASES, ids=lambda c: c.value)
+def test_eigvec_matrix_raises_where_series_reference_raises(case):
+    # integer and half-integer parameters hit every pole and vanishing
+    # weight or norm; the table build must raise exactly where the series
+    # build does and agree everywhere else
+    # (the eigencolumn, built the same way by both, is kept real)
+    values = [F(v, 2) for v in range(-6, 3)]
+    if case.family is RacahParams:
+        betas = [F(v, 2) for v in range(-6, 11)]
+        grid = [RacahParams(-3, b, g, d) for b, g, d in itertools.product(betas, values, values)]
+    else:
+        grid = [case.family(a, b, 2) for a, b in itertools.product(values, repeat=2)]
+    grid = [p for p in grid if _real_eigenvalues(case, p)]
+    built = 0
+    for p in grid:
+        expected = _outcome(_series_u, case, p)
+        got = _outcome(lambda c, q: eigvec_matrix(c, q).entries, case, p)
+        assert got == expected, p
+        built += expected != "raises"
+    assert 0 < built < len(grid)
+
+
+@pytest.mark.parametrize("case, params", [
+    (DoubleCase.HAHN_II, HahnParams(-2, F(1, 3), 4)),                    # alpha+1 = -1
+    (DoubleCase.DUAL_HAHN_I, DualHahnParams(-2, F(1, 3), 4)),            # gamma+1 = -1
+    (DoubleCase.RACAH_III, RacahParams(-5, F(1, 2), -2, F(1, 3))),       # gamma+1 = -1
+])
+def test_eigvec_matrix_at_a_pole_raises(case, params):
+    with pytest.raises((ZeroDivisionError, InadmissibleParams)):
+        eigvec_matrix(case, params)
+
+
+def test_eigen_residual_reuses_the_built_u(u_cases):
+    case, params = u_cases[0]
+    eigvec_matrix.cache_clear()
+    u = eigvec_matrix(case, params)
+    eigen_residual(case, params)
+    assert eigvec_matrix.cache_info().hits == 1
+    assert eigvec_matrix(case, params) is u
+
+
+def _lambda_charpoly(products):
+    """det(lambda I - A) by the principal-minor recurrence in lambda itself."""
+    prev, cur = [F(1)], [F(0), F(1)]
+    for q in products:
+        nxt = [F(0)] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= q * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _lambda_spectrum_poly(zeros, squares):
+    poly = [F(0)] * zeros + [F(1)]
+    for s in squares:
+        out = [F(0)] * (len(poly) + 2)
+        for i, c in enumerate(poly):
+            out[i + 2] += c
+            out[i] -= s * c
+        poly = out
+    return poly
+
+
+@pytest.mark.parametrize("selector", FAMILY_CHOICES)
+def test_charpoly_in_lambda_squared_equals_lambda_recurrence(selector):
+    for n in (1, 2, 5, 8):
+        m = build_gallery_matrix(selector, n)
+        assert charpoly(m.matrix) == _lambda_charpoly(m.matrix.products()), n
+        s = m.spectrum
+        assert (spectrum_poly(s.zero_count(), s.positive_squares())
+                == _lambda_spectrum_poly(s.zero_count(), s.positive_squares())), n
