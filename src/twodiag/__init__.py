@@ -17,7 +17,6 @@ from .exact import (
     NonTerminatingSeries,
     Rational,
     ScaledRoot,
-    SqrtRational,
     hyper_terminating,
     pochhammer,
     rbinom,

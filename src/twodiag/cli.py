@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .doubles import DoubleCase
-from .eigsolve import FAMILY_CHOICES, benchmark
+from .eigsolve import FAMILY_CHOICES, benchmark, build_gallery_matrix, gallery_params
 from .exact import DenominatorPole, NonTerminatingSeries
 from .families import (
     DualHahnParams,
@@ -39,6 +39,22 @@ def rational_arg(text: str) -> Fraction:
             f"{text!r} is not a rational; write an integer or 'p/q' with q > 0"
         )
     return Fraction(text)
+
+
+_PARAM_FLAGS = ("--alpha", "--beta", "--gamma", "--delta", "--p")
+
+
+def _attach_negative_values(argv: List[str]) -> List[str]:
+    """Write `--gamma -5/2` as `--gamma=-5/2`: argparse takes a separate
+    token that starts with '-' and is not a plain negative number for an
+    option, and would report the flag as missing its value."""
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1] in _PARAM_FLAGS and tok.startswith("-") and _RATIONAL_RE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -125,8 +141,6 @@ def _open_out(path: Optional[str]):
 def cmd_gen(args) -> int:
     if args.N < 1:
         raise SystemExit("error: -N must be >= 1")
-    from .eigsolve import build_gallery_matrix
-
     bundle = build_gallery_matrix(args.family, args.N, _collect_params(args))
     if args.format == "exact" and not isinstance(bundle.matrix, TwoDiagonal):
         raise SystemExit(
@@ -138,8 +152,8 @@ def cmd_gen(args) -> int:
     elif args.format == "exact":
         text = exact_text(bundle.matrix)
     else:
-        shown = {k: str(v) for k, v in _collect_params(args).items()}
-        text = json_text(bundle.label, shown, bundle.matrix)
+        used = gallery_params(args.family, args.N, _collect_params(args))
+        text = json_text(bundle.label, {k: str(v) for k, v in used.items()}, bundle.matrix)
     out = _open_out(args.output)
     out.write(text)
     if out is not sys.stdout:
@@ -150,8 +164,6 @@ def cmd_gen(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.N < 1:
         raise SystemExit("error: -N must be >= 1")
-    from .eigsolve import build_gallery_matrix
-
     bundle = build_gallery_matrix(args.family, args.N, _collect_params(args))
     for e in bundle.spectrum.entries:
         print(f"{e.sign:+d} {e.radicand} {float(e):.17g}")
@@ -230,7 +242,7 @@ def cmd_poly(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "gen": cmd_gen,
         "spectrum": cmd_spectrum,

@@ -203,29 +203,37 @@ def _dim_to_n(selector: str, dim: int) -> int:
     return dim // 2 - (1 if even and selector != "kac-even" else 0)
 
 
-def _default_params(selector: str) -> Dict[str, Fraction]:
-    """The parameters a selector takes, with their defaults."""
+def gallery_params(selector: str, n: int,
+                   params: Optional[Dict[str, Fraction]] = None) -> Dict[str, Fraction]:
+    """The parameters a selector's matrix at size parameter n is built with:
+    its defaults, overridden by the given ones, and the Racah beta filled in
+    from n when not given.  A parameter the selector does not take is an
+    error."""
     if selector not in FAMILY_CHOICES:
         raise ValueError(f"unknown family {selector!r}; choose from {', '.join(FAMILY_CHOICES)}")
     if selector == "kac":
-        return {}
-    if selector.startswith("kac"):
-        return dict(_KAC_DEFAULTS)
-    return dict(_selector_case(selector).record.defaults)
-
-
-def build_gallery_matrix(selector: str, n: int,
-                         params: Optional[Dict[str, Fraction]] = None) -> MatrixWithSpectrum:
-    """Construct the (matrix, spectrum) bundle for a family selector at size
-    parameter n, filling in default parameters where none are given.  A
-    parameter the selector does not take is an error, and a vanishing
-    denominator is reported with the selector, n and every parameter in use."""
-    merged = _default_params(selector)
+        merged = {}
+    elif selector.startswith("kac"):
+        merged = dict(_KAC_DEFAULTS)
+    else:
+        merged = dict(_selector_case(selector).record.defaults)
     for name, value in (params or {}).items():
         if name not in merged:
             raise ValueError(f"{selector} takes no --{name} "
                              f"(it takes: {', '.join(merged) or 'none'})")
         merged[name] = value
+    if "beta" in merged and merged["beta"] is None:
+        merged["beta"] = n + merged["gamma"] + 2
+    return merged
+
+
+def build_gallery_matrix(selector: str, n: int,
+                         params: Optional[Dict[str, Fraction]] = None) -> MatrixWithSpectrum:
+    """Construct the (matrix, spectrum) bundle for a family selector at size
+    parameter n with the parameters `gallery_params` settles on.  A
+    vanishing denominator is reported with the selector, n and every
+    parameter in use."""
+    merged = gallery_params(selector, n, params)
     if selector == "kac":
         return sylvester_kac(n)
     if selector == "kac-odd":
@@ -234,8 +242,6 @@ def build_gallery_matrix(selector: str, n: int,
         return extended_kac_even(n, merged["gamma"], merged["delta"])
     case = _selector_case(selector)
     if case.family is RacahParams:
-        if merged["beta"] is None:
-            merged["beta"] = n + merged["gamma"] + 2
         fam = RacahParams(Fraction(-n - 1), minus_n="alpha", **merged)
     else:
         fam = case.family(N=n, **merged)
@@ -278,8 +284,7 @@ def benchmark(
         bundle = build_gallery_matrix(selector, n, params)
         tri = to_float_tridiag(bundle)
         closed = np.sort(np.array(bundle.spectrum.floats()))
-        shown_params = {k: str(v) for k, v in (params or _default_params(selector)).items()
-                        if v is not None}
+        shown_params = {k: str(v) for k, v in gallery_params(selector, n, params).items()}
         for _ in range(repetitions):
             t0 = time.perf_counter_ns()
             result = sym_tridiag_eigen(tri, want_vectors=want_vectors)

@@ -1,5 +1,5 @@
 """Exact rational kernel: Pochhammer symbols, terminating hypergeometric
-series, and signed square roots of rationals.
+series, and scaled square roots of rationals.
 
 Everything here is pure and exact; no floats enter until a caller asks for
 a float rendering.
@@ -104,77 +104,18 @@ def _isqrt_exact(m: int) -> int | None:
     return s if s * s == m else None
 
 
-@dataclass(frozen=True, order=False)
-class SqrtRational:
-    """The number sign * sqrt(radicand), with radicand a rational >= 0.
-
-    sign is 0 exactly when the radicand is 0, so the representation is
-    canonical and equality is structural.
-    """
-
-    sign: int
-    radicand: Fraction
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or 1")
-        if self.radicand < 0:
-            raise ValueError("radicand must be >= 0")
-        if (self.sign == 0) != (self.radicand == 0):
-            raise ValueError("sign is 0 iff radicand is 0")
-
-    @classmethod
-    def sqrt(cls, radicand: RationalLike) -> "SqrtRational":
-        r = Fraction(radicand)
-        return cls(1 if r > 0 else 0, r)
-
-    @classmethod
-    def of(cls, value: RationalLike) -> "SqrtRational":
-        """Embed an exact rational (e.g. an integer eigenvalue)."""
-        v = Fraction(value)
-        if v == 0:
-            return cls(0, Fraction(0))
-        return cls(1 if v > 0 else -1, v * v)
-
-    @property
-    def square(self) -> Fraction:
-        return self.radicand
-
-    def exact_rational(self) -> Fraction | None:
-        """The value as a rational when the radicand is a perfect square."""
-        root = _sqrt_exact(self.radicand)
-        return None if root is None else self.sign * root
-
-    def __neg__(self) -> "SqrtRational":
-        return SqrtRational(-self.sign, self.radicand)
-
-    def __float__(self) -> float:
-        import math
-
-        return self.sign * math.sqrt(float(self.radicand))
-
-    def _key(self):
-        return (self.sign, self.sign * self.radicand)
-
-    def __lt__(self, other: "SqrtRational") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "SqrtRational") -> bool:
-        return self._key() <= other._key()
-
-    def __repr__(self) -> str:
-        if self.sign == 0:
-            return "0"
-        pre = "-" if self.sign < 0 else ""
-        return f"{pre}sqrt({self.radicand})"
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledRoot:
     """The number coef * sqrt(radicand) with both parts rational, radicand >= 0.
 
-    Not a closed arithmetic type; just an exact carrier for matrix entries
-    and prefactors whose square is rational.
+    Not a closed arithmetic type; an exact carrier for matrix entries,
+    eigenvalues and prefactors whose square is rational.  Spectra,
+    eigencolumns, supports and symmetric offdiagonals keep coef in
+    {-1, 0, 1}, so their radicand is the square.  Equality, hashing and
+    ordering go by value: ScaledRoot(2, 1) == ScaledRoot.of(2).
     """
 
     coef: Fraction
@@ -186,16 +127,60 @@ class ScaledRoot:
 
     @classmethod
     def zero(cls) -> "ScaledRoot":
-        return cls(Fraction(0), Fraction(0))
+        return cls(_ZERO, _ZERO)
+
+    @classmethod
+    def sqrt(cls, radicand: RationalLike) -> "ScaledRoot":
+        r = Fraction(radicand)
+        return cls(_ONE if r else _ZERO, r)
+
+    @classmethod
+    def of(cls, value: RationalLike) -> "ScaledRoot":
+        """Embed an exact rational (e.g. an integer eigenvalue)."""
+        v = Fraction(value)
+        return cls(Fraction((v > 0) - (v < 0)), v * v)
 
     @property
     def square(self) -> Fraction:
         return self.coef * self.coef * self.radicand
 
+    @property
+    def sign(self) -> int:
+        if not self.radicand:
+            return 0
+        return (self.coef > 0) - (self.coef < 0)
+
+    def signed_square(self) -> Fraction:
+        """sign * square, a strictly increasing function of the value."""
+        return self.coef * abs(self.coef) * self.radicand
+
+    def exact_rational(self) -> Fraction | None:
+        """The value as a rational when the radicand is a perfect square."""
+        root = _sqrt_exact(self.radicand)
+        return None if root is None else self.coef * root
+
+    def __neg__(self) -> "ScaledRoot":
+        return ScaledRoot(-self.coef, self.radicand)
+
     def __float__(self) -> float:
         import math
 
         return float(self.coef) * math.sqrt(float(self.radicand))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScaledRoot):
+            return NotImplemented
+        return ((self.coef == other.coef and self.radicand == other.radicand)
+                or self.signed_square() == other.signed_square())
+
+    def __hash__(self) -> int:
+        return hash(self.signed_square())
+
+    def __lt__(self, other: "ScaledRoot") -> bool:
+        return self.signed_square() < other.signed_square()
+
+    def __le__(self, other: "ScaledRoot") -> bool:
+        return self.signed_square() <= other.signed_square()
 
     def __repr__(self) -> str:
         return f"{self.coef}*sqrt({self.radicand})"

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .doubles import DoubleCase, case_record, coefficients
-from .exact import RationalLike, ScaledRoot, SqrtRational
+from .exact import RationalLike, ScaledRoot
 from .families import (
     DualHahnParams,
     FamilyParams,
@@ -80,7 +80,7 @@ class SymTridiag:
     """Symmetric zero-diagonal tridiagonal matrix with offdiagonal entries
     sqrt(square_i) >= 0."""
 
-    offdiagonal: Tuple[SqrtRational, ...]
+    offdiagonal: Tuple[ScaledRoot, ...]
 
     @property
     def dim(self) -> int:
@@ -104,22 +104,23 @@ class SymTridiag:
 class Spectrum:
     """Closed-form eigenvalue list, sorted ascending, closed under negation."""
 
-    entries: Tuple[SqrtRational, ...]
+    entries: Tuple[ScaledRoot, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.entries))
+        ordered = tuple(sorted(self.entries, key=ScaledRoot.signed_square))
         object.__setattr__(self, "entries", ordered)
 
     @classmethod
     def symmetric(cls, positive_squares: Iterable[RationalLike], zeros: int = 0) -> "Spectrum":
         """Spectrum {+-sqrt(s)} for each listed square plus a number of zeros."""
-        entries: List[SqrtRational] = [SqrtRational(0, Fraction(0))] * zeros
+        entries: List[ScaledRoot] = [ScaledRoot.zero()] * zeros
         for s in positive_squares:
             s = Fraction(s)
             if s <= 0:
                 raise InadmissibleParams(f"eigenvalue square {s} is not positive")
-            entries.append(SqrtRational(1, s))
-            entries.append(SqrtRational(-1, s))
+            root = ScaledRoot.sqrt(s)
+            entries.append(root)
+            entries.append(-root)
         return cls(tuple(entries))
 
     @property
@@ -136,7 +137,7 @@ class Spectrum:
         f = Fraction(factor)
         if f <= 0:
             raise ValueError("scale factor must be positive")
-        return Spectrum(tuple(SqrtRational(e.sign, e.radicand * f * f) for e in self.entries))
+        return Spectrum(tuple(replace(e, radicand=e.radicand * f * f) for e in self.entries))
 
     def floats(self) -> List[float]:
         return [float(e) for e in self.entries]
@@ -230,7 +231,7 @@ def symmetrize(m: TwoDiagonal) -> SymTridiag:
     for i, q in enumerate(m.products()):
         if q < 0:
             raise NegativeProduct(f"product b_{i} c_{i} = {q} < 0")
-        off.append(SqrtRational.sqrt(q))
+        off.append(ScaledRoot.sqrt(q))
     return SymTridiag(tuple(off))
 
 
@@ -254,7 +255,7 @@ def sylvester_kac(N: int) -> MatrixWithSpectrum:
         raise ValueError("N must be >= 1")
     mat = TwoDiagonal(tuple(Fraction(k) for k in range(1, N + 1)),
                       tuple(Fraction(k) for k in range(N, 0, -1)))
-    entries = tuple(SqrtRational.of(-N + 2 * k) for k in range(N + 1))
+    entries = tuple(ScaledRoot.of(-N + 2 * k) for k in range(N + 1))
     return MatrixWithSpectrum(f"kac(N={N})", mat, Spectrum(entries))
 
 
@@ -323,7 +324,7 @@ def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:
     for i, q in enumerate(squares):
         if q < 0:
             raise InadmissibleParams(f"offdiagonal square M_{i}^2 = {q} < 0")
-        off.append(SqrtRational.sqrt(q))
+        off.append(ScaledRoot.sqrt(q))
     zeros = dim - 2 * len(eig_squares)
     spec = Spectrum.symmetric(eig_squares, zeros=zeros)
     return MatrixWithSpectrum(f"double:{case.value}", SymTridiag(tuple(off)), spec)
@@ -363,10 +364,17 @@ class EigvecMatrix:
     case: DoubleCase
     dim: int
     entries: Tuple[Tuple[ScaledRoot, ...], ...]
-    eigencolumn: Tuple[SqrtRational, ...]
+    eigencolumn: Tuple[ScaledRoot, ...]
+
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        m = np.array([[float(e) for e in row] for row in self.entries])
+        m.flags.writeable = False
+        return m
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries])
+        """U in floating point, converted once per matrix; read-only."""
+        return self._floats
 
     def d_floats(self) -> np.ndarray:
         return np.array([float(e) for e in self.eigencolumn])
@@ -428,11 +436,11 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
                 r = w / h_odd[n]
                 rows[2 * n + 1][neg] = ScaledRoot(-signs[n] * y, r)
                 rows[2 * n + 1][pos] = ScaledRoot(signs[n] * y, r)
-    dcol = [SqrtRational(0, Fraction(0))] * dim
+    dcol = [ScaledRoot.zero()] * dim
     for k in range(1 - right, N + 1):
-        s = Fraction(rec.eig_square(params, k))
-        dcol[N - k] = -SqrtRational.sqrt(s)
-        dcol[N + k + right] = SqrtRational.sqrt(s)
+        root = ScaledRoot.sqrt(rec.eig_square(params, k))
+        dcol[N - k] = -root
+        dcol[N + k + right] = root
     return EigvecMatrix(case, dim, tuple(tuple(r) for r in rows), tuple(dcol))
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import List, Tuple
 
 from .doubles import SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients
-from .exact import ScaledRoot, SqrtRational
+from .exact import ScaledRoot
 from .families import FamilyParams, family_eval, family_norm, family_weight
 from .matrices import InadmissibleParams, UnsupportedCase, double_matrix
 
@@ -64,21 +64,16 @@ class DoubledSystem:
         """q^2 of the k-th nonnegative support point."""
         return self.case.record.eig_square(self.params, k)
 
-    def support(self) -> Tuple[SqrtRational, ...]:
-        N = self.params.N
-        pts: List[SqrtRational] = []
-        for k in range(N + 1):
-            s = self.point_square(k)
-            if s == 0:
-                pts.append(SqrtRational(0, Fraction(0)))
-            else:
-                pts.append(SqrtRational.sqrt(s))
-                pts.append(-SqrtRational.sqrt(s))
-        return tuple(sorted(pts))
-
-    def point_index(self, q: SqrtRational) -> int:
+    def support(self) -> Tuple[ScaledRoot, ...]:
+        pts: List[ScaledRoot] = []
         for k in range(self.params.N + 1):
-            if self.point_square(k) == q.radicand:
+            root = ScaledRoot.sqrt(self.point_square(k))
+            pts.extend((root, -root) if root.sign else (root,))
+        return tuple(sorted(pts, key=ScaledRoot.signed_square))
+
+    def point_index(self, q: ScaledRoot) -> int:
+        for k in range(self.params.N + 1):
+            if self.point_square(k) == q.square:
                 return k
         raise UnsupportedPoint(f"{q} is not in the support")
 
@@ -109,7 +104,7 @@ def doubled_system(case: DoubleCase, params: FamilyParams) -> DoubledSystem:
     return DoubledSystem(case, params)
 
 
-def doubled_eval(system: DoubledSystem, n: int, q: SqrtRational) -> EvenOddValue:
+def doubled_eval(system: DoubledSystem, n: int, q: ScaledRoot) -> EvenOddValue:
     """Exact even/odd decomposition of P_n(q) at a support point."""
     if not 0 <= n < system.dim:
         raise ValueError(f"index n={n} outside 0..{system.dim - 1}")
@@ -172,7 +167,7 @@ def verify_discrete_orthogonality(system: DoubledSystem) -> List[Fraction]:
 def support_matches_spectrum(system: DoubledSystem) -> bool:
     """Support set == closed-form spectrum of the case's matrix, exactly."""
     spec = double_matrix(system.case, system.params).spectrum
-    return tuple(sorted(system.support())) == spec.entries
+    return system.support() == spec.entries
 
 
 def degree_check(system: DoubledSystem, n: int) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from .doubles import ALGEBRA_CASES, DoubleCase
-from .exact import SqrtRational
+from .exact import ScaledRoot
 from .families import DualHahnParams
 from .matrices import InadmissibleParams, UnsupportedCase, double_matrix_squares
 
@@ -65,7 +65,7 @@ def build_generators(case: DoubleCase, params: DualHahnParams) -> AlgebraRealiza
     for i, q in enumerate(squares):
         if q < 0:
             raise InadmissibleParams(f"M_{i}^2 = {q} < 0")
-        halves.append(SqrtRational.sqrt(q))
+        halves.append(ScaledRoot.sqrt(q))
     # equidistant about zero: k - N for dimension 2N+1, k - N - 1/2 for 2N+2
     j0 = tuple(Fraction(2 * k - dim + 1, 2) for k in range(dim))
     parity = tuple(Fraction((-1) ** k) for k in range(dim))

@@ -1,8 +1,9 @@
 """Deterministic verification suites over randomized rational parameters.
 
 Each suite returns a list of check outcomes; a seed fixes every draw, so a
-run is bit-reproducible.  These are the same checks the acceptance tests
-pin down, packaged for the command line.
+run is bit-reproducible.  `twodiag verify` runs them, and so does the
+acceptance gate (tests/test_acceptance.py) with its own seeds and sizes;
+the exact checks are written only here.
 """
 
 from __future__ import annotations
@@ -24,19 +25,7 @@ from .doubles import (
     pair_grid_max_residue,
     requirements_grid_max_residue,
 )
-from .families import (
-    DualHahnParams,
-    HahnParams,
-    dual_hahn_eval,
-    dual_hahn_norm,
-    dual_hahn_weight,
-    hahn_eval,
-    hahn_norm,
-    hahn_weight,
-    racah_eval,
-    racah_norm,
-    racah_weight,
-)
+from .families import DualHahnParams, HahnParams, family_eval, family_norm, family_weight
 from .matrices import (
     double_matrix,
     eigen_residual,
@@ -48,7 +37,7 @@ from .matrices import (
     sylvester_kac,
     verify_spectrum_exact,
 )
-from .sampling import rand_dual_hahn, rand_hahn, rand_params_for_case, rand_racah
+from .sampling import RACAH_SELECTORS, rand_dual_hahn, rand_hahn, rand_params_for_case, rand_racah
 
 SUITES = ("pairs", "requirements", "christoffel", "orthogonality", "spectra", "algebra")
 
@@ -69,30 +58,24 @@ def _params_label(params) -> str:
             f"d={params.delta},cap={params.minus_n}")
 
 
-def suite_pairs(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
-    out = []
-    for case in DoubleCase:
-        for i in range(draws):
-            params = rand_params_for_case(case, rng, max_n, i)
-            cs = coefficients(case, params)
-            worst = pair_grid_max_residue(cs)
-            detail = f"max residue {worst}" if worst == 0 else locate_failure(cs)
-            out.append(CheckOutcome(f"pairs {case.value} [{_params_label(params)}]",
-                                    worst == 0, detail))
-    return out
+def _grid_suite(word: str, grid_max_residue) -> Callable[[random.Random, int, int], List[CheckOutcome]]:
+    """The pairs or requirements suite: every case's residue grid, per draw."""
+    def suite(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
+        out = []
+        for case in DoubleCase:
+            for i in range(draws):
+                params = rand_params_for_case(case, rng, max_n, i)
+                cs = coefficients(case, params)
+                worst = grid_max_residue(cs)
+                detail = f"max residue {worst}" if worst == 0 else locate_failure(cs)
+                out.append(CheckOutcome(f"{word} {case.value} [{_params_label(params)}]",
+                                        worst == 0, detail))
+        return out
+    return suite
 
 
-def suite_requirements(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
-    out = []
-    for case in DoubleCase:
-        for i in range(draws):
-            params = rand_params_for_case(case, rng, max_n, i)
-            cs = coefficients(case, params)
-            worst = requirements_grid_max_residue(cs)
-            detail = f"max residue {worst}" if worst == 0 else locate_failure(cs)
-            out.append(CheckOutcome(f"requirements {case.value} [{_params_label(params)}]",
-                                    worst == 0, detail))
-    return out
+suite_pairs = _grid_suite("pairs", pair_grid_max_residue)
+suite_requirements = _grid_suite("requirements", requirements_grid_max_residue)
 
 
 def suite_christoffel(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
@@ -111,13 +94,14 @@ def suite_christoffel(rng: random.Random, max_n: int, draws: int) -> List[CheckO
     return out
 
 
-def _orthogonality_sum_check(weight, evalf, norm, params) -> bool:
+def _orthogonality_sum_check(params) -> bool:
+    """sum_x w(x) y_n(x) y_m(x) == delta_nm h_n for 0 <= n <= m <= N."""
     N = params.N
     for n in range(N + 1):
         for m in range(n, N + 1):
-            s = sum(weight(x, params) * evalf(n, x, params) * evalf(m, x, params)
-                    for x in range(N + 1))
-            if s != (norm(n, params) if n == m else 0):
+            s = sum(family_weight(params, x) * family_eval(params, n, x)
+                    * family_eval(params, m, x) for x in range(N + 1))
+            if s != (family_norm(params, n) if n == m else 0):
                 return False
     return True
 
@@ -125,15 +109,11 @@ def _orthogonality_sum_check(weight, evalf, norm, params) -> bool:
 def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
     out = []
     for i in range(draws):
-        ph = rand_hahn(rng, max_n)
-        ok = _orthogonality_sum_check(hahn_weight, hahn_eval, hahn_norm, ph)
-        out.append(CheckOutcome(f"orthogonality hahn [{_params_label(ph)}]", ok))
-        pd = rand_dual_hahn(rng, max_n)
-        ok = _orthogonality_sum_check(dual_hahn_weight, dual_hahn_eval, dual_hahn_norm, pd)
-        out.append(CheckOutcome(f"orthogonality dual-hahn [{_params_label(pd)}]", ok))
-        pr = rand_racah(rng, max_n, ("alpha", "beta_delta", "gamma")[i % 3])
-        ok = _orthogonality_sum_check(racah_weight, racah_eval, racah_norm, pr)
-        out.append(CheckOutcome(f"orthogonality racah [{_params_label(pr)}]", ok))
+        for word, params in (("hahn", rand_hahn(rng, max_n)),
+                             ("dual-hahn", rand_dual_hahn(rng, max_n)),
+                             ("racah", rand_racah(rng, max_n, RACAH_SELECTORS[i % 3]))):
+            out.append(CheckOutcome(f"orthogonality {word} [{_params_label(params)}]",
+                                    _orthogonality_sum_check(params)))
 
     for i in range(draws):
         for case in orthosystems.SYSTEM_CASES:
@@ -156,10 +136,13 @@ def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[Chec
     return out
 
 
+def _certified(m) -> bool:
+    return verify_spectrum_exact(m.matrix, m.spectrum)
+
+
 def suite_spectra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
     out = []
-    kac_ok = all(verify_spectrum_exact(sylvester_kac(n).matrix, sylvester_kac(n).spectrum)
-                 for n in range(1, 21))
+    kac_ok = all(_certified(sylvester_kac(n)) for n in range(1, 21))
     out.append(CheckOutcome("spectra kac N=1..20", kac_ok))
 
     ext_n = min(max_n, 12)
@@ -167,16 +150,13 @@ def suite_spectra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutco
         g = Fraction(rng.randint(-3, 20), rng.randint(1, 6))
         d = Fraction(rng.randint(-3, 20), rng.randint(1, 6))
         for n in range(1, ext_n + 1):
-            mo = extended_kac_odd(n, g, d)
-            if not verify_spectrum_exact(mo.matrix, mo.spectrum):
+            if not _certified(extended_kac_odd(n, g, d)):
                 out.append(CheckOutcome(f"spectra kac-odd N={n} g={g} d={d}", False))
                 break
         else:
             out.append(CheckOutcome(f"spectra kac-odd N<={ext_n} g={g} d={d}", True))
         if g > -1 and d > -1:
-            ok = all(verify_spectrum_exact(extended_kac_even(n, g, d).matrix,
-                                           extended_kac_even(n, g, d).spectrum)
-                     for n in range(1, ext_n + 1))
+            ok = all(_certified(extended_kac_even(n, g, d)) for n in range(1, ext_n + 1))
             out.append(CheckOutcome(f"spectra kac-even N<={ext_n} g={g} d={d}", ok))
 
     half = Fraction(-1, 2)
@@ -184,25 +164,24 @@ def suite_spectra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutco
              and extended_kac_even(n, half, half).matrix == sylvester_kac(2 * n - 1).matrix
              for n in range(1, ext_n + 1))
     out.append(CheckOutcome("spectra reduction at gamma=delta=-1/2", ok))
-    g = Fraction(-1, 4)
     ok = True
-    for n in range(1, ext_n + 1):
-        mo = extended_kac_odd(n, g, -g - 1)
-        ok &= verify_spectrum_exact(mo.matrix, mo.spectrum)
-        ok &= [float(e) for e in mo.spectrum.entries] == [float(v) for v in range(-2 * n, 2 * n + 1, 2)]
+    for g in (Fraction(-1, 4), Fraction(1, 4), Fraction(5, 4), Fraction(9, 4)):
+        for n in range(1, ext_n + 1):
+            mo = extended_kac_odd(n, g, -g - 1)
+            ok &= _certified(mo)
+            ok &= ([float(e) for e in mo.spectrum.entries]
+                   == [float(v) for v in range(-2 * n, 2 * n + 1, 2)])
     out.append(CheckOutcome("spectra integer line delta=-gamma-1", ok))
 
     for case in MATRIX_CASES:
         for i in range(draws):
             params = rand_params_for_case(case, rng, min(max_n, 12), 0)
-            m = double_matrix(case, params)
-            ok = verify_spectrum_exact(m.matrix, m.spectrum)
+            ok = _certified(double_matrix(case, params))
             out.append(CheckOutcome(f"spectra double:{case.value} [{_params_label(params)}]", ok))
     for case in NONSYM_CASES:
         for i in range(draws):
             params = rand_params_for_case(case, rng, min(max_n, 12))
-            m = nonsymmetric_form(case, params)
-            ok = verify_spectrum_exact(m.matrix, m.spectrum)
+            ok = _certified(nonsymmetric_form(case, params))
             out.append(CheckOutcome(f"spectra nonsym:{case.value} [{_params_label(params)}]", ok))
     return out
 
@@ -220,9 +199,11 @@ def suite_algebra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutco
                                     ok, f"{len(flat)} residues"))
     half = Fraction(-1, 2)
     p = DualHahnParams(half, half, 4)
-    sc = oscillator.structure_constants(DoubleCase.DUAL_HAHN_I, p)
-    out.append(CheckOutcome("algebra su(2) coincidence at gamma=delta=-1/2",
-                            (sc.nu, sc.sigma, sc.rho) == (0, 0, 0)))
+    ok = True
+    for case in (DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_III):
+        sc = oscillator.structure_constants(case, p)
+        ok &= (sc.nu, sc.sigma, sc.rho) == (0, 0, 0)
+    out.append(CheckOutcome("algebra su(2) coincidence at gamma=delta=-1/2", ok))
     return out
 
 

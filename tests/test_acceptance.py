@@ -1,9 +1,14 @@
 """Acceptance gate: every criterion in one module, each printing its own
 pass/fail line (run with `pytest tests/test_acceptance.py -v -s`).
 
-Exact criteria demand literal zero residues; floating-point criteria pin
-the stated tolerances.  Random parameter draws are seeded, so the whole
-gate is reproducible.
+Criteria 1-7 run the exact suites of `twodiag.verify`, the checks behind
+`twodiag verify`, with the gate's own seeds, sizes and draw counts; the
+checks themselves are written only there.  A failing criterion prints the
+label and detail of every failing check, and the labels carry the
+parameters that reproduce it.  Criterion 4 adds float checks of the
+eigenvector matrices at N=40; criteria 8 (solver against closed forms) and
+9 (sign-flip mutations) are written here.  Every draw is seeded, so the
+whole gate is reproducible.
 """
 
 import random
@@ -13,215 +18,104 @@ from fractions import Fraction as F
 import pytest
 
 from twodiag.doubles import (
+    EIGVEC_CASES,
+    MATRIX_CASES,
+    NONSYM_CASES,
+    SYSTEM_CASES,
     DoubleCase,
-    christoffel_nu,
     coefficients,
     pair_grid_max_residue,
     requirements_grid_max_residue,
 )
 from twodiag.eigsolve import benchmark, to_float_tridiag
-from twodiag.families import (
-    DualHahnParams,
-    HahnParams,
-    dual_hahn_eval,
-    dual_hahn_norm,
-    dual_hahn_weight,
-    hahn_eval,
-    hahn_norm,
-    hahn_weight,
-)
-from twodiag.matrices import (
-    double_matrix,
-    eigen_residual,
-    eigvec_matrix,
-    extended_kac_even,
-    extended_kac_odd,
-    nonsymmetric_form,
-    orthogonality_residual,
-    sylvester_kac,
-    verify_spectrum_exact,
-)
-from twodiag.orthosystems import (
-    SYSTEM_CASES,
-    doubled_system,
-    support_matches_spectrum,
-    verify_discrete_orthogonality,
-)
-from twodiag.oscillator import (
-    ALGEBRA_CASES,
-    structure_constants,
-    verify_algebra,
-    verify_normal_form,
-)
-from twodiag.sampling import rand_dual_hahn, rand_hahn, rand_params_for_case
-from twodiag.transforms import verify_recurrence_link, verify_roundtrip, verify_same_family
-from twodiag.verify import EIGVEC_CASES, MATRIX_CASES, NONSYM_CASES
+from twodiag.families import DualHahnParams, HahnParams, RacahParams
+from twodiag.matrices import eigen_residual, eigvec_matrix, orthogonality_residual
+from twodiag.sampling import rand_params_for_case
+from twodiag.verify import run_suites
 
 DRAWS_PER_CASE = 20
 MAX_N = 8
 
 
-def report(num, name, ok, detail=""):
+def report(num, name, ok, detail="", failed=()):
     tag = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} [{tag}] {name}" + (f" -- {detail}" if detail else ""))
+    for o in failed:
+        print(f"  FAIL {o.label}" + (f" ({o.detail})" if o.detail else ""))
     assert ok, f"criterion {num}: {name}"
+
+
+def report_outcomes(num, name, outcomes, min_checks, ok=True, detail=""):
+    """Pass when at least `min_checks` suite outcomes ran and all hold."""
+    failed = [o for o in outcomes if not o.ok]
+    report(num, name, ok and len(outcomes) >= min_checks and not failed,
+           f"{len(outcomes) - len(failed)}/{len(outcomes)} checks"
+           + (f", {detail}" if detail else ""), failed)
 
 
 def test_criterion_1_pair_relation_exactness():
     t0 = time.time()
-    rng = random.Random("acceptance-1")
-    checks = 0
-    worst = F(0)
-    for case in DoubleCase:
-        for i in range(DRAWS_PER_CASE):
-            params = rand_params_for_case(case, rng, MAX_N, i)
-            worst = max(worst, pair_grid_max_residue(coefficients(case, params)))
-            checks += 1
+    outcomes = run_suites(["pairs"], MAX_N, 1, DRAWS_PER_CASE)
     elapsed = time.time() - t0
-    report(1, "pair relations exactly zero",
-           worst == 0 and elapsed < 60.0,
-           f"{checks} case draws (11 cases x {DRAWS_PER_CASE}), N <= {MAX_N}, "
-           f"max residue {worst}, {elapsed:.1f}s")
+    report_outcomes(1, "pair relations exactly zero", outcomes, 11 * DRAWS_PER_CASE,
+                    elapsed < 60.0,
+                    f"11 cases x {DRAWS_PER_CASE} draws, N <= {MAX_N}, {elapsed:.1f}s")
 
 
 def test_criterion_2_requirement_system_exactness():
-    rng = random.Random("acceptance-2")
-    checks = 0
-    worst = F(0)
-    for case in DoubleCase:
-        for i in range(DRAWS_PER_CASE):
-            params = rand_params_for_case(case, rng, MAX_N, i)
-            worst = max(worst, requirements_grid_max_residue(coefficients(case, params)))
-            checks += 1
-    report(2, "requirement system exactly zero", worst == 0,
-           f"{checks} case draws, max residue {worst}")
+    outcomes = run_suites(["requirements"], MAX_N, 2, DRAWS_PER_CASE)
+    report_outcomes(2, "requirement system exactly zero", outcomes, 11 * DRAWS_PER_CASE,
+                    detail=f"11 cases x {DRAWS_PER_CASE} draws, N <= {MAX_N}")
 
 
 def test_criterion_3_spectrum_certification():
-    rng = random.Random("acceptance-3")
-    ok = all(verify_spectrum_exact(sylvester_kac(n).matrix, sylvester_kac(n).spectrum)
-             for n in range(1, 21))
-    count = 20
-    for n in range(1, 13):
-        g = F(rng.randint(-3, 18), rng.randint(1, 6))
-        d = F(rng.randint(-3, 18), rng.randint(1, 6))
-        mo = extended_kac_odd(n, g, d)
-        ok &= verify_spectrum_exact(mo.matrix, mo.spectrum)
-        if g > -1 and d > -1:
-            me = extended_kac_even(n, g, d)
-            ok &= verify_spectrum_exact(me.matrix, me.spectrum)
-            count += 1
-        count += 1
-    half = F(-1, 2)
-    for n in range(1, 13):
-        ok &= extended_kac_odd(n, half, half).matrix == sylvester_kac(2 * n).matrix
-        ok &= extended_kac_even(n, half, half).matrix == sylvester_kac(2 * n - 1).matrix
-        g = F(rng.randint(1, 9), 4)
-        mo = extended_kac_odd(n, g, -g - 1)
-        ok &= verify_spectrum_exact(mo.matrix, mo.spectrum)
-        ok &= [float(e) for e in mo.spectrum.entries] == \
-            [float(v) for v in range(-2 * n, 2 * n + 1, 2)]
-        count += 3
-    for case in MATRIX_CASES:
-        for i in range(3):
-            params = rand_params_for_case(case, rng, 12, 0)
-            m = double_matrix(case, params)
-            ok &= verify_spectrum_exact(m.matrix, m.spectrum)
-            count += 1
-    for case in NONSYM_CASES:
-        for i in range(3):
-            m = nonsymmetric_form(case, rand_dual_hahn(rng, 12))
-            ok &= verify_spectrum_exact(m.matrix, m.spectrum)
-            count += 1
-    report(3, "charpoly factorization certifies every closed-form spectrum", ok,
-           f"{count} matrices incl. reduction and integer-spectrum lines")
+    draws = 12
+    outcomes = run_suites(["spectra"], 12, 3, draws)
+    # Kac, one kac-odd line per draw, reduction and integer lines, gallery cases
+    floor = 1 + draws + 2 + draws * (len(MATRIX_CASES) + len(NONSYM_CASES))
+    report_outcomes(3, "charpoly factorization certifies every closed-form spectrum",
+                    outcomes, floor, detail="N <= 12 incl. reduction and integer-spectrum lines")
 
 
-def test_criterion_4_orthogonality_exact_and_float():
-    rng = random.Random("acceptance-4")
-    ok = True
-    for _ in range(3):
-        p = rand_hahn(rng, MAX_N)
-        for n in range(p.N + 1):
-            for m in range(n, p.N + 1):
-                s = sum(hahn_weight(x, p) * hahn_eval(n, x, p) * hahn_eval(m, x, p)
-                        for x in range(p.N + 1))
-                ok &= s == (hahn_norm(n, p) if n == m else 0)
-        q = rand_dual_hahn(rng, MAX_N)
-        for n in range(q.N + 1):
-            for m in range(n, q.N + 1):
-                s = sum(dual_hahn_weight(x, q) * dual_hahn_eval(n, x, q)
-                        * dual_hahn_eval(m, x, q) for x in range(q.N + 1))
-                ok &= s == (dual_hahn_norm(n, q) if n == m else 0)
-    worst_u = worst_mu = 0.0
+@pytest.fixture(scope="module")
+def orthogonality():
+    """One run of the orthogonality suite, shared by criteria 4 and 5."""
+    return run_suites(["orthogonality"], 12, 4, 3)
+
+
+def test_criterion_4_orthogonality_exact_and_float(orthogonality):
+    sums_and_u = [o for o in orthogonality if not o.label.startswith("orthogonality doubled")]
     pd40 = DualHahnParams(F(1, 2), F(1, 3), 40)
     ph40 = HahnParams(F(2, 3), F(1, 5), 40)
-    from twodiag.families import RacahParams
-
     pr40 = RacahParams(F(-41), 40 + F(1, 3) + 1 + F(5, 7), F(1, 3), F(1, 5), "alpha")
     at_40 = {DoubleCase.HAHN_I: ph40, DoubleCase.HAHN_II: ph40,
              DoubleCase.RACAH_I: pr40, DoubleCase.RACAH_III: pr40}
+    worst_u = worst_mu = 0.0
     for case in EIGVEC_CASES:
-        for params in (at_40.get(case, pd40), rand_params_for_case(case, rng, 12, 0)):
-            u = eigvec_matrix(case, params)
-            worst_u = max(worst_u, orthogonality_residual(u))
-            worst_mu = max(worst_mu, eigen_residual(case, params))
-    ok &= worst_u <= 1e-12 and worst_mu <= 1e-12
-    report(4, "exact orthogonality sums + float U checks", ok,
-           f"U residuals at N<=40 (incl. N=40): UtU-I {worst_u:.2e}, "
-           f"MU-UD {worst_mu:.2e} (tol 1e-12)")
+        params = at_40.get(case, pd40)
+        worst_u = max(worst_u, orthogonality_residual(eigvec_matrix(case, params)))
+        worst_mu = max(worst_mu, eigen_residual(case, params))
+    report_outcomes(4, "exact orthogonality sums + float U checks", sums_and_u,
+                    3 * 3 + len(EIGVEC_CASES), worst_u <= 1e-12 and worst_mu <= 1e-12,
+                    f"U at N=40: UtU-I {worst_u:.2e}, MU-UD {worst_mu:.2e} (tol 1e-12)")
 
 
-def test_criterion_5_doubled_systems():
-    rng = random.Random("acceptance-5")
-    ok = True
-    count = 0
-    for case in SYSTEM_CASES:
-        for _ in range(3):
-            params = (rand_dual_hahn(rng, MAX_N) if case is DoubleCase.DUAL_HAHN_I
-                      else rand_hahn(rng, MAX_N))
-            system = doubled_system(case, params)
-            res = verify_discrete_orthogonality(system)
-            ok &= all(r == 0 for r in res)
-            ok &= support_matches_spectrum(system)
-            count += len(res)
-    report(5, "doubled-system orthogonality exact; support == spectrum", ok,
-           f"{count} Gram residues across {len(SYSTEM_CASES)} systems x 3 draws")
+def test_criterion_5_doubled_systems(orthogonality):
+    doubled = [o for o in orthogonality if o.label.startswith("orthogonality doubled")]
+    report_outcomes(5, "doubled-system orthogonality exact; support == spectrum", doubled,
+                    3 * len(SYSTEM_CASES), detail=f"{len(SYSTEM_CASES)} systems x 3 draws")
 
 
 def test_criterion_6_christoffel_geronimus():
-    rng = random.Random("acceptance-6")
-    ok = True
-    count = 0
-    for case in DoubleCase:
-        for i in range(2):
-            params = rand_params_for_case(case, rng, MAX_N, i)
-            nu = christoffel_nu(case, params)
-            res = verify_same_family(case, params)
-            res += verify_recurrence_link(params, nu, params.N - 1)
-            res += verify_roundtrip(params, nu, params.N - 1, range(params.N + 1))
-            ok &= all(r == 0 for r in res)
-            count += len(res)
-    report(6, "kernel-partner, recurrence-link and round-trip identities exact", ok,
-           f"{count} residues across 11 cases x 2 draws")
+    outcomes = run_suites(["christoffel"], MAX_N, 6, 3)
+    report_outcomes(6, "kernel-partner, recurrence-link and round-trip identities exact",
+                    outcomes, 11 * 3, detail="11 cases x 3 draws")
 
 
 def test_criterion_7_algebra():
-    rng = random.Random("acceptance-7")
-    ok = True
-    for case in ALGEBRA_CASES:
-        for _ in range(5):
-            p = rand_dual_hahn(rng, 10)
-            res = verify_algebra(case, p)
-            ok &= all(v == 0 for values in res.values() for v in values)
-            ok &= all(r == 0 for r in verify_normal_form(case, p))
-    p_half = DualHahnParams(F(-1, 2), F(-1, 2), 6)
-    sc = structure_constants(DoubleCase.DUAL_HAHN_I, p_half)
-    su2 = (sc.nu, sc.sigma, sc.rho) == (0, 0, 0)
-    sc3 = structure_constants(DoubleCase.DUAL_HAHN_III, p_half)
-    su2 &= (sc3.nu, sc3.sigma, sc3.rho) == (0, 0, 0)
-    report(7, "algebra relations exact at N<=10; su(2) coincidence", ok and su2,
-           f"structure constants at gamma=delta=-1/2: {(sc.nu, sc.sigma, sc.rho)}")
+    outcomes = run_suites(["algebra"], 10, 7, 5)
+    report_outcomes(7, "algebra relations exact at N<=10; su(2) coincidence", outcomes,
+                    3 * 5 + 1, detail="su(2) at gamma=delta=-1/2 for DualHahnI and DualHahnIII")
 
 
 def test_criterion_8_eigensolver_benchmark():

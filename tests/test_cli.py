@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ def test_verify_seed_changes_draws(capsys):
     _, out2, _ = run(capsys, "verify", "--suite", "pairs", "--max-N", "4",
                      "--seed", "2", "--draws", "1", "-q")
     assert "seed 1" in out1 and "seed 2" in out2
+
+
+def test_verify_output_matches_golden(capsys):
+    # all six suites, 67 checks: labels, parameters, residue details and
+    # the order of the draws are pinned byte for byte
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-N", "4",
+                       "--seed", "0", "--draws", "1")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "verify_all_max_n4_seed0_draws1.txt"
+    assert out == golden.read_text()
 
 
 def test_bench_empty_dims(capsys):
@@ -241,3 +252,42 @@ def test_unwritable_output_is_one_line_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert str(target) in _one_line_error(err)
     assert not target.exists()
+
+
+def test_bench_reports_defaults_filled_in_beside_given_flags(capsys):
+    code, out, _ = run(capsys, "bench", "double:DualHahnIII", "--dims", "8", "--gamma", "2")
+    assert code == 0
+    assert json.loads(out)["params"] == {"gamma": "2", "delta": "1/3"}
+
+
+def test_bench_reports_racah_beta_filled_in_from_n(capsys):
+    code, out, _ = run(capsys, "bench", "double:RacahI", "--dims", "8")
+    assert code == 0
+    # N = 3, so beta = N + gamma + 2 = 16/3
+    assert json.loads(out)["params"] == {"beta": "16/3", "gamma": "1/3", "delta": "1/5"}
+
+
+def test_gen_json_reports_the_parameters_used(capsys):
+    code, out, _ = run(capsys, "gen", "double:RacahI", "-N", "3", "--delta", "1/7",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"beta": "16/3", "gamma": "1/3", "delta": "1/7"}
+    code, out, _ = run(capsys, "gen", "kac", "-N", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["params"] == {}
+
+
+def test_negative_fraction_as_separate_token(capsys):
+    code, spaced, _ = run(capsys, "spectrum", "kac-odd", "-N", "2", "--gamma", "-5/2",
+                          "--delta", "3")
+    _, joined, _ = run(capsys, "spectrum", "kac-odd", "-N", "2", "--gamma=-5/2",
+                       "--delta", "3")
+    assert code == 0 and spaced == joined != ""
+    code, out, _ = run(capsys, "poly", "hahn", "-n", "1", "-N", "2", "--alpha", "-5/2",
+                       "--beta", "-1/3")
+    assert code == 0 and out.splitlines()[1] == "0\t1"
+    code, out, _ = run(capsys, "poly", "krawtchouk", "-n", "1", "-N", "3", "--p", "-1/2")
+    assert code == 0 and out.splitlines()[2] == "1\t5/3"
+    code, out, _ = run(capsys, "gen", "kac-even", "-N", "2", "--delta", "-1/3",
+                       "--gamma", "-1/2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"gamma": "-1/2", "delta": "-1/3"}

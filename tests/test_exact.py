@@ -8,7 +8,6 @@ from twodiag.exact import (
     DenominatorPole,
     NonTerminatingSeries,
     ScaledRoot,
-    SqrtRational,
     hyper_terminating,
     is_nonpositive_int,
     pochhammer,
@@ -99,29 +98,37 @@ def test_hyper_denominator_pole_detection():
     assert hyper_terminating([-2, F(1, 2)], [-2], 1) is not None
 
 
-def test_sqrt_rational_invariants():
-    with pytest.raises(ValueError):
-        SqrtRational(1, F(-1))
-    with pytest.raises(ValueError):
-        SqrtRational(0, F(2))
-    with pytest.raises(ValueError):
-        SqrtRational(2, F(1))
-    assert SqrtRational.sqrt(0) == SqrtRational(0, F(0))
-    assert SqrtRational.of(-3) == SqrtRational(-1, F(9))
-    assert float(SqrtRational.of(-3)) == -3.0
+def test_scaled_root_constructors():
+    assert ScaledRoot.sqrt(0) == ScaledRoot.zero() and ScaledRoot.sqrt(0).sign == 0
+    assert ScaledRoot.of(-3) == ScaledRoot(F(-1), F(9))
+    assert ScaledRoot.of(-3).coef == -1 and ScaledRoot.of(-3).radicand == 9
+    assert float(ScaledRoot.of(-3)) == -3.0
+    assert -ScaledRoot.sqrt(2) == ScaledRoot(F(-1), F(2))
+    assert [ScaledRoot.of(v).sign for v in (-2, 0, 5)] == [-1, 0, 1]
+    assert ScaledRoot(F(3), F(0)).sign == 0
 
 
-def test_sqrt_rational_ordering_matches_values():
-    vals = [SqrtRational.of(v) for v in (-4, 3, 0, -1, 2)]
+def test_scaled_root_equality_by_value():
+    assert ScaledRoot(F(2), F(1)) == ScaledRoot.of(2)
+    assert hash(ScaledRoot(F(2), F(1))) == hash(ScaledRoot.of(2))
+    assert ScaledRoot(F(1, 2), F(8)) == ScaledRoot.sqrt(2)
+    assert ScaledRoot(F(0), F(5)) == ScaledRoot.zero()
+    assert ScaledRoot.of(2) != ScaledRoot.of(-2)
+
+
+def test_scaled_root_ordering_matches_values():
+    vals = [ScaledRoot.of(v) for v in (-4, 3, 0, -1, 2)]
     assert [float(e) for e in sorted(vals)] == [-4.0, -1.0, 0.0, 2.0, 3.0]
-    assert SqrtRational(1, F(2)) < SqrtRational(1, F(3))
-    assert SqrtRational(-1, F(3)) < SqrtRational(-1, F(2))
+    assert ScaledRoot.sqrt(2) < ScaledRoot.sqrt(3)
+    assert -ScaledRoot.sqrt(3) < -ScaledRoot.sqrt(2)
+    assert ScaledRoot(F(-1, 2), F(12)) < ScaledRoot.of(-1) <= ScaledRoot(F(-2), F(1, 4))
 
 
-def test_sqrt_rational_exact_root():
-    assert SqrtRational(1, F(9, 4)).exact_rational() == F(3, 2)
-    assert SqrtRational(-1, F(9, 4)).exact_rational() == F(-3, 2)
-    assert SqrtRational(1, F(2)).exact_rational() is None
+def test_scaled_root_exact_root():
+    assert ScaledRoot.sqrt(F(9, 4)).exact_rational() == F(3, 2)
+    assert (-ScaledRoot.sqrt(F(9, 4))).exact_rational() == F(-3, 2)
+    assert ScaledRoot(F(2, 3), F(9)).exact_rational() == 2
+    assert ScaledRoot.sqrt(2).exact_rational() is None
 
 
 def test_scaled_root():

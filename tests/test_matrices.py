@@ -364,7 +364,13 @@ def _series_u(case, params):
                 v, r = entry(odd, n, x + xshift, sign, True)
                 rows[2 * n + 1][neg] = ScaledRoot(-v, r)
                 rows[2 * n + 1][pos] = ScaledRoot(v, r)
-    return tuple(tuple(r) for r in rows)
+    return _parts(rows)
+
+
+def _parts(rows):
+    """(coef, radicand) of every entry: ScaledRoot equality goes by value,
+    and the table build must give the very same Fractions."""
+    return tuple(tuple((e.coef, e.radicand) for e in row) for row in rows)
 
 
 @pytest.mark.parametrize("case", EIGVEC_CASES, ids=lambda c: c.value)
@@ -372,7 +378,7 @@ def test_eigvec_matrix_equals_series_reference(case):
     rng = random.Random(case.value)
     for max_n in (2, 3, 4, 6):
         p = rand_params_for_case(case, rng, max_n)
-        assert eigvec_matrix(case, p).entries == _series_u(case, p), p
+        assert _parts(eigvec_matrix(case, p).entries) == _series_u(case, p), p
 
 
 def _real_eigenvalues(case, p):
@@ -405,7 +411,7 @@ def test_eigvec_matrix_raises_where_series_reference_raises(case):
     built = 0
     for p in grid:
         expected = _outcome(_series_u, case, p)
-        got = _outcome(lambda c, q: eigvec_matrix(c, q).entries, case, p)
+        got = _outcome(lambda c, q: _parts(eigvec_matrix(c, q).entries), case, p)
         assert got == expected, p
         built += expected != "raises"
     assert 0 < built < len(grid)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from twodiag.doubles import DoubleCase
-from twodiag.exact import SqrtRational
+from twodiag.exact import ScaledRoot
 from twodiag.families import DualHahnParams, HahnParams, dual_hahn_eval
 from twodiag.matrices import UnsupportedCase
 from twodiag.orthosystems import (
@@ -57,7 +57,7 @@ def test_p0_is_constant():
 
 def test_odd_members_vanish_at_zero():
     s = make_system(DoubleCase.DUAL_HAHN_I, 2)
-    zero = SqrtRational(0, F(0))
+    zero = ScaledRoot.zero()
     for n in range(1, s.dim, 2):
         v = doubled_eval(s, n, zero)
         assert v.even.coef == 0  # value is odd_coefficient * q = 0
@@ -67,7 +67,7 @@ def test_even_member_reduces_to_family_value():
     p = DualHahnParams(F(1, 2), F(1, 3), 4)
     s = doubled_system(DoubleCase.DUAL_HAHN_I, p)
     for k in range(5):
-        q = SqrtRational.sqrt(k * (k + p.gamma + p.delta + 1))
+        q = ScaledRoot.sqrt(k * (k + p.gamma + p.delta + 1))
         v = doubled_eval(s, 4, q)  # P_{2n} with n = 2
         assert v.even.coef == dual_hahn_eval(2, k, p)
 
@@ -94,8 +94,8 @@ def test_degrees_are_exact(case):
 def test_unsupported_point_and_case():
     s = make_system(DoubleCase.DUAL_HAHN_I, 6)
     with pytest.raises(UnsupportedPoint):
-        doubled_eval(s, 0, SqrtRational.sqrt(F(1, 7)))
+        doubled_eval(s, 0, ScaledRoot.sqrt(F(1, 7)))
     with pytest.raises(UnsupportedCase):
         doubled_system(DoubleCase.DUAL_HAHN_II, DualHahnParams(F(1, 2), F(1, 3), 4))
     with pytest.raises(ValueError):
-        doubled_eval(s, s.dim, SqrtRational(0, F(0)))
+        doubled_eval(s, s.dim, ScaledRoot.zero())
