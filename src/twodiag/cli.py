@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .doubles import DoubleCase
 from .eigsolve import FAMILY_CHOICES, benchmark, build_gallery_matrix, gallery_params
 from .exact import DenominatorPole, NonTerminatingSeries
 from .families import (
@@ -207,19 +206,21 @@ def cmd_bench(args) -> int:
 def _poly_params(args):
     need = lambda name: getattr(args, name) is not None
     if args.family == "hahn":
-        if not (need("alpha") and need("beta") and args.N):
+        if not (need("alpha") and need("beta") and need("N")):
             raise SystemExit("error: hahn needs --alpha, --beta and -N")
         return HahnParams(args.alpha, args.beta, args.N)
     if args.family == "dual-hahn":
-        if not (need("gamma") and need("delta") and args.N):
+        if not (need("gamma") and need("delta") and need("N")):
             raise SystemExit("error: dual-hahn needs --gamma, --delta and -N")
         return DualHahnParams(args.gamma, args.delta, args.N)
     if args.family == "racah":
         if not all(need(k) for k in ("alpha", "beta", "gamma", "delta")):
             raise SystemExit("error: racah needs --alpha, --beta, --gamma, --delta")
         return RacahParams(args.alpha, args.beta, args.gamma, args.delta, args.minus_n)
-    if args.p is None or not args.N:
+    if not (need("p") and need("N")):
         raise SystemExit("error: krawtchouk needs --p and -N")
+    if args.weights:
+        raise ValueError("poly krawtchouk has no weight or norm column; drop --weights")
     return KrawtchoukParams(args.p, args.N)
 
 

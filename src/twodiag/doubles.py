@@ -237,49 +237,48 @@ def verify_requirements(
     return res
 
 
-def pair_grid_max_residue(cs: CoefficientSextet, x_range=None) -> Fraction:
-    """Largest |residue| of both relations over the full verification grid:
-    relation 1 for n = 0..N-1, relation 2 for n+1 up to the hatted degree cap."""
+def _relation_residues(cs: CoefficientSextet, x: int):
     N = cs.base.N
-    xs = range(N + 1) if x_range is None else x_range
-    worst = Fraction(0)
-    for x in xs:
-        for n in range(N):
-            worst = max(worst, abs(pair_residue_forward(cs, n, x)))
-        for n in range(min(N, cs.hatted.N)):
-            worst = max(worst, abs(pair_residue_backward(cs, n, x)))
-    return worst
+    for n in range(N):
+        yield ("relation", 1, n, x), pair_residue_forward(cs, n, x)
+    for n in range(min(N, cs.hatted.N)):
+        yield ("relation", 2, n, x), pair_residue_backward(cs, n, x)
 
 
-def requirements_grid_max_residue(cs: CoefficientSextet, n_range=None, x_range=None) -> Fraction:
-    N = cs.base.N
-    ns = range(N) if n_range is None else n_range
-    xs = range(N + 1) if x_range is None else x_range
-    worst = Fraction(0)
-    for n in ns:
-        for x in xs:
-            worst = max(worst, *[abs(r) for r in verify_requirements(cs, n=n, x=x)])
-    return worst
+def _requirement_residues(cs: CoefficientSextet, x: int):
+    for n in range(cs.base.N):
+        for i, r in enumerate(verify_requirements(cs, n=n, x=x)):
+            yield ("requirement", i, n, x), r
+
+
+def _grid_residues(cs: CoefficientSextet, *walks):
+    """Lazily, (position, residue) over the verification grid x = 0..N,
+    x outermost: relation 1 for n = 0..N-1, relation 2 for n+1 up to the
+    hatted degree cap, the requirement system for n = 0..N-1.  A position
+    is (kind, index, n, x)."""
+    for x in range(cs.base.N + 1):
+        for walk in walks:
+            yield from walk(cs, x)
+
+
+def pair_grid_max_residue(cs: CoefficientSextet) -> Fraction:
+    """Largest |residue| of both relations over the full verification grid."""
+    return max((abs(r) for _, r in _grid_residues(cs, _relation_residues)),
+               default=Fraction(0))
+
+
+def requirements_grid_max_residue(cs: CoefficientSextet) -> Fraction:
+    """Largest |residue| of the requirement system over the full grid."""
+    return max((abs(r) for _, r in _grid_residues(cs, _requirement_residues)),
+               default=Fraction(0))
 
 
 def locate_failure(cs: CoefficientSextet) -> str | None:
     """Human-readable location of the first nonzero pair or requirement
     residue on the verification grid, or None when everything is zero."""
-    N = cs.base.N
-    for x in range(N + 1):
-        for n in range(N):
-            r = pair_residue_forward(cs, n, x)
-            if r != 0:
-                return f"relation 1 at n={n}, x={x}: residue {r}"
-        for n in range(min(N, cs.hatted.N)):
-            r = pair_residue_backward(cs, n, x)
-            if r != 0:
-                return f"relation 2 at n={n}, x={x}: residue {r}"
-        for n in range(N):
-            res = verify_requirements(cs, n=n, x=x)
-            for i, r in enumerate(res):
-                if r != 0:
-                    return f"requirement {i} at n={n}, x={x}: residue {r}"
+    for (kind, index, n, x), r in _grid_residues(cs, _relation_residues, _requirement_residues):
+        if r != 0:
+            return f"{kind} {index} at n={n}, x={x}: residue {r}"
     return None
 
 

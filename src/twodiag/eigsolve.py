@@ -14,18 +14,17 @@ import math
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .doubles import MATRIX_CASES, NONSYM_CASES, DoubleCase
 from .families import RacahParams
 from .matrices import (
+    InadmissibleParams,
     MatrixWithSpectrum,
     double_matrix,
-    extended_kac_even,
-    extended_kac_odd,
-    nonsymmetric_form,
+    integer_form,
     sylvester_kac,
     symmetrize,
 )
@@ -173,34 +172,42 @@ class BenchReport:
         )
 
 
-FAMILY_CHOICES = (
-    ["kac", "kac-odd", "kac-even"]
-    + [f"double:{c.value}" for c in MATRIX_CASES]
-    + [f"nonsym:{c.value}" for c in NONSYM_CASES]
-)
+class _Selector(NamedTuple):
+    """How a gallery selector is built: its doubling case at N - n_shift, as
+    the symmetric matrix or as the integer-friendly form times `scale`.  The
+    literal Sylvester-Kac matrix alone has no case."""
 
-_KAC_DEFAULTS = {"gamma": Fraction(1, 2), "delta": Fraction(1, 3)}
+    case: Optional[DoubleCase]
+    integer: bool = True
+    n_shift: int = 0
+    scale: int = 1
 
 
-def _selector_case(selector: str) -> DoubleCase:
-    """The doubling case named by a double:/nonsym: selector."""
-    return DoubleCase(selector.split(":", 1)[1])
+# kac-odd at N is twice nonsym:DualHahnI at N, kac-even twice
+# nonsym:DualHahnIII at N-1
+_SELECTORS: Dict[str, _Selector] = {
+    "kac": _Selector(None),
+    "kac-odd": _Selector(DoubleCase.DUAL_HAHN_I, scale=2),
+    "kac-even": _Selector(DoubleCase.DUAL_HAHN_III, n_shift=1, scale=2),
+    **{f"double:{c.value}": _Selector(c, integer=False) for c in MATRIX_CASES},
+    **{f"nonsym:{c.value}": _Selector(c) for c in NONSYM_CASES},
+}
+
+FAMILY_CHOICES = list(_SELECTORS)
 
 
 def _dim_to_n(selector: str, dim: int) -> int:
     """Map a requested matrix dimension to the family's size parameter."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    if selector == "kac":
+    sel = _SELECTORS[selector]
+    if sel.case is None:
         return dim - 1
-    if selector.startswith("kac"):
-        even = selector == "kac-even"
-    else:
-        even = _selector_case(selector).record.even_dim
+    even = sel.case.record.even_dim
     if dim % 2 != (0 if even else 1):
         raise ValueError(f"{selector} needs an {'even' if even else 'odd'} dimension, got {dim}")
-    # kac-even has dimension 2N, the even doubling cases 2N+2
-    return dim // 2 - (1 if even and selector != "kac-even" else 0)
+    # the even doubling cases have dimension 2N+2
+    return dim // 2 - (1 if even else 0) + sel.n_shift
 
 
 def gallery_params(selector: str, n: int,
@@ -209,14 +216,10 @@ def gallery_params(selector: str, n: int,
     its defaults, overridden by the given ones, and the Racah beta filled in
     from n when not given.  A parameter the selector does not take is an
     error."""
-    if selector not in FAMILY_CHOICES:
+    if selector not in _SELECTORS:
         raise ValueError(f"unknown family {selector!r}; choose from {', '.join(FAMILY_CHOICES)}")
-    if selector == "kac":
-        merged = {}
-    elif selector.startswith("kac"):
-        merged = dict(_KAC_DEFAULTS)
-    else:
-        merged = dict(_selector_case(selector).record.defaults)
+    case = _SELECTORS[selector].case
+    merged = dict(case.record.defaults) if case else {}
     for name, value in (params or {}).items():
         if name not in merged:
             raise ValueError(f"{selector} takes no --{name} "
@@ -231,27 +234,29 @@ def build_gallery_matrix(selector: str, n: int,
                          params: Optional[Dict[str, Fraction]] = None) -> MatrixWithSpectrum:
     """Construct the (matrix, spectrum) bundle for a family selector at size
     parameter n with the parameters `gallery_params` settles on.  A
-    vanishing denominator is reported with the selector, n and every
-    parameter in use."""
+    vanishing denominator or an inadmissible parameter is reported with the
+    selector, n and every parameter in use."""
     merged = gallery_params(selector, n, params)
-    if selector == "kac":
+    case, integer, n_shift, scale = _SELECTORS[selector]
+    if case is None:
         return sylvester_kac(n)
-    if selector == "kac-odd":
-        return extended_kac_odd(n, merged["gamma"], merged["delta"])
-    if selector == "kac-even":
-        return extended_kac_even(n, merged["gamma"], merged["delta"])
-    case = _selector_case(selector)
+    if scale != 1 and n < 1:  # the Kac extensions start at N = 1
+        raise ValueError("N must be >= 1")
+    N = n - n_shift
     if case.family is RacahParams:
-        fam = RacahParams(Fraction(-n - 1), minus_n="alpha", **merged)
+        fam = RacahParams(Fraction(-N - 1), minus_n="alpha", **merged)
     else:
-        fam = case.family(N=n, **merged)
-    build = nonsymmetric_form if selector.startswith("nonsym:") else double_matrix
+        fam = case.family(N=N, **merged)
     try:
-        return build(case, fam)
-    except ZeroDivisionError as exc:
+        if not integer:
+            return double_matrix(case, fam)
+        # the doubled forms are the Kac extensions, labelled with their N
+        return integer_form(case, fam, selector if scale == 1 else f"{selector}(N={n})", scale)
+    except (ZeroDivisionError, InadmissibleParams) as exc:
         used = ", ".join(f"{f.name}={getattr(fam, f.name)}" for f in fields(fam)
                          if f.name not in ("N", "minus_n"))
-        raise type(exc)(f"{selector} -N {n} with {used}: a denominator vanishes") from exc
+        what = str(exc) if isinstance(exc, InadmissibleParams) else "a denominator vanishes"
+        raise type(exc)(f"{selector} -N {n} with {used}: {what}") from exc
 
 
 def to_float_tridiag(m: MatrixWithSpectrum) -> FloatTridiag:

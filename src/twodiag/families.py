@@ -111,8 +111,8 @@ class RacahParams:
         """True when all derived weights and norms are positive, which is
         what real square roots in the normalized polynomials require."""
         try:
-            ws = racah_weights(self)
-            hs = racah_norms(self)
+            ws = family_weights(self)
+            hs = family_norms(self)
         except ZeroDivisionError:
             return False
         return all(w > 0 for w in ws) and all(h > 0 for h in hs)
@@ -299,89 +299,16 @@ def dual_hahn_norm(n: int, params: DualHahnParams) -> Fraction:
     return 1 / (rbinom(g + n, n) * rbinom(N + d - n, N - n))
 
 
-def _racah_dual_params(params: RacahParams) -> RacahParams:
-    """Parameter swap (alpha<->gamma, beta<->delta) exposing the self-duality
-    of the defining 4F3: R_n(lambda(x)) for one set equals R_x(lambda(n)) for
-    the swapped set."""
-    sel = {"alpha": "gamma", "gamma": "alpha", "beta_delta": "beta_delta"}[params.minus_n]
-    return RacahParams(params.gamma, params.delta, params.alpha, params.beta, sel)
-
-
-def _weights_by_ratio(dual: FamilyParams, w0: Fraction) -> tuple[Fraction, ...]:
-    """w(0), ..., w(N) from w(x)/w(x-1) = A(x-1)/C(x), with A and C the
-    recurrence data of the dual family (the one whose degree is x), which
-    governs the x-direction three-term relation of the polynomial values."""
-    rec = recurrence_data(dual)
-    out = [w0]
-    for x in range(1, dual.N + 1):
-        out.append(out[-1] * rec.A(x - 1) / rec.C(x))
-    return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def racah_weights(params: RacahParams) -> tuple[Fraction, ...]:
-    """Racah weight on x = 0..N, normalized to w(0) = 1, by the ratio
-    recurrence of the parameter-swapped (dual) family."""
-    return _weights_by_ratio(_racah_dual_params(params), Fraction(1))
-
-
-@lru_cache(maxsize=4096)
-def racah_norms(params: RacahParams) -> tuple[Fraction, ...]:
-    """Norms h_n for the weight of racah_weights, n = 0..N.
-
-    h_0 is the total weight; the ratio h_n/h_{n-1} = C(n)/A(n-1) follows
-    from pairing the recurrence against the orthogonality sum.
-    """
-    return _norms_by_ratio(params, Fraction(sum(racah_weights(params))))
-
-
-@lru_cache(maxsize=4096)
-def hahn_weights(params: HahnParams) -> tuple[Fraction, ...]:
-    """Hahn weight on x = 0..N: w(0) in closed form, then the ratio from
-    the dual Hahn recurrence."""
-    dual = DualHahnParams(params.alpha, params.beta, params.N)
-    return _weights_by_ratio(dual, hahn_weight(0, params))
-
-
-@lru_cache(maxsize=4096)
-def dual_hahn_weights(params: DualHahnParams) -> tuple[Fraction, ...]:
-    """Dual Hahn weight on x = 0..N: w(0) in closed form, then the ratio
-    from the Hahn recurrence."""
-    dual = HahnParams(params.gamma, params.delta, params.N)
-    return _weights_by_ratio(dual, dual_hahn_weight(0, params))
-
-
-def _norms_by_ratio(params: FamilyParams, h0: Fraction) -> tuple[Fraction, ...]:
-    """h_0, ..., h_N from h_n/h_{n-1} = C(n)/A(n-1)."""
-    rec = recurrence_data(params)
-    h = [h0]
-    for n in range(1, params.N + 1):
-        h.append(h[-1] * rec.C(n) / rec.A(n - 1))
-    return tuple(h)
-
-
-@lru_cache(maxsize=4096)
-def hahn_norms(params: HahnParams) -> tuple[Fraction, ...]:
-    """Hahn norms h_0..h_N: h_0 in closed form, then the recurrence ratio."""
-    return _norms_by_ratio(params, hahn_norm(0, params))
-
-
-@lru_cache(maxsize=4096)
-def dual_hahn_norms(params: DualHahnParams) -> tuple[Fraction, ...]:
-    """Dual Hahn norms h_0..h_N: h_0 in closed form, then the recurrence ratio."""
-    return _norms_by_ratio(params, dual_hahn_norm(0, params))
-
-
 def racah_weight(x: int, params: RacahParams) -> Fraction:
     if not 0 <= x <= params.N:
         raise ValueError(f"x={x} outside 0..{params.N}")
-    return racah_weights(params)[x]
+    return family_weights(params)[x]
 
 
 def racah_norm(n: int, params: RacahParams) -> Fraction:
     if not 0 <= n <= params.N:
         raise ValueError(f"n={n} outside 0..{params.N}")
-    return racah_norms(params)[n]
+    return family_norms(params)[n]
 
 
 def family_weight(params: FamilyParams, x: int) -> Fraction:
@@ -404,26 +331,45 @@ def family_norm(params: FamilyParams, n: int) -> Fraction:
     raise TypeError(f"no norm for {type(params).__name__}")
 
 
+def _dual_family(params: FamilyParams) -> FamilyParams:
+    """The family whose degree is the grid variable x of `params`: Hahn and
+    dual Hahn swap into each other, Racah into itself with alpha<->gamma and
+    beta<->delta (the self-duality of the defining 4F3: R_n(lambda(x)) for
+    one set equals R_x(lambda(n)) for the swapped set)."""
+    if isinstance(params, HahnParams):
+        return DualHahnParams(params.alpha, params.beta, params.N)
+    if isinstance(params, DualHahnParams):
+        return HahnParams(params.gamma, params.delta, params.N)
+    sel = {"alpha": "gamma", "gamma": "alpha", "beta_delta": "beta_delta"}[params.minus_n]
+    return RacahParams(params.gamma, params.delta, params.alpha, params.beta, sel)
+
+
+@lru_cache(maxsize=4096)
 def family_weights(params: FamilyParams) -> tuple[Fraction, ...]:
-    """The weight table w(0..N), built by its ratio recurrence."""
-    if isinstance(params, HahnParams):
-        return hahn_weights(params)
-    if isinstance(params, DualHahnParams):
-        return dual_hahn_weights(params)
-    if isinstance(params, RacahParams):
-        return racah_weights(params)
-    raise TypeError(f"no weight for {type(params).__name__}")
+    """The weight table w(0..N): w(0) in closed form (Racah is normalized to
+    w(0) = 1), then w(x)/w(x-1) = A(x-1)/C(x) with A and C the recurrence
+    data of the dual family, which governs the x-direction three-term
+    relation of the polynomial values."""
+    w = [Fraction(1) if isinstance(params, RacahParams) else family_weight(params, 0)]
+    rec = recurrence_data(_dual_family(params))
+    for x in range(1, params.N + 1):
+        w.append(w[-1] * rec.A(x - 1) / rec.C(x))
+    return tuple(w)
 
 
+@lru_cache(maxsize=4096)
 def family_norms(params: FamilyParams) -> tuple[Fraction, ...]:
-    """The norm table h_0..h_N, built by its ratio recurrence."""
-    if isinstance(params, HahnParams):
-        return hahn_norms(params)
-    if isinstance(params, DualHahnParams):
-        return dual_hahn_norms(params)
+    """The norm table h_0..h_N: h_0 in closed form (the total weight for
+    Racah), then h_n/h_{n-1} = C(n)/A(n-1), which follows from pairing the
+    recurrence against the orthogonality sum."""
     if isinstance(params, RacahParams):
-        return racah_norms(params)
-    raise TypeError(f"no norm for {type(params).__name__}")
+        h = [Fraction(sum(family_weights(params)))]
+    else:
+        h = [family_norm(params, 0)]
+    rec = recurrence_data(params)
+    for n in range(1, params.N + 1):
+        h.append(h[-1] * rec.C(n) / rec.A(n - 1))
+    return tuple(h)
 
 
 # ---------------------------------------------------------------------------

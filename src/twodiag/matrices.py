@@ -1,11 +1,12 @@
 """Two-diagonal test matrices with closed-form spectra.
 
-Covers the classic Sylvester-Kac (Clement) matrix, its odd and even
-two-parameter extensions, the symmetric tridiagonal matrix of every
-implemented doubling case together with its orthogonal eigenvector matrix,
-and the integer-friendly non-symmetric forms.  Spectra are certified
-exactly through the characteristic polynomial, which for a zero-diagonal
-tridiagonal matrix depends only on the superdiagonal-subdiagonal products.
+Covers the classic Sylvester-Kac (Clement) matrix, the symmetric
+tridiagonal matrix of every implemented doubling case together with its
+orthogonal eigenvector matrix, and the integer-friendly non-symmetric forms
+of the dual Hahn cases; the odd and even two-parameter Kac extensions are
+two of those forms doubled.  Spectra are certified exactly through the
+characteristic polynomial, which for a zero-diagonal tridiagonal matrix
+depends only on the superdiagonal-subdiagonal products.
 """
 
 from __future__ import annotations
@@ -260,38 +261,23 @@ def sylvester_kac(N: int) -> MatrixWithSpectrum:
 
 
 def extended_kac_odd(N: int, gamma: RationalLike, delta: RationalLike) -> MatrixWithSpectrum:
-    """(2N+1)-dimensional two-parameter extension; eigenvalues
+    """(2N+1)-dimensional two-parameter extension, twice the integer-friendly
+    form of the first dual Hahn case at N; eigenvalues
     0, +-2 sqrt(k(gamma+delta+k+1)), k = 1..N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    g, d = Fraction(gamma), Fraction(delta)
-    sup: List[Fraction] = []
-    sub: List[Fraction] = []
-    for j in range(N):
-        sup.extend([2 * g + 2 * j + 2, Fraction(2 * j + 2)])
-        sub.extend([Fraction(2 * N - 2 * j), 2 * d + 2 * N - 2 * j])
-    mat = TwoDiagonal(tuple(sup), tuple(sub))
-    spec = Spectrum.symmetric([4 * k * (g + d + k + 1) for k in range(1, N + 1)], zeros=1)
-    return MatrixWithSpectrum(f"kac-odd(N={N})", mat, spec)
+    return integer_form(DoubleCase.DUAL_HAHN_I, DualHahnParams(gamma, delta, N),
+                        f"kac-odd(N={N})", 2)
 
 
 def extended_kac_even(N: int, gamma: RationalLike, delta: RationalLike) -> MatrixWithSpectrum:
-    """(2N)-dimensional extension; eigenvalues +-2 sqrt((gamma+k)(delta+k)),
+    """(2N)-dimensional extension, twice the integer-friendly form of the
+    third dual Hahn case at N-1; eigenvalues +-2 sqrt((gamma+k)(delta+k)),
     k = 1..N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    g, d = Fraction(gamma), Fraction(delta)
-    sup: List[Fraction] = []
-    sub: List[Fraction] = []
-    for j in range(N):
-        sup.append(2 * g + 2 * j + 2)
-        sub.append(2 * d + 2 * N - 2 * j)
-        if j < N - 1:
-            sup.append(Fraction(2 * j + 2))
-            sub.append(Fraction(2 * N - 2 * j - 2))
-    mat = TwoDiagonal(tuple(sup), tuple(sub))
-    spec = Spectrum.symmetric([4 * (g + k) * (d + k) for k in range(1, N + 1)])
-    return MatrixWithSpectrum(f"kac-even(N={N})", mat, spec)
+    return integer_form(DoubleCase.DUAL_HAHN_III, DualHahnParams(gamma, delta, N - 1),
+                        f"kac-even(N={N})", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +325,23 @@ def nonsymmetric_entries(case: DoubleCase, params: DualHahnParams) -> TwoDiagona
     return TwoDiagonal(tuple(sup), tuple(sub))
 
 
+def integer_form(case: DoubleCase, params: DualHahnParams, label: str,
+                 scale: int = 1) -> MatrixWithSpectrum:
+    """`scale` times the integer-friendly form of a dual Hahn case, with its
+    closed-form spectrum (the case's eigenvalue squares times scale^2)."""
+    mat = nonsymmetric_entries(case, params)
+    if scale != 1:
+        mat = TwoDiagonal(tuple(scale * v for v in mat.sup), tuple(scale * v for v in mat.sub))
+    eig_squares = [scale * scale * s for s in case.record.eig_squares(params)]
+    spec = Spectrum.symmetric(eig_squares, zeros=mat.dim - 2 * len(eig_squares))
+    return MatrixWithSpectrum(label, mat, spec)
+
+
 def nonsymmetric_form(case: DoubleCase, params: DualHahnParams) -> MatrixWithSpectrum:
     """Integer-friendly two-diagonal forms for the dual Hahn cases; the
     offdiagonal products reproduce the symmetric matrix's squares (for the
     second case after reversal) and hence the same spectrum."""
-    mat = nonsymmetric_entries(case, params)
-    _, _, eig_squares = double_matrix_squares(case, params)
-    zeros = mat.dim - 2 * len(eig_squares)
-    spec = Spectrum.symmetric(eig_squares, zeros=zeros)
-    return MatrixWithSpectrum(f"nonsym:{case.value}", mat, spec)
+    return integer_form(case, params, f"nonsym:{case.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -70,22 +70,15 @@ def christoffel_kernel(
     return (family_eval(params, n + 1, x) - a_n * family_eval(params, n, x)) / denom
 
 
-def geronimus_reconstruct(
-    params: FamilyParams,
-    nu: RationalLike,
-    n: int,
-    x: RationalLike,
-    kernel: Callable[[int, RationalLike], Fraction] | None = None,
-) -> Fraction:
-    """A(n) P_n(x) - b_n P_{n-1}(x); equals y_n(x) exactly when the kernel
-    values come from the transform of the same family at the same nu."""
+def geronimus_reconstruct(params: FamilyParams, nu: RationalLike, n: int,
+                          x: RationalLike) -> Fraction:
+    """A(n) P_n(x) - b_n P_{n-1}(x) with P the kernel partner at nu; equals
+    y_n(x) exactly."""
     rec = recurrence_data(params)
-    if kernel is None:
-        kernel = lambda m, t: christoffel_kernel(params, nu, m, t)
-    data = christoffel_data(params, nu)
     if n == 0:
-        return rec.A(0) * kernel(0, x)
-    return rec.A(n) * kernel(n, x) - data.b_seq(n) * kernel(n - 1, x)
+        return rec.A(0) * christoffel_kernel(params, nu, 0, x)
+    return (rec.A(n) * christoffel_kernel(params, nu, n, x)
+            - christoffel_data(params, nu).b_seq(n) * christoffel_kernel(params, nu, n - 1, x))
 
 
 def verify_recurrence_link(params: FamilyParams, nu: RationalLike, n_max: int) -> List[Fraction]:

@@ -27,15 +27,18 @@ from .doubles import (
 )
 from .families import DualHahnParams, HahnParams, family_eval, family_norm, family_weight
 from .matrices import (
+    InadmissibleParams,
     double_matrix,
     eigen_residual,
     eigvec_matrix,
     extended_kac_even,
     extended_kac_odd,
+    nonsymmetric_entries,
     nonsymmetric_form,
     orthogonality_residual,
     sylvester_kac,
     verify_spectrum_exact,
+    verify_squares_exact,
 )
 from .sampling import RACAH_SELECTORS, rand_dual_hahn, rand_hahn, rand_params_for_case, rand_racah
 
@@ -140,6 +143,20 @@ def _certified(m) -> bool:
     return verify_spectrum_exact(m.matrix, m.spectrum)
 
 
+def _kac_odd_certified(n: int, g: Fraction, d: Fraction) -> bool:
+    """kac-odd at (n, g, d) certified, also where an eigenvalue square
+    4k(g+d+k+1) is zero or negative and no real spectrum exists: then from
+    its rational entries (twice those of nonsym:DualHahnI) and the raw
+    squares."""
+    try:
+        return _certified(extended_kac_odd(n, g, d))
+    except InadmissibleParams:
+        p = DualHahnParams(g, d, n)
+        products = nonsymmetric_entries(DoubleCase.DUAL_HAHN_I, p).products()
+        squares = DoubleCase.DUAL_HAHN_I.record.eig_squares(p)
+        return verify_squares_exact([4 * q for q in products], 1, [4 * s for s in squares])
+
+
 def suite_spectra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
     out = []
     kac_ok = all(_certified(sylvester_kac(n)) for n in range(1, 21))
@@ -150,7 +167,7 @@ def suite_spectra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutco
         g = Fraction(rng.randint(-3, 20), rng.randint(1, 6))
         d = Fraction(rng.randint(-3, 20), rng.randint(1, 6))
         for n in range(1, ext_n + 1):
-            if not _certified(extended_kac_odd(n, g, d)):
+            if not _kac_odd_certified(n, g, d):
                 out.append(CheckOutcome(f"spectra kac-odd N={n} g={g} d={d}", False))
                 break
         else:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twodiag.cli import main
+from twodiag.eigsolve import FAMILY_CHOICES
 
 
 def run(capsys, *argv):
@@ -111,6 +112,34 @@ def test_verify_output_matches_golden(capsys):
     assert out == golden.read_text()
 
 
+def test_gallery_output_matches_golden(capsys):
+    # spectrum and gen --format json for every selector at N=3, recorded
+    # before the Kac extensions were rebuilt as doubled dual Hahn forms
+    parts = []
+    for selector in FAMILY_CHOICES:
+        for argv in (["spectrum", selector, "-N", "3"],
+                     ["gen", selector, "-N", "3", "--format", "json"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            parts.append(f"$ twodiag {' '.join(argv)}\n{out}")
+    golden = Path(__file__).parent / "golden" / "gallery_n3_spectrum_json.txt"
+    assert "".join(parts) == golden.read_text()
+
+
+@pytest.mark.parametrize("seed,max_n,label", [
+    ("27", "6", "kac-odd N<=6 g=-1/4 d=-3"),
+    ("128", "4", "kac-odd N<=4 g=-3 d=0"),
+    ("181", "4", "kac-odd N<=4 g=1/4 d=-3"),
+])
+def test_verify_certifies_kac_odd_draws_without_real_spectrum(capsys, seed, max_n, label):
+    # these draws give eigenvalue squares 4k(g+d+k+1) <= 0; the spectra
+    # suite certifies them from the raw squares instead of aborting
+    code, out, err = run(capsys, "verify", "--suite", "spectra", "--seed", seed,
+                         "--max-N", max_n)
+    assert code == 0 and err == ""
+    assert f"PASS spectra {label}\n" in out
+
+
 def test_bench_empty_dims(capsys):
     code, out, _ = run(capsys, "bench", "kac", "--dims", "")
     assert code == 0 and out == ""
@@ -189,6 +218,23 @@ def test_poly_missing_params(capsys):
         main(["poly", "hahn", "-n", "1", "-N", "3"])
 
 
+def test_poly_krawtchouk_weights_refused_before_output(capsys):
+    code, out, err = run(capsys, "poly", "krawtchouk", "-n", "2", "-N", "4", "--p", "1/3",
+                         "--weights")
+    assert code == 2 and out == ""
+    assert "--weights" in _one_line_error(err)
+
+
+@pytest.mark.parametrize("family,flags", [
+    ("hahn", ["--alpha", "1/2", "--beta", "1/3"]),
+    ("dual-hahn", ["--gamma", "1/2", "--delta", "1/3"]),
+])
+def test_poly_accepts_n_zero(capsys, family, flags):
+    code, out, err = run(capsys, "poly", family, "-n", "0", "-N", "0", *flags)
+    assert code == 0 and err == ""
+    assert out == "x\ty_0(x)\n0\t1\n"
+
+
 def _one_line_error(err: str) -> str:
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if "error:" in line]
@@ -236,6 +282,19 @@ def test_pole_error_names_selector_n_and_parameters(capsys):
     code, _, err = run(capsys, "bench", "double:RacahI", "--dims", "8", "--beta", "1")
     assert code == 2
     assert "beta=1" in _one_line_error(err)
+
+
+def test_inadmissible_gallery_error_names_selector_n_and_parameters(capsys):
+    code, out, err = run(capsys, "gen", "kac-odd", "-N", "2", "--gamma", "-3", "--delta", "-3")
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    for word in ("kac-odd -N 2", "gamma=-3", "delta=-3", "eigenvalue square -16"):
+        assert word in line, line
+    code, out, err = run(capsys, "spectrum", "double:HahnI", "-N", "2", "--alpha", "-3")
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    for word in ("double:HahnI -N 2", "alpha=-3", "beta=1/3"):
+        assert word in line, line
 
 
 def test_float_overflow_is_one_line_error(capsys):

@@ -195,3 +195,30 @@ def test_family_mismatch():
         christoffel_nu(DoubleCase.DUAL_HAHN_I, HahnParams(F(1, 2), F(1, 3), 4))
     with pytest.raises(FamilyMismatch):
         coefficients(DoubleCase.DUAL_HAHN_I, None)
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_grid_walks_visit_every_point_once(case, monkeypatch):
+    # every grid function evaluates each residue of its grid exactly once,
+    # through the module's per-point functions
+    from twodiag import doubles
+
+    cs = coefficients(case, draw(case, 3, max_n=4))
+    N, points = cs.base.N, []
+    for name in ("pair_residue_forward", "pair_residue_backward"):
+        fn = getattr(doubles, name)
+        monkeypatch.setattr(doubles, name,
+                            lambda c, n, x, fn=fn, name=name: points.append((name, n, x)) or fn(c, n, x))
+    req = doubles.verify_requirements
+    monkeypatch.setattr(doubles, "verify_requirements",
+                        lambda c, n, x: points.append(("requirements", n, x)) or req(c, n=n, x=x))
+    xs = range(N + 1)
+    pairs = ([("pair_residue_forward", n, x) for n in range(N) for x in xs]
+             + [("pair_residue_backward", n, x) for n in range(min(N, cs.hatted.N)) for x in xs])
+    reqs = [("requirements", n, x) for n in range(N) for x in xs]
+    for walk, expected in ((doubles.pair_grid_max_residue, pairs),
+                           (doubles.requirements_grid_max_residue, reqs),
+                           (doubles.locate_failure, pairs + reqs)):
+        points.clear()
+        assert walk(cs) in (0, None)
+        assert sorted(points) == sorted(expected), walk.__name__

@@ -124,6 +124,41 @@ def test_extended_kac_odd_integer_line():
     assert verify_spectrum_exact(m.matrix, m.spectrum)
 
 
+def _literal_kac(N, g, d, odd):
+    """Entries and eigenvalue squares of the Kac extensions, written out
+    from their closed forms."""
+    sup, sub = [], []
+    for j in range(N):
+        sup.append(2 * g + 2 * j + 2)
+        sub.append(2 * d + 2 * N - 2 * j if not odd else F(2 * N - 2 * j))
+        if odd:
+            sup.append(F(2 * j + 2))
+            sub.append(2 * d + 2 * N - 2 * j)
+        elif j < N - 1:
+            sup.append(F(2 * j + 2))
+            sub.append(F(2 * N - 2 * j - 2))
+    squares = ([4 * k * (g + d + k + 1) for k in range(1, N + 1)] if odd
+               else [4 * (g + k) * (d + k) for k in range(1, N + 1)])
+    return sup, sub, squares
+
+
+def test_extended_kac_match_literal_forms_and_raise_where_they_do():
+    halves = [F(k, 2) for k in range(-9, 6)]
+    for N in (1, 2, 3, 5):
+        for g in halves:
+            for d in halves:
+                for build, odd in ((extended_kac_odd, True), (extended_kac_even, False)):
+                    sup, sub, squares = _literal_kac(N, g, d, odd)
+                    if min(squares) <= 0:
+                        with pytest.raises(InadmissibleParams):
+                            build(N, g, d)
+                        continue
+                    m = build(N, g, d)
+                    assert (list(m.matrix.sup), list(m.matrix.sub)) == (sup, sub)
+                    assert sorted(m.spectrum.positive_squares()) == sorted(squares)
+                    assert m.spectrum.zero_count() == (1 if odd else 0)
+
+
 def test_even_kac_spectrum_halves_to_dual_hahn_iii():
     # eigenvalues of the even extension at size N+1 are exactly twice the
     # third dual Hahn case's eigenvalues at size N
