@@ -2,7 +2,12 @@
 
 Every gallery family knows its eigenvalues in closed form, which makes the
 matrices drop-in accuracy tests: solve in float64, sort, and compare.
-The solver here is implicit QL with Wilkinson shifts.
+Every gallery matrix has a zero diagonal, so the solver finds its
+eigenvalues as the +-singular values of a bidiagonal of half the order, by
+bisection; `sweeps` below counts bisection passes, each of which moves
+every eigenvalue.  With eigenvectors (`want_vectors=True`) the solver runs
+implicit QL with Wilkinson shifts instead, and `sweeps` counts QL sweeps
+summed over the eigenvalues.
 """
 
 from fractions import Fraction as F

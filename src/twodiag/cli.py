@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -111,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--draws", type=int, default=3, help="parameter draws per case")
     v.add_argument("-q", "--quiet", action="store_true", help="only print failures and summary")
 
-    b = sub.add_parser("bench", help="benchmark the eigensolver against closed forms")
+    b = sub.add_parser("bench", help="benchmark the eigensolver against closed forms",
+                       description="One JSON line per solve; `sweeps` counts bisection "
+                                   "passes, or QL sweeps with --vectors.")
     b.add_argument("family", choices=FAMILY_CHOICES)
     b.add_argument("--dims", default="", help="comma-separated matrix dimensions")
     b.add_argument("--reps", type=int, default=1)
@@ -139,13 +142,11 @@ def _open_out(path: Optional[str]):
 
 def cmd_gen(args) -> int:
     if args.N < 1:
-        raise SystemExit("error: -N must be >= 1")
+        raise ValueError("-N must be >= 1")
     bundle = build_gallery_matrix(args.family, args.N, _collect_params(args))
     if args.format == "exact" and not isinstance(bundle.matrix, TwoDiagonal):
-        raise SystemExit(
-            "error: exact format needs rational entries; "
-            f"use the nonsym form instead of {args.family}"
-        )
+        raise ValueError("exact format needs rational entries; "
+                         f"use the nonsym form instead of {args.family}")
     if args.format == "mm":
         text = matrix_market_text(bundle.matrix)
     elif args.format == "exact":
@@ -162,7 +163,7 @@ def cmd_gen(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.N < 1:
-        raise SystemExit("error: -N must be >= 1")
+        raise ValueError("-N must be >= 1")
     bundle = build_gallery_matrix(args.family, args.N, _collect_params(args))
     for e in bundle.spectrum.entries:
         print(f"{e.sign:+d} {e.radicand} {float(e):.17g}")
@@ -171,7 +172,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.max_n < 2:
-        raise SystemExit("error: --max-N must be >= 2")
+        raise ValueError("--max-N must be >= 2")
     names = SUITES if args.suite == "all" else (args.suite,)
     outcomes = run_suites(names, args.max_n, args.seed, args.draws)
     failures = [o for o in outcomes if not o.ok]
@@ -207,37 +208,48 @@ def _poly_params(args):
     need = lambda name: getattr(args, name) is not None
     if args.family == "hahn":
         if not (need("alpha") and need("beta") and need("N")):
-            raise SystemExit("error: hahn needs --alpha, --beta and -N")
+            raise ValueError("hahn needs --alpha, --beta and -N")
         return HahnParams(args.alpha, args.beta, args.N)
     if args.family == "dual-hahn":
         if not (need("gamma") and need("delta") and need("N")):
-            raise SystemExit("error: dual-hahn needs --gamma, --delta and -N")
+            raise ValueError("dual-hahn needs --gamma, --delta and -N")
         return DualHahnParams(args.gamma, args.delta, args.N)
     if args.family == "racah":
         if not all(need(k) for k in ("alpha", "beta", "gamma", "delta")):
-            raise SystemExit("error: racah needs --alpha, --beta, --gamma, --delta")
+            raise ValueError("racah needs --alpha, --beta, --gamma, --delta")
         return RacahParams(args.alpha, args.beta, args.gamma, args.delta, args.minus_n)
     if not (need("p") and need("N")):
-        raise SystemExit("error: krawtchouk needs --p and -N")
+        raise ValueError("krawtchouk needs --p and -N")
     if args.weights:
         raise ValueError("poly krawtchouk has no weight or norm column; drop --weights")
     return KrawtchoukParams(args.p, args.N)
 
 
 def cmd_poly(args) -> int:
+    """Check the degree and the x range, compute the whole table, then
+    print it, so that an error leaves no partial table on stdout."""
     params = _poly_params(args)
-    x_to = args.x_to if args.x_to is not None else params.N
-    header = ["x", f"y_{args.n}(x)"]
-    if args.weights:
-        header += ["weight(x)"]
-    print("\t".join(header))
-    for x in range(args.x_from, x_to + 1):
-        row = [str(x), str(family_eval(params, args.n, x))]
+    N = params.N
+    xs = range(args.x_from, (args.x_to if args.x_to is not None else N) + 1)
+    if not 0 <= args.n <= N:
+        raise ValueError(f"degree n={args.n} outside 0..{N}")
+    if args.weights and xs and not (0 <= xs[0] and xs[-1] <= N):
+        raise ValueError(f"--weights needs x within 0..{N}; got {xs[0]}..{xs[-1]}")
+    lines = ["\t".join(["x", f"y_{args.n}(x)"] + ["weight(x)"] * args.weights)]
+    try:
+        for x in xs:
+            row = [x, family_eval(params, args.n, x)]
+            if args.weights:
+                row.append(family_weight(params, x))
+            lines.append("\t".join(map(str, row)))
         if args.weights:
-            row.append(str(family_weight(params, x)))
-        print("\t".join(row))
-    if args.weights:
-        print(f"norm h_{args.n} = {family_norm(params, args.n)}")
+            lines.append(f"norm h_{args.n} = {family_norm(params, args.n)}")
+    except ZeroDivisionError as exc:
+        used = ", ".join(f"{f.name}={getattr(params, f.name)}" for f in fields(params))
+        what = (f"evaluation impossible: {exc}" if isinstance(exc, DenominatorPole)
+                else "a denominator vanishes")
+        raise ValueError(f"poly {args.family} -n {args.n} with {used}: {what}") from exc
+    print("\n".join(lines))
     return 0
 
 
@@ -251,6 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": cmd_bench,
         "poly": cmd_poly,
     }
+    # every input error exits 2; 1 is a failed verify
     try:
         return handlers[args.command](args)
     except (DenominatorPole, NonTerminatingSeries) as exc:

@@ -2,9 +2,20 @@
 harness that pits it against the closed-form spectra of the test-matrix
 gallery.
 
-The solver is the classic implicit QL iteration with Wilkinson shifts and
-deflation; eigenvalue-only runs cost O(dim^2), accumulating eigenvectors
-raises that to O(dim^3) with the rotation applied across numpy columns.
+The solver takes one of two paths, by the kind of input:
+
+- Eigenvalues of a zero-diagonal matrix (every gallery matrix) are the
+  +-singular values of a lower bidiagonal B of half the order (Golub &
+  Kahan 1965).  They are found by bisection on the squares of B's entries,
+  counting the negative pivots of B B^T - tau I through the differential
+  stationary qd recurrence (dstqds), which keeps high relative accuracy
+  (Demmel & Kahan 1990).  All values are bracketed together, vectorised
+  over numpy arrays, and each pass splits every interval in four (two
+  bisection steps): O(dim^2) work and O(dim) memory.
+- Eigenvectors, and any matrix with a nonzero diagonal, go through the
+  implicit QL iteration with Wilkinson shifts and deflation: O(dim^2) for
+  values, O(dim^3) with vectors, each rotation one 2x2 block product on a
+  contiguous row pair of the transposed eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -69,9 +80,99 @@ class FloatTridiag:
 
 @dataclass
 class EigenResult:
+    """`sweeps` counts the work of the path taken: QL sweeps summed over the
+    eigenvalues, or bisection passes, each of which narrows every value's
+    interval to a quarter of its floats."""
+
     values: np.ndarray
     vectors: Optional[np.ndarray]
     sweeps: int
+
+
+# Each pass splits every interval at three points into quarters that hold
+# equally many floats; the floats in [0, 1] number fewer than 2**62, so 31
+# passes suffice and the cap only guards the loop.  Three shifts per pass
+# take fewer numpy calls per bit than one: the count is call-bound.
+_MAX_PASSES = 32
+_QUARTERS = np.arange(1, 4, dtype=np.uint64)[:, None]
+# |pivot| floor of a rerun count, for entries scaled below 1/2
+_PIVMIN = float(np.finfo(float).eps) ** 2
+
+
+def _count_below(q: np.ndarray, e: np.ndarray, tau: np.ndarray,
+                 pivmin: Optional[float] = None) -> np.ndarray:
+    """For each shift tau, the number of eigenvalues of B B^T = L D L^T
+    below tau, where L D L^T has pivots q and l_i^2 d_i = e_i: the number
+    of negative pivots of L D L^T - tau I, from the dstqds recurrence
+    D_i = q_i + s_i, s_{i+1} = e_i s_i / D_i - tau, s_0 = -tau.
+
+    Shifts whose s stops being finite (a pivot vanished) are counted again
+    with every |D_i| < pivmin taken as -pivmin, as LAPACK does.  Memory is
+    a few rows the length of tau."""
+    s = -tau
+    d = np.empty_like(tau)
+    below = np.empty(tau.shape, dtype=bool)
+    count = np.zeros(tau.shape, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for qi, ei in zip(q.tolist(), e.tolist()):
+            np.add(s, qi, out=d)
+            if pivmin is not None:
+                np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
+            np.less(d, 0.0, out=below)
+            count += below
+            np.divide(s, d, out=s)
+            np.multiply(s, ei, out=s)
+            np.subtract(s, tau, out=s)
+    if pivmin is None:
+        vanished = ~np.isfinite(s)
+        if vanished.any():
+            count[vanished] = _count_below(q, e, tau[vanished], _PIVMIN)
+    return count
+
+
+def _zero_diagonal_values(m: FloatTridiag) -> EigenResult:
+    """Eigenvalues of a zero-diagonal m, which is a permuted Golub-Kahan
+    form [[0, B], [B^T, 0]] with B lower bidiagonal, B[(k+1)//2, k//2] =
+    off[k]: the values are +-sigma(B), and an exact 0 when the dimension
+    is odd, where B is padded with one zero entry.  The squares sigma^2 are
+    bracketed all at once, splitting the intervals on the bit patterns of
+    the floats, until no float lies strictly inside any interval."""
+    n = m.dim
+    half = n // 2
+    off = np.abs(np.asarray(m.offdiagonal, dtype=float))
+    top = float(off.max(initial=0.0))
+    if top == 0.0:
+        return EigenResult(np.zeros(n), None, 0)
+    # a power-of-two scale puts every entry below 1/2, so the squares cannot
+    # overflow and the scaling is undone exactly
+    exp = math.frexp(top)[1] + 1
+    off = np.ldexp(np.append(off, [0.0] * (n % 2)), -exp)
+    q = off[0::2] ** 2
+    e = np.append(off[1::2] ** 2, 0.0)
+    # the intervals, as bit patterns of their float ends: [0, 1) holds every
+    # value, since ||B||^2 <= (max|diagonal| + max|subdiagonal|)^2 < 1
+    lo = np.zeros(half, dtype=np.uint64)
+    hi = np.full(half, np.float64(1.0).view(np.uint64))
+    # the index of each value among the eigenvalues of B B^T; for odd n the
+    # smallest, the padding's exact zero, is not bisected
+    target = np.arange(n % 2, n % 2 + half)
+    columns = np.arange(half)
+    passes = 0
+    while True:
+        gap = hi - lo
+        open_ = gap > 1
+        if not open_.any():
+            break
+        if passes == _MAX_PASSES:
+            raise NoConvergence(n - half + int(np.argmax(open_)), m)
+        passes += 1
+        ends = np.vstack((lo, lo + gap * _QUARTERS // np.uint64(4), hi))
+        count = _count_below(q, e, ends[1:4].view(float).ravel()).reshape(3, half)
+        # the quarter whose ends' counts bracket the target
+        quarter = (count <= target).sum(axis=0)
+        lo, hi = ends[quarter, columns], ends[quarter + 1, columns]
+    sigma = np.ldexp(np.sqrt(np.sort(lo.view(float))), exp)
+    return EigenResult(np.concatenate((-sigma[::-1], np.zeros(n % 2), sigma)), None, passes)
 
 
 def sym_tridiag_eigen(
@@ -80,13 +181,21 @@ def sym_tridiag_eigen(
     """Eigenvalues (sorted ascending) and optionally the orthogonal
     eigenvector matrix of a symmetric tridiagonal matrix.
 
-    Implicitly shifted QL with Wilkinson shifts; raises NoConvergence if an
-    eigenvalue needs more than max_sweeps sweeps.
+    Values of a zero-diagonal matrix come from bisection on the half-size
+    bidiagonal (`_zero_diagonal_values`); everything else from implicitly
+    shifted QL with Wilkinson shifts.  Raises NoConvergence if a QL
+    eigenvalue needs more than max_sweeps sweeps, or bisection more than
+    `_MAX_PASSES` passes.
     """
+    if not want_vectors and not any(m.diagonal):
+        return _zero_diagonal_values(m)
     n = m.dim
     d = [float(v) for v in m.diagonal]
     e = [float(v) for v in m.offdiagonal] + [0.0]
-    z = np.eye(n) if want_vectors else None
+    # rotations act on row pairs of z^T, which are contiguous
+    zt = np.eye(n) if want_vectors else None
+    rot = np.empty((2, 2))
+    buf = np.empty((2, n))
     eps = np.finfo(float).eps
     sweeps = 0
 
@@ -128,10 +237,12 @@ def sym_tridiag_eigen(
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if z is not None:
-                    col = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * col
-                    z[:, i] = c * z[:, i] - s * col
+                if zt is not None:
+                    rot[0, 0] = rot[1, 1] = c
+                    rot[0, 1] = -s
+                    rot[1, 0] = s
+                    np.dot(rot, zt[i:i + 2], out=buf)
+                    zt[i:i + 2] = buf
             if not underflow:
                 d[l] -= p
                 e[l] = g
@@ -140,9 +251,7 @@ def sym_tridiag_eigen(
     values = np.array(d)
     order = np.argsort(values, kind="stable")
     values = values[order]
-    if z is not None:
-        z = z[:, order]
-    return EigenResult(values, z, sweeps)
+    return EigenResult(values, None if zt is None else zt[order].T, sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +381,18 @@ def _match_error(computed: np.ndarray, closed: np.ndarray) -> float:
     return float(np.max(np.abs(computed - closed)))
 
 
+def _residual(tri: FloatTridiag, result: EigenResult) -> float:
+    """max |T v - lambda v| over the eigenpairs, with T v formed from the
+    bands as e[i-1] v[i-1] + d[i] v[i] + e[i] v[i+1]."""
+    v = result.vectors
+    e = np.asarray(tri.offdiagonal, dtype=float)[:, None]
+    av = np.asarray(tri.diagonal, dtype=float)[:, None] * v
+    av[:-1] += e * v[1:]
+    av[1:] += e * v[:-1]
+    av -= v * result.values
+    return float(np.abs(av).max())
+
+
 def benchmark(
     selector: str,
     dims: Sequence[int],
@@ -295,11 +416,7 @@ def benchmark(
             result = sym_tridiag_eigen(tri, want_vectors=want_vectors)
             wall = time.perf_counter_ns() - t0
             err = _match_error(result.values, closed)
-            residual = None
-            if want_vectors:
-                a = tri.to_dense()
-                residual = float(np.abs(a @ result.vectors
-                                        - result.vectors * result.values[None, :]).max())
+            residual = None if result.vectors is None else _residual(tri, result)
             reports.append(BenchReport(selector, shown_params, tri.dim, err,
                                        residual, wall, result.sweeps))
     return reports

@@ -23,8 +23,9 @@ def test_gen_kac_mm(capsys):
 
 
 def test_gen_rejects_n_zero(capsys):
-    with pytest.raises(SystemExit):
-        main(["gen", "kac", "-N", "0"])
+    code, out, err = run(capsys, "gen", "kac", "-N", "0")
+    assert code == 2 and out == ""
+    assert "-N" in _one_line_error(err)
 
 
 def test_gen_exact_roundtrip(tmp_path, capsys):
@@ -41,9 +42,10 @@ def test_gen_exact_roundtrip(tmp_path, capsys):
 
 
 def test_gen_exact_refuses_irrational(capsys):
-    with pytest.raises(SystemExit):
-        main(["gen", "double:DualHahnI", "--gamma", "1/2", "--delta", "1/3",
-              "-N", "3", "--format", "exact"])
+    code, out, err = run(capsys, "gen", "double:DualHahnI", "--gamma", "1/2", "--delta", "1/3",
+                         "-N", "3", "--format", "exact")
+    assert code == 2 and out == ""
+    assert "exact format" in _one_line_error(err)
 
 
 def test_gen_json(capsys):
@@ -56,10 +58,11 @@ def test_gen_json(capsys):
 
 
 def test_rational_argument_validation(capsys):
-    with pytest.raises(SystemExit):
-        main(["gen", "kac-odd", "--gamma", "0.5", "--delta", "1", "-N", "2"])
-    with pytest.raises(SystemExit):
-        main(["gen", "kac-odd", "--gamma", "1/0", "--delta", "1", "-N", "2"])
+    for bad in ("0.5", "1/0"):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "kac-odd", "--gamma", bad, "--delta", "1", "-N", "2"])
+        assert info.value.code == 2
+        assert "--gamma" in _one_line_error(capsys.readouterr().err)
 
 
 def test_spectrum_kac(capsys):
@@ -192,10 +195,34 @@ def test_poly_degree_zero_all_ones(capsys):
 
 
 def test_poly_pole_is_clean_error(capsys):
-    code, _, err = run(capsys, "poly", "hahn", "--alpha", "-1", "--beta", "0",
-                       "-N", "2", "-n", "1")
-    assert code == 2
-    assert "evaluation impossible" in err
+    code, out, err = run(capsys, "poly", "hahn", "--alpha", "-1", "--beta", "0",
+                         "-N", "2", "-n", "1")
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    for word in ("evaluation impossible", "poly hahn", "alpha=-1", "beta=0", "N=2"):
+        assert word in line, line
+
+
+def test_poly_vanishing_denominator_names_family_and_parameters(capsys):
+    code, out, err = run(capsys, "poly", "racah", "--alpha", "-3", "--beta", "-1",
+                         "--gamma", "1/2", "--delta", "1/2", "-n", "1", "--weights")
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    assert "Fraction" not in line
+    for word in ("poly racah", "alpha=-3", "beta=-1", "gamma=1/2", "delta=1/2"):
+        assert word in line, line
+
+
+@pytest.mark.parametrize("flags,word", [
+    (["-n", "5"], "degree n=5"),
+    (["-n", "1", "--x-to", "5", "--weights"], "--weights"),
+    (["-n", "1", "--x-from", "-1", "--weights"], "--weights"),
+])
+def test_poly_checks_degree_and_x_range_before_output(capsys, flags, word):
+    code, out, err = run(capsys, "poly", "hahn", "--alpha", "1/2", "--beta", "1/3", "-N", "2",
+                         *flags)
+    assert code == 2 and out == ""
+    assert word in _one_line_error(err)
 
 
 def test_poly_weights_column(capsys):
@@ -214,8 +241,9 @@ def test_poly_racah(capsys):
 
 
 def test_poly_missing_params(capsys):
-    with pytest.raises(SystemExit):
-        main(["poly", "hahn", "-n", "1", "-N", "3"])
+    code, out, err = run(capsys, "poly", "hahn", "-n", "1", "-N", "3")
+    assert code == 2 and out == ""
+    assert "--alpha" in _one_line_error(err)
 
 
 def test_poly_krawtchouk_weights_refused_before_output(capsys):
@@ -266,10 +294,9 @@ def test_flags_the_selector_does_not_take(capsys):
 
 
 def test_verify_rejects_max_n_below_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--max-N", "1"])
-    assert "--max-N" in str(info.value.code)
-    assert capsys.readouterr().out == ""
+    code, out, err = run(capsys, "verify", "--max-N", "1")
+    assert code == 2 and out == ""
+    assert "--max-N" in _one_line_error(err)
 
 
 def test_pole_error_names_selector_n_and_parameters(capsys):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from twodiag.doubles import DoubleCase
+from twodiag import eigsolve
 from twodiag.eigsolve import (
+    FAMILY_CHOICES,
     FloatTridiag,
     NoConvergence,
+    _count_below,
     _dim_to_n,
     _match_error,
     benchmark,
@@ -59,9 +62,10 @@ def test_general_matrix_against_numpy():
 
 
 def test_no_convergence_budget():
+    # the QL budget: a zero-diagonal matrix reaches QL only with vectors
     tri = to_float_tridiag(sylvester_kac(12))
     with pytest.raises(NoConvergence) as info:
-        sym_tridiag_eigen(tri, max_sweeps=0)
+        sym_tridiag_eigen(tri, want_vectors=True, max_sweeps=0)
     assert info.value.matrix is tri
     import json
 
@@ -159,3 +163,108 @@ def test_gallery_builder_rejects_parameters_the_selector_does_not_take():
         build_gallery_matrix("kac", 3, {"gamma": F(1)})
     with pytest.raises(ValueError, match="RacahII"):
         build_gallery_matrix("double:RacahII", 3)
+
+
+# ---------------------------------------------------------------------------
+# the zero-diagonal path: bisection on the half-size bidiagonal
+
+EPS = np.finfo(float).eps
+
+
+def _random_offdiagonal(rng, n, kind):
+    if kind == "integer":  # exact-zero pivots and exact-zero entries
+        return rng.integers(-3, 4, size=n - 1).astype(float)
+    off = rng.normal(size=n - 1)
+    if kind == "split":
+        off[rng.random(n - 1) < 0.3] = 0.0
+    return off
+
+
+def test_zero_diagonal_values_against_lapack_and_ql():
+    # n = 2..60 runs through every (kind, scale) pair, odd and even n alike;
+    # the scales are powers of two from about 1e-150 to 1e150, so the
+    # reference spectrum scales exactly
+    rng = np.random.default_rng(11)
+    kinds = ("normal", "integer", "split")
+    scales = (2.0 ** -498, 2.0 ** -60, 1.0, 2.0 ** 60, 2.0 ** 498)
+    for n in range(2, 61):
+        off = _random_offdiagonal(rng, n, kinds[n % 3])
+        scale = scales[n % 5]
+        tri = FloatTridiag((0.0,) * n, tuple(off * scale))
+        values = sym_tridiag_eigen(tri).values
+        ql = sym_tridiag_eigen(tri, want_vectors=True).values
+        ref = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) * scale
+        tol = 4 * n * EPS * max(np.abs(off).max(), 1.0) * scale
+        assert len(values) == n
+        assert np.abs(values - ref).max() <= tol, (n, kinds[n % 3], scale)
+        assert np.abs(values - ql).max() <= tol, (n, kinds[n % 3], scale)
+
+
+def test_zero_diagonal_values_exact_symmetry_and_odd_zero():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 8, 9, 30, 31):
+        tri = FloatTridiag((0.0,) * n, tuple(rng.normal(size=n - 1)))
+        values = sym_tridiag_eigen(tri).values
+        assert np.array_equal(values, -values[::-1])
+        assert np.all(np.diff(values) >= 0)
+        if n % 2:
+            assert values[n // 2] == 0.0
+    zero = sym_tridiag_eigen(FloatTridiag((0.0,) * 4, (0.0, 0.0, 0.0)))
+    assert np.array_equal(zero.values, np.zeros(4))
+
+
+def test_zero_diagonal_values_against_gallery_closed_forms():
+    for selector in FAMILY_CHOICES:
+        if selector in ("double:RacahII", "double:RacahIV"):
+            continue  # no matrix
+        for dim in (6, 7, 20, 21):
+            try:
+                n = _dim_to_n(selector, dim)
+            except ValueError:
+                continue  # the selector takes the other parity
+            bundle = build_gallery_matrix(selector, n)
+            tri = to_float_tridiag(bundle)
+            closed = np.sort(bundle.spectrum.floats())
+            values = sym_tridiag_eigen(tri).values
+            amax = max(abs(v) for v in tri.offdiagonal)
+            assert np.abs(values - closed).max() <= 8 * EPS * amax, (selector, dim)
+
+
+def test_count_below_recovers_from_vanishing_pivots():
+    # integer pivots and integer shifts make exact-zero pivots D_i, whose
+    # s = inf or nan must send the shift through the pivmin recount
+    rng = np.random.default_rng(2)
+    for k in rng.integers(2, 8, size=60):
+        a = rng.integers(0, 3, size=k).astype(float)
+        b = rng.integers(0, 3, size=k - 1).astype(float)
+        bmat = np.diag(a) + np.diag(b, -1)
+        eig = np.linalg.eigvalsh(bmat @ bmat.T)
+        tau = np.arange(1, 4 * k + 1) / 2.0
+        tau = tau[np.abs(eig[:, None] - tau).min(axis=0) > 1e-9]
+        count = _count_below(a ** 2, np.append(b ** 2, 0.0), tau)
+        assert np.array_equal(count, (eig[:, None] < tau).sum(axis=0)), (a, b)
+    # D_0 = 1 - 1 vanishes, so the first count is not finite
+    assert _count_below(np.ones(3), np.array([1.0, 1.0, 0.0]), np.array([1.0]))[0] == 1
+
+
+def test_sweeps_reports_bisection_passes(monkeypatch):
+    tri = to_float_tridiag(sylvester_kac(12))
+    passes = sym_tridiag_eigen(tri).sweeps
+    assert 0 < passes <= eigsolve._MAX_PASSES
+    monkeypatch.setattr(eigsolve, "_MAX_PASSES", passes)
+    assert sym_tridiag_eigen(tri).sweeps == passes
+    monkeypatch.setattr(eigsolve, "_MAX_PASSES", 1)
+    with pytest.raises(NoConvergence) as info:
+        sym_tridiag_eigen(tri)
+    assert info.value.matrix is tri
+    # the QL path still counts sweeps
+    assert sym_tridiag_eigen(tri, want_vectors=True).sweeps > 0
+
+
+def test_benchmark_residual_matches_dense_product():
+    reps = benchmark("double:HahnI", [62], want_vectors=True)
+    tri = to_float_tridiag(build_gallery_matrix("double:HahnI", 30))
+    r = sym_tridiag_eigen(tri, want_vectors=True)
+    a = tri.to_dense()
+    dense = float(np.abs(a @ r.vectors - r.vectors * r.values[None, :]).max())
+    assert abs(reps[0].residual_norm - dense) <= 4 * EPS * np.abs(a).max()
