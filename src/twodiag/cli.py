@@ -173,6 +173,8 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 2:
         raise ValueError("--max-N must be >= 2")
+    if args.draws < 1:
+        raise ValueError(f"--draws must be >= 1, got {args.draws}")
     names = SUITES if args.suite == "all" else (args.suite,)
     outcomes = run_suites(names, args.max_n, args.seed, args.draws)
     failures = [o for o in outcomes if not o.ok]
@@ -190,9 +192,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims = [int(t) for t in args.dims.split(",") if t.strip()]
-    if not dims:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
+    if not args.dims.strip():
         return 0
+    try:
+        dims = [int(t) for t in args.dims.split(",")]
+    except ValueError:
+        raise ValueError(f"--dims needs comma-separated integers, got {args.dims!r}") from None
     reports = benchmark(args.family, dims, repetitions=args.reps,
                         params=_collect_params(args) or None,
                         want_vectors=args.vectors)

@@ -4,9 +4,11 @@ Covers the classic Sylvester-Kac (Clement) matrix, the symmetric
 tridiagonal matrix of every implemented doubling case together with its
 orthogonal eigenvector matrix, and the integer-friendly non-symmetric forms
 of the dual Hahn cases; the odd and even two-parameter Kac extensions are
-two of those forms doubled.  Spectra are certified exactly through the
-characteristic polynomial, which for a zero-diagonal tridiagonal matrix
-depends only on the superdiagonal-subdiagonal products.
+two of those forms doubled.  Spectra are certified exactly: the
+characteristic polynomial of a zero-diagonal tridiagonal matrix depends only
+on its superdiagonal-subdiagonal products, a fraction-free integer minor
+recurrence expands it, and it must equal lambda^z prod(lambda^2 - eps_k^2)
+coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -159,39 +161,29 @@ class MatrixWithSpectrum:
 # ---------------------------------------------------------------------------
 # characteristic polynomial machinery
 
-def _half_charpoly(products: Sequence[RationalLike]) -> List[Fraction]:
-    """Coefficients (ascending powers of mu) of P with
-    det(lambda I - A) = lambda^(dim mod 2) P(lambda^2).
-
-    The principal minors of a zero-diagonal tridiagonal are
-    p_k = lambda^(k mod 2) P_k(lambda^2), so the minor recurrence
-    p_k = lambda p_{k-1} - q_{k-2} p_{k-2} becomes
-    P_k = mu P_{k-1} - q_{k-2} P_{k-2} for even k and
-    P_k = P_{k-1} - q_{k-2} P_{k-2} for odd k, on half the coefficients."""
-    prev = [Fraction(1)]  # P_0
-    cur = [Fraction(1)]   # P_1
-    for k, q in enumerate(products, start=2):
-        q = Fraction(q)
-        nxt = [Fraction(0)] + cur if k % 2 == 0 else list(cur)
-        for i, coef in enumerate(prev):
-            nxt[i] -= q * coef
-        prev, cur = cur, nxt
-    return cur
-
-
-def _spread(half: List[Fraction], odd: int) -> List[Fraction]:
-    """Ascending lambda coefficients of lambda^odd * half(lambda^2)."""
-    out = [Fraction(0)] * (2 * len(half) - 1 + odd)
-    out[odd::2] = half
-    return out
-
-
 def charpoly_from_products(products: Sequence[RationalLike]) -> List[Fraction]:
-    """Coefficients (ascending powers) of det(lambda I - A) for a
-    zero-diagonal tridiagonal A with the given offdiagonal products
-    q_0, q_1, ..., via the principal-minor recurrence
-    p_k = lambda p_{k-1} - q_{k-2} p_{k-2} run in lambda^2 (`_half_charpoly`)."""
-    return _spread(_half_charpoly(products), (len(products) + 1) % 2)
+    """Ascending coefficients of det(lambda I - A) for a zero-diagonal
+    tridiagonal A with offdiagonal products q_0, q_1, ...
+
+    The principal minors are p_k = lambda^(k mod 2) P_k(lambda^2), so the
+    minor recurrence p_k = lambda p_{k-1} - q_{k-2} p_{k-2} becomes
+    P_k = mu^[k even] P_{k-1} - q_{k-2} P_{k-2} on half the coefficients.
+    It runs fraction-free (after Bareiss): with q_i = a_i/b_i in lowest
+    terms the integer polynomials Q_k = (prod_{i<k-1} b_i) P_k obey
+    Q_k = b_{k-2} mu^[k even] Q_{k-1} - a_{k-2} b_{k-3} Q_{k-2}, so no gcd
+    is taken in the loop; P is monic, so one division by the leading
+    coefficient of the last Q recovers it exactly."""
+    prev, cur, b_back = [1], [1], 1  # Q_0, Q_1 and b_{k-3}
+    for k, q in enumerate(map(Fraction, products), start=2):
+        a, b = q.numerator, q.denominator
+        nxt = [0] * (1 - k % 2) + [b * c for c in cur]
+        ab = a * b_back
+        for i, c in enumerate(prev if a else ()):
+            nxt[i] -= ab * c
+        prev, cur, b_back = cur, nxt, b
+    out = [Fraction(0)] * (len(products) + 2)
+    out[(len(products) + 1) % 2::2] = [Fraction(c, cur[-1]) for c in cur]
+    return out
 
 
 def charpoly(m: TwoDiagonal | SymTridiag) -> List[Fraction]:
@@ -199,16 +191,12 @@ def charpoly(m: TwoDiagonal | SymTridiag) -> List[Fraction]:
 
 
 def spectrum_poly(zeros: int, squares: Sequence[RationalLike]) -> List[Fraction]:
-    """Ascending coefficients of lambda^zeros prod(lambda^2 - s), the
-    product formed in lambda^2."""
-    half = [Fraction(1)]
-    for s in squares:
-        s = Fraction(s)
-        nxt = [Fraction(0)] + half          # mu * half
-        for i, c in enumerate(half):
-            nxt[i] -= s * c
-        half = nxt
-    return [Fraction(0)] * zeros + _spread(half, 0)
+    """Ascending coefficients of lambda^zeros prod(lambda^2 - s).  The
+    products 0, s_0, 0, s_1, ... make a block diagonal of a 1x1 zero and
+    2x2 blocks with charpoly lambda^2 - s_k, so the charpoly kernel forms
+    the product times lambda."""
+    gapped = [x for s in squares for x in (0, s)]
+    return [Fraction(0)] * zeros + charpoly_from_products(gapped)[1:]
 
 
 def verify_spectrum_exact(m: TwoDiagonal | SymTridiag, s: Spectrum) -> bool:

@@ -299,6 +299,27 @@ def test_verify_rejects_max_n_below_two(capsys):
     assert "--max-N" in _one_line_error(err)
 
 
+@pytest.mark.parametrize("draws", ["-1", "0"])
+def test_verify_rejects_draws_below_one(capsys, draws):
+    code, out, err = run(capsys, "verify", "--draws", draws)
+    assert code == 2 and out == ""
+    assert "--draws" in _one_line_error(err)
+
+
+def test_bench_rejects_reps_below_one(capsys):
+    code, out, err = run(capsys, "bench", "kac", "--dims", "5", "--reps", "0")
+    assert code == 2 and out == ""
+    assert "--reps" in _one_line_error(err)
+
+
+@pytest.mark.parametrize("dims", ["x", "5,,7", "5,", "5,x"])
+def test_bench_rejects_malformed_dims(capsys, dims):
+    code, out, err = run(capsys, "bench", "kac", "--dims", dims)
+    assert code == 2 and out == ""
+    line = _one_line_error(err)
+    assert "--dims" in line and repr(dims) in line
+
+
 def test_pole_error_names_selector_n_and_parameters(capsys):
     code, out, err = run(capsys, "gen", "double:RacahI", "-N", "2", "--beta", "0")
     assert code == 2 and out == ""

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,12 @@ from twodiag.exact import ScaledRoot
 from twodiag.families import (
     DualHahnParams,
     HahnParams,
+    KrawtchoukParams,
     RacahParams,
     family_eval,
     family_norm,
     family_weight,
+    krawtchouk_eval,
 )
 from twodiag.matrices import (
     nonsymmetric_entries,
@@ -501,3 +504,104 @@ def test_charpoly_in_lambda_squared_equals_lambda_recurrence(selector):
         s = m.spectrum
         assert (spectrum_poly(s.zero_count(), s.positive_squares())
                 == _lambda_spectrum_poly(s.zero_count(), s.positive_squares())), n
+
+
+# rationals for the certificate properties: zero, small, integer and
+# multi-hundred-bit entries of either sign
+RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.integers(-6, 6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(F, st.integers(-2 ** 400, 2 ** 400), st.integers(1, 2 ** 300)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RATIONALS, max_size=24))
+def test_charpoly_from_products_equals_lambda_oracle(products):
+    assert charpoly_from_products(products) == _lambda_charpoly(products)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.lists(RATIONALS, max_size=9))
+def test_spectrum_poly_equals_lambda_oracle(zeros, squares):
+    assert spectrum_poly(zeros, squares) == _lambda_spectrum_poly(zeros, squares)
+
+
+def _block_diagonal(blocks):
+    """Products of a zero-diagonal tridiagonal that zero products split into
+    blocks: a 1x1 zero block for each None, a 2x2 block with product s for
+    each s.  Returns (products, zero count, squares) of its spectrum."""
+    products, zeros, squares = [], 0, []
+    for i, s in enumerate(blocks):
+        if i:
+            products.append(F(0))
+        if s is None:
+            zeros += 1
+        else:
+            products.append(s)
+            squares.append(s)
+    return products, zeros, squares
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.none(), RATIONALS), min_size=1, max_size=10),
+       st.integers(-1, 2), RATIONALS)
+def test_verify_squares_exact_agrees_with_oracle(blocks, dz, bump):
+    products, zeros, squares = _block_diagonal(blocks)
+    assert verify_squares_exact(products, zeros, squares)
+    claims = [(zeros + dz, squares), (zeros, squares[::-1])]
+    if squares:
+        claims.append((zeros, squares[:-1] + [squares[-1] + bump]))
+    for z, sq in claims:
+        if z >= 0:
+            assert (verify_squares_exact(products, z, sq)
+                    == (_lambda_charpoly(products) == _lambda_spectrum_poly(z, sq)))
+
+
+@pytest.mark.parametrize("selector", FAMILY_CHOICES)
+def test_certificate_mutations_fail_at_dimension_200(selector):
+    m = build_gallery_matrix(selector, 200 if selector == "kac" else 100)
+    assert m.matrix.dim >= 200
+    products = m.matrix.products()
+    zeros, squares = m.spectrum.zero_count(), sorted(m.spectrum.positive_squares())
+    assert verify_spectrum_exact(m.matrix, m.spectrum)
+    assert verify_squares_exact(products, zeros, squares)
+    for i in (0, len(products) // 2, len(products) - 1):
+        bumped = list(products)
+        bumped[i] += F(1, 10 ** 9)
+        assert not verify_squares_exact(bumped, zeros, squares), i
+    # a dropped zero eigenvalue; even dimensions have none, so one is added
+    assert not verify_squares_exact(products, zeros - 1 if zeros else 1, squares)
+    for i in (0, len(squares) // 2, len(squares) - 2):
+        assert squares[i] != squares[i + 1]
+        moved = squares[:i] + [squares[i + 1]] + squares[i + 1:]
+        assert not verify_squares_exact(products, zeros, moved), i
+
+
+def _zero_diagonal_times(sup, sub, v):
+    """A v for the tridiagonal A with zero diagonal, superdiagonal sup and
+    subdiagonal sub."""
+    n = len(v) - 1
+    return [(sub[x - 1] * v[x - 1] if x else 0) + (sup[x] * v[x + 1] if x < n else 0)
+            for x in range(n + 1)]
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_kac_eigenvectors_are_scaled_krawtchouk_values(N):
+    # Column n of the Kac matrix's eigenvectors, eigenvalue N - 2n, is
+    # K_n(x; 1/2, N) times d_x^2 = binomial(N, x) of the diagonal similarity;
+    # K_n(x; 1/2, N) alone is the left eigenvector (self-duality of the
+    # Krawtchouk recurrence).
+    kac = sylvester_kac(N)
+    m = kac.matrix
+    scales = similarity_scale_squares(m)
+    assert scales == [comb(N, x) for x in range(N + 1)]
+    p = KrawtchoukParams(F(1, 2), N)
+    for n in range(N + 1):
+        lam = N - 2 * n
+        assert kac.spectrum.entries[N - n].exact_rational() == lam
+        k = [krawtchouk_eval(n, x, p) for x in range(N + 1)]
+        v = [d * y for d, y in zip(scales, k)]
+        assert _zero_diagonal_times(m.sup, m.sub, v) == [lam * c for c in v], n
+        assert _zero_diagonal_times(m.sub, m.sup, k) == [lam * c for c in k], n
