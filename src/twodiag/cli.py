@@ -27,7 +27,7 @@ from .families import (
     family_weight,
 )
 from .matio import exact_text, json_text, matrix_market_text
-from .matrices import InadmissibleParams, TwoDiagonal, UnsupportedCase
+from .matrices import TwoDiagonal
 from .verify import SUITES, run_suites
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                        description="One JSON line per solve; `sweeps` counts bisection "
                                    "passes, or QL sweeps with --vectors.")
     b.add_argument("family", choices=FAMILY_CHOICES)
-    b.add_argument("--dims", default="", help="comma-separated matrix dimensions")
+    b.add_argument("--dims", required=True, help="comma-separated matrix dimensions")
     b.add_argument("--reps", type=int, default=1)
     b.add_argument("--vectors", action="store_true", help="also accumulate eigenvectors")
     _add_param_flags(b)
@@ -240,7 +240,9 @@ def cmd_poly(args) -> int:
     xs = range(args.x_from, (args.x_to if args.x_to is not None else N) + 1)
     if not 0 <= args.n <= N:
         raise ValueError(f"degree n={args.n} outside 0..{N}")
-    if args.weights and xs and not (0 <= xs[0] and xs[-1] <= N):
+    if not xs:
+        raise ValueError(f"empty x range: --x-from {xs.start} is above --x-to {xs.stop - 1}")
+    if args.weights and not (0 <= xs[0] and xs[-1] <= N):
         raise ValueError(f"--weights needs x within 0..{N}; got {xs[0]}..{xs[-1]}")
     lines = ["\t".join(["x", f"y_{args.n}(x)"] + ["weight(x)"] * args.weights)]
     try:
@@ -275,9 +277,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return handlers[args.command](args)
     except (DenominatorPole, NonTerminatingSeries) as exc:
         print(f"error: evaluation impossible: {exc}", file=sys.stderr)
-        return 2
-    except (InadmissibleParams, UnsupportedCase) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,9 @@ zero on the full (n, x) grid.
 
 Eliminating yhat reproduces the base family's three-term recurrence, which
 pins the coefficient products to the recurrence data (the requirement
-system checked by verify_requirements).
+system checked by verify_requirements).  The same products, times one
+sign per case, are the offdiagonal squares of the case's symmetric matrix
+(matrix_squares), so the matrix is built from the verified sextet.
 
 Every per-case fact (sextet, Christoffel parameter, matrix, spectrum,
 eigenvector layout, doubled system, algebra, gallery defaults) is written
@@ -106,14 +108,15 @@ class CaseRecord:
     nu: Callable[[FamilyParams], Fraction]
     # matrix dimension 2N+2 when True, else 2N+1 (one zero eigenvalue)
     even_dim: bool
-    # offdiagonal squares M_k^2 of the symmetric matrix
-    squares: Optional[Callable[[FamilyParams], List[Fraction]]] = None
     # k-th eigenvalue square; k = 0 gives the zero eigenvalue of odd dimension
     eig_square: Optional[Callable[[FamilyParams, int], Fraction]] = None
+    # sign turning the sextet's coefficient products into the matrix squares
+    squares_sign: int = 1
     # gallery parameters and their defaults (None: filled in from N)
     defaults: Optional[Dict[str, Optional[Fraction]]] = None
-    # U's even rows use the family with delta shifted by this much; its
-    # hatted partner gives the odd rows
+    # U's even rows, and the sextet of the matrix squares, use the family
+    # with delta shifted by this much; its hatted partner gives U's odd
+    # rows.  None: no displayed U, and the squares use the family unshifted
     u_delta_shift: Optional[int] = None
     # (superdiagonal, subdiagonal) of the integer-friendly form
     nonsym: Optional[Callable[[FamilyParams], Tuple[list, list]]] = None
@@ -144,6 +147,31 @@ def case_record(case: DoubleCase, params: FamilyParams) -> CaseRecord:
 def coefficients(case: DoubleCase, params: FamilyParams) -> CoefficientSextet:
     """The exact coefficient sextet of a doubling case."""
     return CoefficientSextet(case, params, **case_record(case, params).sextet(params))
+
+
+def even_row_params(case: DoubleCase, params: FamilyParams) -> FamilyParams:
+    """The parameters with delta shifted by the case's u_delta_shift (no
+    shift where it is None): the family of U's even rows, whose sextet
+    gives the matrix squares."""
+    shift = case_record(case, params).u_delta_shift
+    return replace(params, delta=params.delta + shift) if shift else params
+
+
+def matrix_squares(case: DoubleCase, params: FamilyParams) -> List[Fraction]:
+    """Offdiagonal squares M_i^2 of the case's symmetric matrix, read off
+    the sextet at `even_row_params`: sign * a(k) * bhat(k-1) at i = 2k and
+    sign * b(k) * ahat(k) at i = 2k+1, for i < dim - 1.  The matrix is the
+    Jacobi matrix of the paired system, so its squares are these products."""
+    rec = case_record(case, params)
+    dim = rec.dim(params.N)
+    if dim == 1:  # N = 0 of an odd case: no square, and no hatted family at N - 1
+        return []
+    cs = coefficients(case, even_row_params(case, params))
+    out = []
+    for i in range(dim - 1):
+        k = i // 2
+        out.append(rec.squares_sign * (cs.b(k) * cs.a_hat(k) if i % 2 else cs.a(k) * cs.b_hat(k - 1)))
+    return out
 
 
 def christoffel_nu(case: DoubleCase, params: FamilyParams) -> Fraction:
@@ -304,14 +332,6 @@ def _dual_hahn_i(p: DualHahnParams) -> dict:
     )
 
 
-def _dual_hahn_i_squares(p: DualHahnParams) -> List[Fraction]:
-    g, d, N = p.gamma, p.delta, p.N
-    sq = []
-    for k in range(N):
-        sq.extend([(k + g + 1) * (N - k), (k + 1) * (N + d - k)])
-    return sq
-
-
 def _dual_hahn_i_nonsym(p: DualHahnParams) -> Tuple[list, list]:
     g, d, N = p.gamma, p.delta, p.N
     sup, sub = [], []
@@ -344,14 +364,6 @@ def _dual_hahn_ii(p: DualHahnParams) -> dict:
     )
 
 
-def _dual_hahn_ii_squares(p: DualHahnParams) -> List[Fraction]:
-    g, d, N = p.gamma, p.delta, p.N
-    sq = []
-    for k in range(N):
-        sq.extend([(N + d - k) * (N - k), (k + 1) * (k + g + 1)])
-    return sq
-
-
 def _dual_hahn_ii_nonsym(p: DualHahnParams) -> Tuple[list, list]:
     g, d, N = p.gamma, p.delta, p.N
     sup, sub = [], []
@@ -377,16 +389,6 @@ def _dual_hahn_iii(p: DualHahnParams) -> dict:
         d=lambda x: g + 1,
         d_hat=lambda x: (x + g + 1) * (x + d_) / (g + 1),
     )
-
-
-def _dual_hahn_iii_squares(p: DualHahnParams) -> List[Fraction]:
-    g, d, N = p.gamma, p.delta, p.N
-    sq = []
-    for k in range(N + 1):
-        sq.append((k + g + 1) * (N + d + 1 - k))
-        if k < N:
-            sq.append(F((k + 1) * (N - k)))
-    return sq
 
 
 def _dual_hahn_iii_nonsym(p: DualHahnParams) -> Tuple[list, list]:
@@ -423,20 +425,6 @@ def _hahn_i(p: HahnParams) -> dict:
     )
 
 
-def _hahn_paired_squares(a: Fraction, b: Fraction, N: int) -> List[Fraction]:
-    """Offdiagonal squares of the first Hahn case's matrix; the third case
-    has the same with alpha and beta swapped."""
-    s = a + b
-    sq = []
-    for k in range(N + 1):
-        sq.append((k + a + 1) * (k + s + 1) * (k + s + 2 + N)
-                  / ((2 * k + s + 1) * (2 * k + s + 2)))
-        if k < N:
-            sq.append((k + b + 1) * (k + 1) * (N - k)
-                      / ((2 * k + s + 2) * (2 * k + s + 3)))
-    return sq
-
-
 def _hahn_i_prefactor(p: HahnParams, n: int) -> ScaledRoot:
     a, b, N = p.alpha, p.beta, p.N
     s = a + b
@@ -457,19 +445,6 @@ def _hahn_ii(p: HahnParams) -> dict:
         d=lambda x: -N * (al + 1),
         d_hat=lambda x: x / (N * (al + 1)),
     )
-
-
-def _hahn_middle_squares(a: Fraction, b: Fraction, N: int) -> List[Fraction]:
-    """Offdiagonal squares of the second Hahn case's matrix; the fourth
-    case has the same with alpha and beta swapped."""
-    s = a + b
-    sq = []
-    for k in range(N):
-        sq.append((k + a + 1) * (k + s + 1) * (N - k)
-                  / ((2 * k + s + 1) * (2 * k + s + 2)))
-        sq.append((k + b + 1) * (k + s + 2 + N) * (k + 1)
-                  / ((2 * k + s + 2) * (2 * k + s + 3)))
-    return sq
 
 
 def _hahn_ii_prefactor(p: HahnParams, n: int) -> ScaledRoot:
@@ -522,18 +497,6 @@ def _racah_i(p: RacahParams) -> dict:
     )
 
 
-def _racah_i_squares(p: RacahParams) -> List[Fraction]:
-    b, g, d, N = p.beta, p.gamma, p.delta, p.N
-    sq = []
-    for k in range(N + 1):
-        sq.append((N - b - k) * (g + 1 + k) * (N + d + 1 - k) * (k + b + 1)
-                  / ((N - b - 2 * k) * (2 * k - N + 1 + b)))
-        if k < N:
-            sq.append((g + N - b - k) * (k + 1) * (N - k) * (k + b + d + 2)
-                      / ((N - b - 2 * k - 2) * (2 * k - N + 1 + b)))
-    return sq
-
-
 def _racah_ii(p: RacahParams) -> dict:
     al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
     s = al + be
@@ -562,17 +525,6 @@ def _racah_iii(p: RacahParams) -> dict:
     )
 
 
-def _racah_iii_squares(p: RacahParams) -> List[Fraction]:
-    b, g, d, N = p.beta, p.gamma, p.delta, p.N
-    sq = []
-    for k in range(N):
-        sq.append((k + g + 1) * (-N + b + k) * (N - k) * (k + b + d + 1)
-                  / ((N - b - 2 * k) * (N - b - 2 * k - 1)))
-        sq.append((g + N - b - k) * (k + 1) * (k + b + 1) * (k - d - N)
-                  / ((N - b - 2 * k - 2) * (N - b - 2 * k - 1)))
-    return sq
-
-
 def _racah_iv(p: RacahParams) -> dict:
     al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
     s = al + be
@@ -593,60 +545,51 @@ def _racah_iv(p: RacahParams) -> dict:
 CASE_TABLE: Dict[DoubleCase, CaseRecord] = {
     DoubleCase.DUAL_HAHN_I: CaseRecord(
         DualHahnParams, _dual_hahn_i, nu=lambda p: F(0), even_dim=False,
-        squares=_dual_hahn_i_squares,
         eig_square=lambda p, k: k * (k + p.gamma + p.delta + 1),
         defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=0, nonsym=_dual_hahn_i_nonsym,
         odd_prefactor=_dual_hahn_i_prefactor,
         commutator=_dual_hahn_i_commutator),
     DoubleCase.DUAL_HAHN_II: CaseRecord(
         DualHahnParams, _dual_hahn_ii, nu=lambda p: F(p.N), even_dim=False,
-        squares=_dual_hahn_ii_squares,
-        eig_square=lambda p, k: k * (p.gamma + p.delta + 1 + 2 * p.N - k),
+        eig_square=lambda p, k: k * (p.gamma + p.delta + 1 + 2 * p.N - k), squares_sign=-1,
         defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=0, nonsym=_dual_hahn_ii_nonsym,
         commutator=_dual_hahn_ii_commutator, commutator_sign=-1),
     DoubleCase.DUAL_HAHN_III: CaseRecord(
         DualHahnParams, _dual_hahn_iii, nu=lambda p: -p.delta, even_dim=True,
-        squares=_dual_hahn_iii_squares,
         eig_square=lambda p, k: (k + p.gamma + 1) * (k + p.delta + 1),
         defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=1, nonsym=_dual_hahn_iii_nonsym,
         commutator=_dual_hahn_iii_commutator),
     DoubleCase.HAHN_I: CaseRecord(
         HahnParams, _hahn_i, nu=lambda p: -p.alpha - 1, even_dim=True,
-        squares=lambda p: _hahn_paired_squares(p.alpha, p.beta, p.N),
-        eig_square=lambda p, k: k + p.alpha + 1,
+        eig_square=lambda p, k: k + p.alpha + 1, squares_sign=-1,
         defaults=_HAHN_DEFAULTS, u_delta_shift=0, odd_prefactor=_hahn_i_prefactor),
     DoubleCase.HAHN_II: CaseRecord(
         HahnParams, _hahn_ii, nu=lambda p: F(0), even_dim=False,
-        squares=lambda p: _hahn_middle_squares(p.alpha, p.beta, p.N),
-        eig_square=lambda p, k: F(k),
+        eig_square=lambda p, k: F(k), squares_sign=-1,
         defaults=_HAHN_DEFAULTS, u_delta_shift=0, odd_prefactor=_hahn_ii_prefactor),
     DoubleCase.HAHN_III: CaseRecord(
         HahnParams, _hahn_iii, nu=lambda p: p.N + p.beta + 1, even_dim=True,
-        squares=lambda p: _hahn_paired_squares(p.beta, p.alpha, p.N),
         eig_square=lambda p, k: k + p.beta + 1,
         defaults=_HAHN_DEFAULTS),
     DoubleCase.HAHN_IV: CaseRecord(
         HahnParams, _hahn_iv, nu=lambda p: F(p.N), even_dim=False,
-        squares=lambda p: _hahn_middle_squares(p.beta, p.alpha, p.N),
         eig_square=lambda p, k: F(k),
         defaults=_HAHN_DEFAULTS),
     DoubleCase.RACAH_I: CaseRecord(
         RacahParams, _racah_i, nu=lambda p: -p.delta, even_dim=True,
-        squares=_racah_i_squares,
         eig_square=lambda p, k: (k + p.gamma + 1) * (k + p.delta + 1),
         defaults=_RACAH_DEFAULTS, u_delta_shift=1),
     DoubleCase.RACAH_II: CaseRecord(
         RacahParams, _racah_ii, nu=lambda p: p.beta - p.gamma, even_dim=False),
     DoubleCase.RACAH_III: CaseRecord(
         RacahParams, _racah_iii, nu=lambda p: F(0), even_dim=False,
-        squares=_racah_iii_squares,
         eig_square=lambda p, k: k * (k + p.gamma + p.delta + 1),
         defaults=_RACAH_DEFAULTS, u_delta_shift=0),
     DoubleCase.RACAH_IV: CaseRecord(
         RacahParams, _racah_iv, nu=lambda p: -p.alpha - 1, even_dim=False),
 }
 
-MATRIX_CASES = tuple(c for c in DoubleCase if c.record.squares is not None)
+MATRIX_CASES = tuple(c for c in DoubleCase if c.record.eig_square is not None)
 EIGVEC_CASES = tuple(c for c in DoubleCase if c.record.u_delta_shift is not None)
 NONSYM_CASES = tuple(c for c in DoubleCase if c.record.nonsym is not None)
 SYSTEM_CASES = tuple(c for c in DoubleCase if c.record.odd_prefactor is not None)

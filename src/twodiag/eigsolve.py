@@ -95,6 +95,8 @@ class EigenResult:
 # take fewer numpy calls per bit than one: the count is call-bound.
 _MAX_PASSES = 32
 _QUARTERS = np.arange(1, 4, dtype=np.uint64)[:, None]
+# QL sweeps allowed per eigenvalue; Wilkinson shifts need about two
+_MAX_SWEEPS = 30
 # |pivot| floor of a rerun count, for entries scaled below 1/2
 _PIVMIN = float(np.finfo(float).eps) ** 2
 
@@ -175,17 +177,15 @@ def _zero_diagonal_values(m: FloatTridiag) -> EigenResult:
     return EigenResult(np.concatenate((-sigma[::-1], np.zeros(n % 2), sigma)), None, passes)
 
 
-def sym_tridiag_eigen(
-    m: FloatTridiag, want_vectors: bool = False, max_sweeps: int = 30
-) -> EigenResult:
+def sym_tridiag_eigen(m: FloatTridiag, want_vectors: bool = False) -> EigenResult:
     """Eigenvalues (sorted ascending) and optionally the orthogonal
     eigenvector matrix of a symmetric tridiagonal matrix.
 
     Values of a zero-diagonal matrix come from bisection on the half-size
     bidiagonal (`_zero_diagonal_values`); everything else from implicitly
     shifted QL with Wilkinson shifts.  Raises NoConvergence if a QL
-    eigenvalue needs more than max_sweeps sweeps, or bisection more than
-    `_MAX_PASSES` passes.
+    eigenvalue needs more than `_MAX_SWEEPS` sweeps, or bisection more
+    than `_MAX_PASSES` passes.
     """
     if not want_vectors and not any(m.diagonal):
         return _zero_diagonal_values(m)
@@ -211,7 +211,7 @@ def sym_tridiag_eigen(
             if mm == l:
                 break
             iterations += 1
-            if iterations > max_sweeps:
+            if iterations > _MAX_SWEEPS:
                 raise NoConvergence(l, m)
             sweeps += 1
             g = (d[l + 1] - d[l]) / (2.0 * e[l])

@@ -4,7 +4,10 @@ Covers the classic Sylvester-Kac (Clement) matrix, the symmetric
 tridiagonal matrix of every implemented doubling case together with its
 orthogonal eigenvector matrix, and the integer-friendly non-symmetric forms
 of the dual Hahn cases; the odd and even two-parameter Kac extensions are
-two of those forms doubled.  Spectra are certified exactly: the
+two of those forms doubled.  A doubling case's matrix takes its squares
+from the coefficient products of the case's verified sextet
+(`doubles.matrix_squares`), its spectrum from the closed-form eigenvalue
+squares.  Spectra are certified exactly: the
 characteristic polynomial of a zero-diagonal tridiagonal matrix depends only
 on its superdiagonal-subdiagonal products, a fraction-free integer minor
 recurrence expands it, and it must equal lambda^z prod(lambda^2 - eps_k^2)
@@ -20,7 +23,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .doubles import DoubleCase, case_record, coefficients
+from .doubles import DoubleCase, case_record, coefficients, even_row_params, matrix_squares
 from .exact import RationalLike, ScaledRoot
 from .families import (
     DualHahnParams,
@@ -280,13 +283,14 @@ def _require_alpha_cap(case: DoubleCase, params: FamilyParams) -> None:
 
 
 def double_matrix_squares(case: DoubleCase, params: FamilyParams) -> Tuple[int, List[Fraction], List[Fraction]]:
-    """(dimension, offdiagonal squares M_k^2, eigenvalue squares with zeros
-    omitted) for a doubling case; purely rational, no realness requirement."""
+    """(dimension, offdiagonal squares M_k^2 from the sextet, closed-form
+    eigenvalue squares with zeros omitted) for a doubling case; purely
+    rational, no realness requirement."""
     rec = case_record(case, params)
-    if rec.squares is None:
+    if rec.eig_square is None:
         raise UnsupportedCase(f"{case.value}: no closed matrix form in the classification")
     _require_alpha_cap(case, params)
-    return rec.dim(params.N), rec.squares(params), rec.eig_squares(params)
+    return rec.dim(params.N), matrix_squares(case, params), rec.eig_squares(params)
 
 
 def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:
@@ -394,8 +398,7 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     if rec.u_delta_shift is None:
         raise UnsupportedCase(f"{case.value}: no displayed eigenvector matrix")
     _require_alpha_cap(case, params)
-    fam_even = (replace(params, delta=params.delta + rec.u_delta_shift)
-                if rec.u_delta_shift else params)
+    fam_even = even_row_params(case, params)
     pair = coefficients(case, fam_even)
     fam_odd, xshift = pair.hatted, int(pair.xshift)
     N, dim = params.N, rec.dim(params.N)

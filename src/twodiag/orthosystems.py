@@ -7,7 +7,8 @@ the first two Hahn cases); for the rest only the matrix spectra exist in
 closed form.  Even-index members are polynomials in q^2, odd-index members
 are q times a polynomial in q^2; the support is symmetric about 0 and
 coincides exactly with the spectrum of the corresponding two-diagonal
-matrix.
+matrix, which support_matches_spectrum certifies through the matrix's
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from typing import List, Tuple
 from .doubles import SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients
 from .exact import ScaledRoot
 from .families import FamilyParams, family_eval, family_norm, family_weight
-from .matrices import InadmissibleParams, UnsupportedCase, double_matrix
+from .matrices import (
+    InadmissibleParams,
+    Spectrum,
+    UnsupportedCase,
+    double_matrix,
+    verify_spectrum_exact,
+)
 
 
 class UnsupportedPoint(ValueError):
@@ -165,9 +172,11 @@ def verify_discrete_orthogonality(system: DoubledSystem) -> List[Fraction]:
 
 
 def support_matches_spectrum(system: DoubledSystem) -> bool:
-    """Support set == closed-form spectrum of the case's matrix, exactly."""
-    spec = double_matrix(system.case, system.params).spectrum
-    return system.support() == spec.entries
+    """The support set is the spectrum of the case's matrix, certified
+    exactly: the matrix's characteristic polynomial (built from the sextet)
+    equals the product of (lambda - q) over the support points."""
+    matrix = double_matrix(system.case, system.params).matrix
+    return verify_spectrum_exact(matrix, Spectrum(system.support()))
 
 
 def degree_check(system: DoubledSystem, n: int) -> bool:

@@ -2,11 +2,17 @@
 against the constructions built from it."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from twodiag.doubles import CASE_TABLE, EIGVEC_CASES, MATRIX_CASES, DoubleCase, coefficients
+from twodiag.doubles import (
+    CASE_TABLE,
+    EIGVEC_CASES,
+    MATRIX_CASES,
+    DoubleCase,
+    coefficients,
+    even_row_params,
+)
 from twodiag.eigsolve import FAMILY_CHOICES
 from twodiag.families import DualHahnParams, HahnParams, RacahParams
 from twodiag.matrices import double_matrix, verify_squares_exact
@@ -57,10 +63,9 @@ def test_eigenvalue_squares_certify_the_matrix(case, seed):
 
 @pytest.mark.parametrize("case", EIGVEC_CASES, ids=lambda c: c.value)
 def test_eigenvector_row_families(case):
-    rec = CASE_TABLE[case]
     p = rand_params_for_case(case, random.Random(2), 7, 0)
     even, odd = U_ROW_FAMILIES[case](p)
-    shifted = replace(p, delta=p.delta + rec.u_delta_shift) if rec.u_delta_shift else p
+    shifted = even_row_params(case, p)
     assert shifted == even
     assert coefficients(case, shifted).hatted == odd
 

@@ -148,6 +148,15 @@ def test_bench_empty_dims(capsys):
     assert code == 0 and out == ""
 
 
+def test_bench_requires_dims(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "kac"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--dims" in _one_line_error(err)
+
+
 def test_bench_records(capsys):
     code, out, _ = run(capsys, "bench", "kac", "--dims", "21,41")
     assert code == 0
@@ -217,6 +226,7 @@ def test_poly_vanishing_denominator_names_family_and_parameters(capsys):
     (["-n", "5"], "degree n=5"),
     (["-n", "1", "--x-to", "5", "--weights"], "--weights"),
     (["-n", "1", "--x-from", "-1", "--weights"], "--weights"),
+    (["-n", "1", "--x-from", "5", "--x-to", "2"], "--x-from 5 is above --x-to 2"),
 ])
 def test_poly_checks_degree_and_x_range_before_output(capsys, flags, word):
     code, out, err = run(capsys, "poly", "hahn", "--alpha", "1/2", "--beta", "1/3", "-N", "2",

@@ -61,11 +61,12 @@ def test_general_matrix_against_numpy():
     assert np.abs(ours - ref).max() < 1e-12
 
 
-def test_no_convergence_budget():
+def test_no_convergence_budget(monkeypatch):
     # the QL budget: a zero-diagonal matrix reaches QL only with vectors
     tri = to_float_tridiag(sylvester_kac(12))
+    monkeypatch.setattr(eigsolve, "_MAX_SWEEPS", 0)
     with pytest.raises(NoConvergence) as info:
-        sym_tridiag_eigen(tri, want_vectors=True, max_sweeps=0)
+        sym_tridiag_eigen(tri, want_vectors=True)
     assert info.value.matrix is tri
     import json
 

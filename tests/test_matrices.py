@@ -179,6 +179,16 @@ def test_double_matrices_certified(case, seed):
     assert verify_spectrum_exact(m.matrix, m.spectrum)
 
 
+@pytest.mark.parametrize("case", MATRIX_CASES, ids=lambda c: c.value)
+def test_double_matrices_at_n_zero(case):
+    # dimension 1 or 2; an odd case's hatted family would have N = -1
+    params = (RacahParams(-1, F(1, 2), F(1, 3), F(1, 5)) if case.family is RacahParams
+              else case.family(F(1, 2), F(1, 3), 0))
+    m = double_matrix(case, params)
+    assert m.matrix.dim == CASE_TABLE[case].dim(0)
+    assert verify_spectrum_exact(m.matrix, m.spectrum)
+
+
 @pytest.mark.parametrize("case", [DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II,
                                   DoubleCase.DUAL_HAHN_III], ids=lambda c: c.value)
 @pytest.mark.parametrize("seed", [3, 4])

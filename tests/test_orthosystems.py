@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from twodiag.doubles import DoubleCase
+from twodiag.doubles import CASE_TABLE, DoubleCase
 from twodiag.exact import ScaledRoot
 from twodiag.families import DualHahnParams, HahnParams, dual_hahn_eval
 from twodiag.matrices import UnsupportedCase
@@ -82,6 +83,18 @@ def test_orthogonality_exact(case, seed):
 @pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
 def test_support_equals_matrix_spectrum(case):
     assert support_matches_spectrum(make_system(case, 4))
+
+
+@pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
+def test_moved_support_point_fails_the_certificate(case, monkeypatch):
+    # the support and the closed-form spectrum both come from eig_square;
+    # moving one point there must still fail against the sextet's matrix
+    rec = CASE_TABLE[case]
+    moved = lambda p, k: rec.eig_square(p, k) + (k == 1)
+    monkeypatch.setitem(CASE_TABLE, case, replace(rec, eig_square=moved))
+    s = make_system(case, 4)
+    assert ScaledRoot.sqrt(rec.eig_square(s.params, 1) + 1) in s.support()
+    assert not support_matches_spectrum(s)
 
 
 @pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
