@@ -5,9 +5,11 @@ matrices drop-in accuracy tests: solve in float64, sort, and compare.
 Every gallery matrix has a zero diagonal, so the solver finds its
 eigenvalues as the +-singular values of a bidiagonal of half the order, by
 bisection; `sweeps` below counts bisection passes, each of which moves
-every eigenvalue.  With eigenvectors (`want_vectors=True`) the solver runs
-implicit QL with Wilkinson shifts instead, and `sweeps` counts QL sweeps
-summed over the eigenvalues.
+every eigenvalue.  With eigenvectors (`want_vectors=True`) it adds one
+twisted factorisation per value and Newton-Schulz orthogonalisation, and
+`sweeps` still counts bisection passes; only a matrix whose twisted
+vectors fail their guards (repeated values) is solved by QL, whose
+`sweeps` counts QL sweeps summed over the eigenvalues.
 """
 
 from fractions import Fraction as F

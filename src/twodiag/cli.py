@@ -114,11 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="benchmark the eigensolver against closed forms",
                        description="One JSON line per solve; `sweeps` counts bisection "
-                                   "passes, or QL sweeps with --vectors.")
+                                   "passes for a zero-diagonal matrix (every family here), "
+                                   "with or without --vectors, and QL sweeps where the "
+                                   "eigenvectors fall back to QL.")
     b.add_argument("family", choices=FAMILY_CHOICES)
     b.add_argument("--dims", required=True, help="comma-separated matrix dimensions")
     b.add_argument("--reps", type=int, default=1)
-    b.add_argument("--vectors", action="store_true", help="also accumulate eigenvectors")
+    b.add_argument("--vectors", action="store_true", help="also compute eigenvectors")
     _add_param_flags(b)
     b.add_argument("-o", "--output", help="output file (default stdout)")
 

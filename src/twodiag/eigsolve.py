@@ -4,18 +4,25 @@ gallery.
 
 The solver takes one of two paths, by the kind of input:
 
-- Eigenvalues of a zero-diagonal matrix (every gallery matrix) are the
-  +-singular values of a lower bidiagonal B of half the order (Golub &
-  Kahan 1965).  They are found by bisection on the squares of B's entries,
-  counting the negative pivots of B B^T - tau I through the differential
-  stationary qd recurrence (dstqds), which keeps high relative accuracy
-  (Demmel & Kahan 1990).  All values are bracketed together, vectorised
-  over numpy arrays, and each pass splits every interval in four (two
-  bisection steps): O(dim^2) work and O(dim) memory.
-- Eigenvectors, and any matrix with a nonzero diagonal, go through the
-  implicit QL iteration with Wilkinson shifts and deflation: O(dim^2) for
-  values, O(dim^3) with vectors, each rotation one 2x2 block product on a
-  contiguous row pair of the transposed eigenvector matrix.
+- A zero-diagonal matrix (every gallery matrix) is a permuted Golub-Kahan
+  form: its eigenvalues are the +-singular values of a lower bidiagonal B
+  of half the order (Golub & Kahan 1965).  They are found by bisection on
+  the squares of B's entries, counting the negative pivots of B B^T - tau I
+  through the differential stationary qd recurrence (dstqds), which keeps
+  high relative accuracy (Demmel & Kahan 1990).  All values are bracketed
+  together, vectorised over numpy arrays, and each pass splits every
+  interval in four (two bisection steps): O(dim^2) work and O(dim) memory.
+  Eigenvectors come from one twisted factorisation of T - lambda I per
+  value lambda >= 0 (Dhillon & Parlett 2004), vectorised over the values,
+  those of -lambda by the sign pattern (-1)^i, and one or two
+  Newton-Schulz steps make them orthonormal: O(dim^2) work and O(dim^3)
+  BLAS flops.  Guards on the loss of orthogonality and the residual send
+  a matrix whose twisted vectors fail them (repeated or barely split
+  values) to QL.
+- Any other matrix goes through the implicit QL iteration with Wilkinson
+  shifts and deflation: O(dim^2) for values, O(dim^3) with vectors, each
+  rotation one 2x2 block product on a contiguous row pair of the
+  transposed eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -80,9 +87,11 @@ class FloatTridiag:
 
 @dataclass
 class EigenResult:
-    """`sweeps` counts the work of the path taken: QL sweeps summed over the
-    eigenvalues, or bisection passes, each of which narrows every value's
-    interval to a quarter of its floats."""
+    """`sweeps` counts the work of the path taken: for a zero-diagonal
+    matrix bisection passes, each of which narrows every value's interval
+    to a quarter of its floats, with or without vectors; for a nonzero
+    diagonal, and for a zero-diagonal matrix whose twisted vectors failed
+    their guards, QL sweeps summed over the eigenvalues."""
 
     values: np.ndarray
     vectors: Optional[np.ndarray]
@@ -97,8 +106,10 @@ _MAX_PASSES = 32
 _QUARTERS = np.arange(1, 4, dtype=np.uint64)[:, None]
 # QL sweeps allowed per eigenvalue; Wilkinson shifts need about two
 _MAX_SWEEPS = 30
-# |pivot| floor of a rerun count, for entries scaled below 1/2
-_PIVMIN = float(np.finfo(float).eps) ** 2
+_EPS = float(np.finfo(float).eps)
+# |pivot| floor of a rerun count and of the twisted factorisations, for
+# entries scaled below 1/2
+_PIVMIN = _EPS ** 2
 
 
 def _count_below(q: np.ndarray, e: np.ndarray, tau: np.ndarray,
@@ -145,9 +156,7 @@ def _zero_diagonal_values(m: FloatTridiag) -> EigenResult:
     top = float(off.max(initial=0.0))
     if top == 0.0:
         return EigenResult(np.zeros(n), None, 0)
-    # a power-of-two scale puts every entry below 1/2, so the squares cannot
-    # overflow and the scaling is undone exactly
-    exp = math.frexp(top)[1] + 1
+    exp = _unit_exponent(top)
     off = np.ldexp(np.append(off, [0.0] * (n % 2)), -exp)
     q = off[0::2] ** 2
     e = np.append(off[1::2] ** 2, 0.0)
@@ -177,18 +186,162 @@ def _zero_diagonal_values(m: FloatTridiag) -> EigenResult:
     return EigenResult(np.concatenate((-sigma[::-1], np.zeros(n % 2), sigma)), None, passes)
 
 
+# The twisted path's guards: n max|Z^T Z - I|, which bounds ||Z^T Z - I||_2,
+# before orthogonalising (two Newton-Schulz steps take 1e-4 to rounding),
+# and the band residual after, in units of n eps max|a|
+_MAX_ORTH_LOSS = 1e-4
+_RESID_PER_DIM = 4.0
+# rows of Z per BLAS product, and columns per band-residual block, so that
+# no temporary approaches the size of Z
+_BLOCK = 64
+
+
+def _unit_exponent(top: float) -> int:
+    """The power of two that scales entries of size at most top below 1/2,
+    so that their squares cannot overflow and the scaling is undone
+    exactly."""
+    return math.frexp(top)[1] + 1
+
+
+def _stationary_pivots(d: np.ndarray, e2: np.ndarray, lam: np.ndarray) -> None:
+    """Into the rows of d, for each shift lam, the pivots D_0 = -lam,
+    D_i = -lam - e2_{i-1} / D_{i-1} of T - lam I = L D L^T, T zero-diagonal
+    with offdiagonal squares e2; a pivot below `_PIVMIN` in size is taken
+    as -_PIVMIN, as in `_count_below`."""
+    size = np.empty(len(lam))
+    small = np.empty(len(lam), dtype=bool)
+    np.negative(lam, out=d[0])
+    for i in range(len(d)):
+        if i:
+            np.divide(-e2[i - 1], d[i - 1], out=d[i])
+            d[i] -= lam
+        np.less(np.abs(d[i], out=size), _PIVMIN, out=small)
+        np.copyto(d[i], -_PIVMIN, where=small)
+
+
+def _twisted_vectors(e: np.ndarray, lam: np.ndarray, z: np.ndarray) -> None:
+    """Into the zeroed n x len(lam) array z, for each shift lam, the
+    solution of (T - lam I) z = gamma_r e_r with z_r = 1, for T
+    zero-diagonal with offdiagonal e (|e| < 1/2).
+
+    T - lam I = L D+ L^T = U D- U^T are its stationary factorisations from
+    the top and from the bottom (`_stationary_pivots`).  The twist r
+    minimises |gamma_r| = |D+_r + D-_r + lam| (Dhillon & Parlett 2004),
+    and from z_r = 1 the solves run z_i = -e_i z_{i+1} / D+_i upwards and
+    z_i = -e_{i-1} z_{i-1} / D-_i downwards.  Rows are indices and
+    columns shifts, so every step is one numpy call over all shifts."""
+    n, k = z.shape
+    e2 = e * e
+    plus = np.empty((n, k))
+    minus = np.empty((n, k))
+    _stationary_pivots(plus, e2, lam)
+    _stationary_pivots(minus[::-1], e2[::-1], lam)
+    np.add(plus, minus, out=z)
+    z += lam
+    np.abs(z, out=z)
+    # the first least |gamma| of each column; argmin would copy all of z
+    twist = np.argmax(z == z.min(axis=0), axis=0)
+    z.fill(0.0)
+    z[twist, np.arange(k)] = 1.0
+    # the multipliers, zero outside each column's side of its twist
+    index = np.arange(n)[:, None]
+    np.divide(-e[:, None], plus[:-1], out=plus[:-1])
+    np.copyto(plus, 0.0, where=index >= twist)
+    np.divide(-e[:, None], minus[1:], out=minus[1:])
+    np.copyto(minus, 0.0, where=index <= twist)
+    # a multiplier near 1/_PIVMIN can overflow z; the guards then refuse it
+    step = np.empty(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 2, -1, -1):
+            np.multiply(plus[i], z[i + 1], out=step)
+            z[i] += step
+        for i in range(1, n):
+            np.multiply(minus[i], z[i - 1], out=step)
+            z[i] += step
+
+
+def _newton_schulz(z: np.ndarray, gram: np.ndarray) -> None:
+    """One step Z <- Z (3I - Z^T Z) / 2 = Z (I - G / 2) in place, given
+    G = Z^T Z - I (overwritten), a block of rows of Z per product."""
+    gram *= -0.5
+    gram.flat[::len(gram) + 1] += 1.0
+    for s in range(0, len(z), _BLOCK):
+        z[s:s + _BLOCK] = z[s:s + _BLOCK] @ gram
+
+
+def _gram_loss(z: np.ndarray) -> Tuple[np.ndarray, float]:
+    """G = Z^T Z - I and n max|G|, which bounds ||G||_2 (nan if Z is not
+    finite)."""
+    gram = z.T @ z
+    gram.flat[::len(gram) + 1] -= 1.0
+    return gram, len(gram) * max(gram.max(), -gram.min())
+
+
+def _zero_diagonal_vectors(m: FloatTridiag, values: np.ndarray) -> Optional[np.ndarray]:
+    """Orthonormal eigenvectors of a zero-diagonal m for its ascending
+    `values` from `_zero_diagonal_values`, or None when a guard fails and
+    QL must solve instead.
+
+    Since S T S = -T for S = diag((-1)^i), the vector of -lam is S times
+    that of lam, so twisted factorisations (`_twisted_vectors`) run only
+    at the values >= 0.  The columns are normalised and made orthonormal
+    to rounding by one or two Newton-Schulz steps, one when the first
+    leaves a loss below eps.  The guards: before the steps the Gram loss
+    is at most `_MAX_ORTH_LOSS` (the twisted vectors of a repeated or
+    barely split value coincide), and after them the band residual is at
+    most `_RESID_PER_DIM` n eps max|a|.  Z and one n x n array (the pivots
+    of half the columns, then the Gram matrix) are alive at a time."""
+    n, half = m.dim, m.dim // 2
+    off = np.asarray(m.offdiagonal, dtype=float)
+    top = float(np.abs(off).max(initial=0.0))
+    if top == 0.0:
+        return None
+    exp = _unit_exponent(top)
+    z = np.zeros((n, n))
+    pos = z[:, half:]
+    _twisted_vectors(np.ldexp(off, -exp), np.ldexp(values[half:], -exp), pos)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos /= np.sqrt(np.einsum("ij,ij->j", pos, pos))
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
+    np.multiply(z[:, n - 1:n - 1 - half:-1], signs, out=z[:, :half])
+    gram, loss = _gram_loss(z)
+    if not loss <= _MAX_ORTH_LOSS:
+        return None
+    _newton_schulz(z, gram)
+    del gram
+    if not 1.5 * loss * loss <= _EPS:
+        _newton_schulz(z, _gram_loss(z)[0])
+    if not _residual(m, values, z) <= _RESID_PER_DIM * n * _EPS * top:
+        return None
+    return z
+
+
 def sym_tridiag_eigen(m: FloatTridiag, want_vectors: bool = False) -> EigenResult:
-    """Eigenvalues (sorted ascending) and optionally the orthogonal
+    """Eigenvalues (sorted ascending) and optionally the orthonormal
     eigenvector matrix of a symmetric tridiagonal matrix.
 
-    Values of a zero-diagonal matrix come from bisection on the half-size
-    bidiagonal (`_zero_diagonal_values`); everything else from implicitly
-    shifted QL with Wilkinson shifts.  Raises NoConvergence if a QL
-    eigenvalue needs more than `_MAX_SWEEPS` sweeps, or bisection more
-    than `_MAX_PASSES` passes.
+    A zero-diagonal matrix takes its values from bisection on the
+    half-size bidiagonal (`_zero_diagonal_values`) and its vectors from
+    twisted factorisations at those values (`_zero_diagonal_vectors`).  A
+    nonzero diagonal, or a zero-diagonal matrix whose vectors fail the
+    twisted path's guards, is solved whole by QL (`_ql_eigen`).  Raises
+    NoConvergence if bisection needs more than `_MAX_PASSES` passes or a
+    QL eigenvalue more than `_MAX_SWEEPS` sweeps.
     """
-    if not want_vectors and not any(m.diagonal):
-        return _zero_diagonal_values(m)
+    if any(m.diagonal):
+        return _ql_eigen(m, want_vectors)
+    result = _zero_diagonal_values(m)
+    if want_vectors:
+        result.vectors = _zero_diagonal_vectors(m, result.values)
+        if result.vectors is None:
+            return _ql_eigen(m, want_vectors=True)
+    return result
+
+
+def _ql_eigen(m: FloatTridiag, want_vectors: bool = False) -> EigenResult:
+    """Implicitly shifted QL with Wilkinson shifts and deflation, for any
+    diagonal.  Raises NoConvergence if an eigenvalue needs more than
+    `_MAX_SWEEPS` sweeps."""
     n = m.dim
     d = [float(v) for v in m.diagonal]
     e = [float(v) for v in m.offdiagonal] + [0.0]
@@ -263,6 +416,7 @@ class BenchReport:
     params: Dict[str, str]
     dim: int
     max_abs_eig_error: float
+    max_rel_eig_error: float
     residual_norm: Optional[float]
     wall_ns: int
     sweeps: int
@@ -274,6 +428,7 @@ class BenchReport:
                 "params": self.params,
                 "dim": self.dim,
                 "maxAbsEigError": self.max_abs_eig_error,
+                "maxRelEigError": self.max_rel_eig_error,
                 "residualNorm": self.residual_norm,
                 "nanoseconds": self.wall_ns,
                 "sweeps": self.sweeps,
@@ -381,16 +536,28 @@ def _match_error(computed: np.ndarray, closed: np.ndarray) -> float:
     return float(np.max(np.abs(computed - closed)))
 
 
-def _residual(tri: FloatTridiag, result: EigenResult) -> float:
+def _match_rel_error(computed: np.ndarray, closed: np.ndarray) -> float:
+    """Max |computed - closed| / |closed| in the sorted pairing of
+    `_match_error`, taken in absolute terms where closed is an exact
+    zero."""
+    return float(np.max(np.abs(computed - closed) / np.where(closed == 0.0, 1.0, np.abs(closed))))
+
+
+def _residual(tri: FloatTridiag, values: np.ndarray, vectors: np.ndarray) -> float:
     """max |T v - lambda v| over the eigenpairs, with T v formed from the
-    bands as e[i-1] v[i-1] + d[i] v[i] + e[i] v[i+1]."""
-    v = result.vectors
+    bands as e[i-1] v[i-1] + d[i] v[i] + e[i] v[i+1], a block of columns
+    at a time; nan if any entry is."""
+    d = np.asarray(tri.diagonal, dtype=float)[:, None]
     e = np.asarray(tri.offdiagonal, dtype=float)[:, None]
-    av = np.asarray(tri.diagonal, dtype=float)[:, None] * v
-    av[:-1] += e * v[1:]
-    av[1:] += e * v[:-1]
-    av -= v * result.values
-    return float(np.abs(av).max())
+    worst = []
+    for j in range(0, tri.dim, _BLOCK):
+        v = vectors[:, j:j + _BLOCK]
+        av = d * v
+        av[:-1] += e * v[1:]
+        av[1:] += e * v[:-1]
+        av -= v * values[j:j + _BLOCK]
+        worst.append(np.abs(av).max())
+    return float(np.max(worst))
 
 
 def benchmark(
@@ -416,7 +583,9 @@ def benchmark(
             result = sym_tridiag_eigen(tri, want_vectors=want_vectors)
             wall = time.perf_counter_ns() - t0
             err = _match_error(result.values, closed)
-            residual = None if result.vectors is None else _residual(tri, result)
-            reports.append(BenchReport(selector, shown_params, tri.dim, err,
+            rel = _match_rel_error(result.values, closed)
+            residual = (None if result.vectors is None
+                        else _residual(tri, result.values, result.vectors))
+            reports.append(BenchReport(selector, shown_params, tri.dim, err, rel,
                                        residual, wall, result.sweeps))
     return reports

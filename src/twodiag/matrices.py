@@ -398,6 +398,8 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     if rec.u_delta_shift is None:
         raise UnsupportedCase(f"{case.value}: no displayed eigenvector matrix")
     _require_alpha_cap(case, params)
+    if rec.dim(params.N) == 1:  # N = 0 of an odd case: no hatted family
+        return EigvecMatrix(case, 1, ((ScaledRoot.of(1),),), (ScaledRoot.zero(),))
     fam_even = even_row_params(case, params)
     pair = coefficients(case, fam_even)
     fam_odd, xshift = pair.hatted, int(pair.xshift)

@@ -164,6 +164,8 @@ def test_bench_records(capsys):
     assert [d["dim"] for d in docs] == [21, 41]
     for d in docs:
         assert d["maxAbsEigError"] <= 1e-10 * (d["dim"] - 1)
+        # bisection on the half-size bidiagonal keeps relative accuracy
+        assert d["maxRelEigError"] <= 1e-15
 
 
 def test_bench_parity_error(capsys):

@@ -14,6 +14,8 @@ from twodiag.eigsolve import (
     _count_below,
     _dim_to_n,
     _match_error,
+    _match_rel_error,
+    _ql_eigen,
     benchmark,
     build_gallery_matrix,
     sym_tridiag_eigen,
@@ -62,11 +64,12 @@ def test_general_matrix_against_numpy():
 
 
 def test_no_convergence_budget(monkeypatch):
-    # the QL budget: a zero-diagonal matrix reaches QL only with vectors
+    # the QL budget, on QL called directly: a zero-diagonal matrix reaches
+    # QL only when the twisted path's guards fail
     tri = to_float_tridiag(sylvester_kac(12))
     monkeypatch.setattr(eigsolve, "_MAX_SWEEPS", 0)
     with pytest.raises(NoConvergence) as info:
-        sym_tridiag_eigen(tri, want_vectors=True)
+        _ql_eigen(tri, want_vectors=True)
     assert info.value.matrix is tri
     import json
 
@@ -103,6 +106,15 @@ def test_match_error_sorted_pairing():
     assert _match_error(computed, closed) == 0.8
 
 
+def test_match_rel_error_by_hand():
+    # |1.5 - 2| / 2 = 0.25 beats |-1.1 - -1| / 1 = 0.1; the exact zero
+    # counts |0.2 - 0| = 0.2 in absolute terms
+    closed = np.array([-1.0, 0.0, 2.0])
+    computed = np.array([-1.1, 0.2, 1.5])
+    assert _match_rel_error(computed, closed) == 0.25
+    assert _match_rel_error(np.array([-1.0, 0.5, 2.0]), closed) == 0.5
+
+
 def test_benchmark_zero_reps_is_empty():
     assert benchmark("kac", [11], repetitions=0) == []
 
@@ -119,7 +131,7 @@ def test_benchmark_reports():
 
     doc = json.loads(line)
     assert doc["family"] == "kac" and doc["dim"] == 51
-    assert set(doc) == {"family", "params", "dim", "maxAbsEigError",
+    assert set(doc) == {"family", "params", "dim", "maxAbsEigError", "maxRelEigError",
                         "residualNorm", "nanoseconds", "sweeps"}
 
 
@@ -193,7 +205,7 @@ def test_zero_diagonal_values_against_lapack_and_ql():
         scale = scales[n % 5]
         tri = FloatTridiag((0.0,) * n, tuple(off * scale))
         values = sym_tridiag_eigen(tri).values
-        ql = sym_tridiag_eigen(tri, want_vectors=True).values
+        ql = _ql_eigen(tri).values
         ref = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) * scale
         tol = 4 * n * EPS * max(np.abs(off).max(), 1.0) * scale
         assert len(values) == n
@@ -258,8 +270,8 @@ def test_sweeps_reports_bisection_passes(monkeypatch):
     with pytest.raises(NoConvergence) as info:
         sym_tridiag_eigen(tri)
     assert info.value.matrix is tri
-    # the QL path still counts sweeps
-    assert sym_tridiag_eigen(tri, want_vectors=True).sweeps > 0
+    # QL counts sweeps
+    assert _ql_eigen(tri, want_vectors=True).sweeps > 0
 
 
 def test_benchmark_residual_matches_dense_product():
@@ -269,3 +281,80 @@ def test_benchmark_residual_matches_dense_product():
     a = tri.to_dense()
     dense = float(np.abs(a @ r.vectors - r.vectors * r.values[None, :]).max())
     assert abs(reps[0].residual_norm - dense) <= 4 * EPS * np.abs(a).max()
+
+
+# ---------------------------------------------------------------------------
+# the zero-diagonal vectors: twisted factorisations at the bisected values
+
+
+def _eigenpair_errors(tri, r):
+    """(max |T V - V Lambda| / max|a|, max |V^T V - I|)."""
+    a = tri.to_dense()
+    v = r.vectors
+    resid = np.abs(a @ v - v * r.values[None, :]).max() / np.abs(a).max()
+    return resid, np.abs(v.T @ v - np.eye(tri.dim)).max()
+
+
+def test_zero_diagonal_vectors_random():
+    # the kinds and scales of the values test; integer and split matrices
+    # with repeated values may fall back to QL, and either path must hold
+    rng = np.random.default_rng(13)
+    kinds = ("normal", "integer", "split")
+    scales = (2.0 ** -498, 2.0 ** -60, 1.0, 2.0 ** 60, 2.0 ** 498)
+    for n in range(2, 61):
+        off = _random_offdiagonal(rng, n, kinds[n % 3])
+        tri = FloatTridiag((0.0,) * n, tuple(off * scales[n % 5]))
+        r = sym_tridiag_eigen(tri, want_vectors=True)
+        resid, orth = _eigenpair_errors(tri, r)
+        assert resid <= 1e-12 and orth <= 1e-13, (n, kinds[n % 3], scales[n % 5])
+
+
+def test_zero_diagonal_vectors_take_the_twisted_path(monkeypatch):
+    def no_ql(*args, **kwargs):
+        raise AssertionError("fell back to QL")
+
+    monkeypatch.setattr(eigsolve, "_ql_eigen", no_ql)
+    for selector in FAMILY_CHOICES:
+        if selector in ("double:RacahII", "double:RacahIV"):
+            continue  # no matrix
+        for dim in (6, 7, 20, 21, 400, 401):
+            try:
+                n = _dim_to_n(selector, dim)
+            except ValueError:
+                continue  # the selector takes the other parity
+            bundle = build_gallery_matrix(selector, n)
+            tri = to_float_tridiag(bundle)
+            r = sym_tridiag_eigen(tri, want_vectors=True)
+            assert np.array_equal(r.values, sym_tridiag_eigen(tri).values)
+            resid, orth = _eigenpair_errors(tri, r)
+            # measured at most 6.1 and 6 eps; without orthogonalisation
+            # the loss reaches 111 eps at dimension 400
+            assert resid <= 16 * EPS and orth <= 16 * EPS, (selector, dim, resid, orth)
+
+
+@pytest.mark.parametrize("off", [(1.0, 0.0, 1.0), (1.0, 1e-15, 1.0),
+                                 (2.0, 1.0, 1e-15, 1.0, 2.0),
+                                 (0.0, 0.0, 0.0)])
+def test_zero_diagonal_vectors_fall_back_to_ql(monkeypatch, off):
+    # repeated or barely split values: the twisted vectors of a cluster
+    # coincide, the guard refuses them and QL solves the whole matrix
+    tri = FloatTridiag((0.0,) * (len(off) + 1), off)
+    calls = []
+    monkeypatch.setattr(eigsolve, "_ql_eigen",
+                        lambda m, want_vectors=False: calls.append(m) or _ql_eigen(m, want_vectors))
+    r = sym_tridiag_eigen(tri, want_vectors=True)
+    ql = _ql_eigen(tri, want_vectors=True)
+    assert calls == [tri]
+    assert np.array_equal(r.values, ql.values)
+    assert np.array_equal(r.vectors, ql.vectors)
+    assert r.sweeps == ql.sweeps
+
+
+
+def test_zero_diagonal_vectors_residual_guard():
+    tri = to_float_tridiag(sylvester_kac(10))
+    values = sym_tridiag_eigen(tri).values
+    assert eigsolve._zero_diagonal_vectors(tri, values) is not None
+    # values off by a relative 1e-9 give vectors that pass the Gram guard
+    # and orthogonalise, but miss the band residual
+    assert eigsolve._zero_diagonal_vectors(tri, values * (1 + 1e-9)) is None

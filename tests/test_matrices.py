@@ -189,6 +189,19 @@ def test_double_matrices_at_n_zero(case):
     assert verify_spectrum_exact(m.matrix, m.spectrum)
 
 
+@pytest.mark.parametrize("case", [c for c in EIGVEC_CASES if not CASE_TABLE[c].even_dim],
+                         ids=lambda c: c.value)
+def test_eigvec_matrix_at_n_zero_is_one_by_one(case):
+    # as double_matrix at N = 0: the 1x1 zero matrix, U = [1], eigenvalue 0
+    params = (RacahParams(-1, F(1, 2), F(1, 3), F(1, 5)) if case.family is RacahParams
+              else case.family(F(1, 2), F(1, 3), 0))
+    u = eigvec_matrix(case, params)
+    assert u.dim == 1 and u.entries == ((ScaledRoot.of(1),),)
+    assert u.eigencolumn == (ScaledRoot.zero(),)
+    assert orthogonality_residual(u) == 0
+    assert eigen_residual(case, params) == 0
+
+
 @pytest.mark.parametrize("case", [DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II,
                                   DoubleCase.DUAL_HAHN_III], ids=lambda c: c.value)
 @pytest.mark.parametrize("seed", [3, 4])
