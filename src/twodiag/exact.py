@@ -7,6 +7,7 @@ a float rendering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -98,8 +99,6 @@ def _sqrt_exact(r: Fraction) -> Fraction | None:
 
 
 def _isqrt_exact(m: int) -> int | None:
-    import math
-
     s = math.isqrt(m)
     return s if s * s == m else None
 
@@ -107,7 +106,7 @@ def _isqrt_exact(m: int) -> int | None:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ScaledRoot:
     """The number coef * sqrt(radicand) with both parts rational, radicand >= 0.
 
@@ -122,7 +121,7 @@ class ScaledRoot:
     radicand: Fraction
 
     def __post_init__(self):
-        if self.radicand < 0:
+        if self.radicand.numerator < 0:  # the sign of an int or Fraction
             raise ValueError("radicand must be >= 0")
 
     @classmethod
@@ -163,8 +162,6 @@ class ScaledRoot:
         return ScaledRoot(-self.coef, self.radicand)
 
     def __float__(self) -> float:
-        import math
-
         return float(self.coef) * math.sqrt(float(self.radicand))
 
     def __eq__(self, other) -> bool:

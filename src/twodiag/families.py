@@ -10,18 +10,21 @@ The recurrence used throughout is
 Two ways to the same numbers live here.  The per-point evaluators
 (`*_eval` by the series, `*_weight`/`*_norm` by their closed forms) are
 the independent oracle that the pair, requirement and orthogonality checks
-use.  The whole-table builders (`family_column`, `family_weights`,
-`family_norms`) run the recurrence above in n, and the ratio recurrences of
-weight and norm, to fill a whole column or table in O(N) steps; the
-eigenvector matrices are built from them.
+use.  The whole-table functions run the recurrence above in n, and the
+ratio recurrences of weight and norm, in O(N) steps: `family_table` gives
+y_0..y_N on a whole grid as integer numerators over one integer
+denominator per degree (fraction-free, each row divided by its content),
+and `family_weights` and `family_norms` give the weight and norm tables;
+the eigenvector matrices are built from them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .exact import (
     Rational,
@@ -214,48 +217,76 @@ class RecurrenceData:
     Lam: Callable[[RationalLike], Fraction]
 
 
+def _quotient_in_n(num, den=(), const: RationalLike = 1) -> Callable[[int], Fraction]:
+    """n -> const * prod(k n + s) / prod(k' n + s'), the products over the
+    (slope, offset) pairs of `num` and `den`, slopes integer and offsets
+    rational.  Each factor is scaled to integers once, so a call costs
+    integer products and one normalisation; a vanishing denominator raises
+    ZeroDivisionError."""
+    def scaled(factors):
+        ints, scale = [], 1
+        for k, s in factors:
+            s = _frac(s)
+            ints.append((k * s.denominator, s.numerator))
+            scale *= s.denominator
+        return ints, scale
+
+    nums, num_scale = scaled(num)
+    dens, den_scale = scaled(den)
+    c = _frac(const) * den_scale / num_scale
+    c_num, c_den = c.numerator, c.denominator
+
+    def f(n: int) -> Fraction:
+        top, bottom = c_num, c_den
+        for k, s in nums:
+            top *= k * n + s
+        for k, s in dens:
+            bottom *= k * n + s
+        return Fraction(top, bottom)
+    return f
+
+
+def _zero_at_0(f: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
+    """C(n) with C(0) = 0 even where the formula's denominator vanishes at 0."""
+    return lambda n: Fraction(0) if n == 0 else f(n)
+
+
+@lru_cache(maxsize=1024)
 def recurrence_data(params: FamilyParams) -> RecurrenceData:
-    """Exact A(n), C(n) and Lam(x) closures for the family."""
+    """Exact A(n), C(n) and Lam(x) closures for the family, built once per
+    parameter set (the kernel and requirement checks ask for them per point)."""
     if isinstance(params, HahnParams):
         a, b, N = params.alpha, params.beta, params.N
-
-        def A(n, a=a, b=b, N=N):
-            return (n + a + 1) * (n + a + b + 1) * (N - n) / ((2 * n + a + b + 1) * (2 * n + a + b + 2))
-
-        def C(n, a=a, b=b, N=N):
-            if n == 0:
-                return Fraction(0)
-            return n * (n + a + b + N + 1) * (n + b) / ((2 * n + a + b) * (2 * n + a + b + 1))
-
-        return RecurrenceData(A, C, lambda x: -_frac(x))
+        return RecurrenceData(
+            _quotient_in_n([(1, a + 1), (1, a + b + 1), (-1, N)],
+                           [(2, a + b + 1), (2, a + b + 2)]),
+            _zero_at_0(_quotient_in_n([(1, 0), (1, a + b + N + 1), (1, b)],
+                                      [(2, a + b), (2, a + b + 1)])),
+            lambda x: -_frac(x),
+        )
 
     if isinstance(params, DualHahnParams):
         g, d, N = params.gamma, params.delta, params.N
         return RecurrenceData(
-            lambda n: (n + g + 1) * Fraction(n - N),
-            lambda n: n * (n - d - N - 1),
+            _quotient_in_n([(1, g + 1), (1, -N)]),
+            _quotient_in_n([(1, 0), (1, -d - N - 1)]),
             lambda x: _frac(x) * (_frac(x) + g + d + 1),
         )
 
     if isinstance(params, RacahParams):
         a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-
-        def A(n, a=a, b=b, g=g, d=d):
-            return ((n + a + 1) * (n + a + b + 1) * (n + g + 1) * (n + b + d + 1)
-                    / ((2 * n + a + b + 1) * (2 * n + a + b + 2)))
-
-        def C(n, a=a, b=b, g=g, d=d):
-            if n == 0:
-                return Fraction(0)
-            return (n * (n + a + b - g) * (n + a - d) * (n + b)
-                    / ((2 * n + a + b) * (2 * n + a + b + 1)))
-
-        return RecurrenceData(A, C, lambda x: _frac(x) * (_frac(x) + g + d + 1))
+        return RecurrenceData(
+            _quotient_in_n([(1, a + 1), (1, a + b + 1), (1, g + 1), (1, b + d + 1)],
+                           [(2, a + b + 1), (2, a + b + 2)]),
+            _zero_at_0(_quotient_in_n([(1, 0), (1, a + b - g), (1, a - d), (1, b)],
+                                      [(2, a + b), (2, a + b + 1)])),
+            lambda x: _frac(x) * (_frac(x) + g + d + 1),
+        )
 
     p, N = params.p, params.N
     return RecurrenceData(
-        lambda n: p * (N - n),
-        lambda n: n * (1 - p),
+        _quotient_in_n([(-1, N)], const=p),
+        _quotient_in_n([(1, 0)], const=1 - p),
         lambda x: -_frac(x),
     )
 
@@ -373,32 +404,53 @@ def family_norms(params: FamilyParams) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# value columns by the three-term recurrence
+# value tables by the three-term recurrence
 
-@lru_cache(maxsize=4096)
-def _recurrence_rows(params: FamilyParams) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-    """(A(n), A(n)+C(n), C(n)) for n = 0..N-1: the x-independent part of
-    every value column, computed once per parameter set."""
-    rec = recurrence_data(params)
-    rows = []
-    for n in range(params.N):
-        a, c = rec.A(n), rec.C(n)
-        rows.append((a, a + c, c))
-    return tuple(rows)
+def family_table(params: FamilyParams, xs: Sequence[RationalLike]) -> Iterator[tuple[int, list[int]]]:
+    """The values y_0(x), ..., y_N(x) on a grid xs as integers, one degree
+    at a time: row n is (Q_n, [P_n(x) for x in xs]) with y_n(x) = P_n(x)/Q_n.
 
+    The three-term recurrence y_{n+1} = ((Lam(x) + A(n) + C(n)) y_n -
+    C(n) y_{n-1}) / A(n) runs fraction-free on the whole grid (after
+    Bareiss).  With A(n) = a/a' and C(n) = c/c' in lowest terms, m their
+    denominators' lcm, Lam(x) = l(x)/L over one common denominator L and
+    Q_n = G alpha, Q_{n-1} = G beta for G = gcd(Q_n, Q_{n-1}), clearing
+    denominators gives
 
-@lru_cache(maxsize=1024)
-def family_column(params: FamilyParams, x: RationalLike) -> tuple[Fraction, ...]:
-    """y_0(x), ..., y_N(x) by the three-term recurrence, upward from
-    y_0 = 1:  y_{n+1} = ((Lam(x) + A(n) + C(n)) y_n - C(n) y_{n-1}) / A(n).
+        Q_{n+1} = L a (m/a') beta Q_n,
+        P_{n+1}(x) = beta (m l(x) + L (a m/a' + c m/c')) P_n(x) - alpha L c (m/c') P_{n-1}(x),
 
-    Equal to family_eval(params, n, x) for every n; a vanishing A(n) with
-    n < N (a pole of the series) raises ZeroDivisionError.
+    from P_0 = Q_0 = 1.  Each new row is divided by its content, the gcd of
+    Q_{n+1} and all its P_{n+1}(x), which keeps the integers near the size
+    of the reduced values (a Racah row at N = 200 ends near 2100 bits
+    instead of 9900).  No gcd is taken per value, so a row is not reduced
+    value by value and a caller forms Fraction(P, Q) once per value it keeps.
+    Rows are produced lazily, so two of them are alive at a time.  Equal to
+    family_eval(params, n, x) for every n; a vanishing A(n) with n < N (a
+    pole of the series) raises ZeroDivisionError.
     """
-    lam = recurrence_data(params).Lam(x)
-    prev, cur = Fraction(0), Fraction(1)
-    out = [cur]
-    for a, ac, c in _recurrence_rows(params):
-        prev, cur = cur, ((lam + ac) * cur - c * prev) / a
-        out.append(cur)
-    return tuple(out)
+    rec = recurrence_data(params)
+    lams = [rec.Lam(x) for x in xs]
+    L = math.lcm(*(lam.denominator for lam in lams))
+    ls = [lam.numerator * (L // lam.denominator) for lam in lams]
+    q_prev, q = 1, 1
+    prev, cur = [0] * len(ls), [1] * len(ls)
+    yield q, cur
+    for n in range(params.N):
+        A, C = rec.A(n), rec.C(n)
+        a, ad, c, cd = A.numerator, A.denominator, C.numerator, C.denominator
+        if not a:
+            raise ZeroDivisionError(f"A({n}) = 0 below the degree cap {params.N}")
+        m = math.lcm(ad, cd)
+        g = math.gcd(q, q_prev)
+        alpha, beta = q // g, q_prev // g
+        scale, base = m * beta, L * (a * (m // ad) + c * (m // cd)) * beta
+        back = alpha * L * c * (m // cd)
+        nxt = [(scale * lx + base) * p - back * b for lx, p, b in zip(ls, cur, prev)]
+        q_next = L * a * (m // ad) * beta * q
+        content = math.gcd(q_next, *nxt)
+        if content != 1:
+            nxt = [v // content for v in nxt]
+            q_next //= content
+        prev, cur, q_prev, q = cur, nxt, q, q_next
+        yield q, cur

@@ -16,9 +16,10 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -28,8 +29,8 @@ from .exact import RationalLike, ScaledRoot
 from .families import (
     DualHahnParams,
     FamilyParams,
-    family_column,
     family_norms,
+    family_table,
     family_weights,
 )
 
@@ -345,21 +346,26 @@ class EigvecMatrix:
 
     Entries are coef * sqrt(radicand); rows are orthonormal and columns are
     eigenvectors of the case's matrix: M U = U D with D = diag(eigencolumn).
+    `floats` is U in floating point, bit for bit the entries converted one
+    by one (float(ScaledRoot)); code that fills it alongside the entries
+    passes it in, and without it (as after dataclasses.replace) the
+    entries are converted here, so the two never disagree.
     """
 
     case: DoubleCase
     dim: int
     entries: Tuple[Tuple[ScaledRoot, ...], ...]
     eigencolumn: Tuple[ScaledRoot, ...]
+    floats: InitVar[np.ndarray | None] = None
 
-    @cached_property
-    def _floats(self) -> np.ndarray:
-        m = np.array([[float(e) for e in row] for row in self.entries])
-        m.flags.writeable = False
-        return m
+    def __post_init__(self, floats: np.ndarray | None):
+        if floats is None:
+            floats = np.array([[float(e) for e in row] for row in self.entries])
+        floats.flags.writeable = False
+        object.__setattr__(self, "_floats", floats)
 
     def to_float(self) -> np.ndarray:
-        """U in floating point, converted once per matrix; read-only."""
+        """U in floating point; read-only."""
         return self._floats
 
     def d_floats(self) -> np.ndarray:
@@ -375,6 +381,41 @@ def _positive_tables(fam: FamilyParams) -> Tuple[Tuple[Fraction, ...], Tuple[Fra
     return w, h
 
 
+def _fill_rows(rows: List[list], floats: List[List[float]], first: int,
+               table: Iterable[Tuple[int, List[int]]], norms: Sequence[Fraction],
+               weights: Sequence[Fraction], cols: Sequence[Tuple[int, int]],
+               alternate: bool, negate: bool) -> None:
+    """Rows first, first + 2, ... of U from a family's integer value table
+    (`families.family_table`): entry (-1)^n y_n(x) sqrt(w(x)/h_n) in both
+    columns of x, the (-1)^n only when `alternate`, the negative column
+    negated when `negate`.
+
+    The sign goes into Q_n, so each value costs one Fraction(P, Q_n).  The
+    radicands w(x)/h_n run down the columns as w(x)/h_{n-1} times the small
+    ratio h_{n-1}/h_n, cheaper than dividing the large w(x) and h_n afresh.
+    A float entry is (P/Q_n) sqrt(float(r)), which is what float(ScaledRoot)
+    computes: the correctly rounded quotient is the same for P/Q_n as for
+    the reduced fraction, and an exact zero stays +0.0."""
+    rads = [w / norms[0] for w in weights]
+    for n, (q, ps) in enumerate(table):
+        if n:
+            ratio = norms[n - 1] / norms[n]
+            rads = [r * ratio for r in rads]
+        if alternate and n % 2:
+            q = -q
+        row, frow = rows[first + 2 * n], floats[first + 2 * n]
+        for p, r, (neg, pos) in zip(ps, rads, cols):
+            coef = Fraction(p, q)
+            f = p / q * math.sqrt(float(r)) if p else 0.0
+            row[pos] = e = ScaledRoot(coef, r)
+            frow[pos] = f
+            if negate:
+                row[neg] = ScaledRoot(-coef, r)
+                frow[neg] = -f if p else 0.0
+            else:
+                row[neg], frow[neg] = e, f
+
+
 @lru_cache(maxsize=4)
 def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     """The orthogonal eigenvector matrix U of a doubling case, as displayed
@@ -388,18 +429,19 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     single column).  Odd dimension with xshift 0 (second dual Hahn case)
     runs the grid backwards, x = N - k, without the (-1)^n.
 
-    Values come a column at a time from the three-term recurrence and
-    weights and norms from their ratio recurrences (`families.family_column`,
-    `family_weights`, `family_norms`).  The result is immutable and cached,
-    so a caller that rebuilds U for the same case and parameters gets the
-    same object back.
+    Values come from the fraction-free integer tables of the three-term
+    recurrence over the whole grid, weights and norms from their ratio
+    recurrences (`families.family_table`, `family_weights`,
+    `family_norms`); the float copy of U is filled alongside.  The result
+    is immutable and cached, so a caller that rebuilds U for the same case
+    and parameters gets the same object back.
     """
     rec = case_record(case, params)
     if rec.u_delta_shift is None:
         raise UnsupportedCase(f"{case.value}: no displayed eigenvector matrix")
     _require_alpha_cap(case, params)
     if rec.dim(params.N) == 1:  # N = 0 of an odd case: no hatted family
-        return EigvecMatrix(case, 1, ((ScaledRoot.of(1),),), (ScaledRoot.zero(),))
+        return EigvecMatrix(case, 1, ((ScaledRoot.of(1),),), (ScaledRoot.zero(),), np.ones((1, 1)))
     fam_even = even_row_params(case, params)
     pair = coefficients(case, fam_even)
     fam_odd, xshift = pair.hatted, int(pair.xshift)
@@ -408,27 +450,23 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     edge = not rec.even_dim and xshift == 0
     w_even, h_even = _positive_tables(fam_even)
     w_odd, h_odd = _positive_tables(fam_odd)
-    signs = [1 if edge else (-1) ** n for n in range(N + 1)]
     rows = [[ScaledRoot.zero()] * dim for _ in range(dim)]
-    for k in range(N + 1):
-        x = N - k if edge else k
-        neg, pos = N - k, N + k + right
-        halved = neg != pos
-        w = w_even[x] / 2 if halved else w_even[x]
-        for n, y in enumerate(family_column(fam_even, x)):
-            rows[2 * n][neg] = rows[2 * n][pos] = ScaledRoot(signs[n] * y, w / h_even[n])
-        if halved:
-            w = w_odd[x + xshift] / 2
-            for n, y in enumerate(family_column(fam_odd, x + xshift)):
-                r = w / h_odd[n]
-                rows[2 * n + 1][neg] = ScaledRoot(-signs[n] * y, r)
-                rows[2 * n + 1][pos] = ScaledRoot(signs[n] * y, r)
+    floats = [[0.0] * dim for _ in range(dim)]
+    xs = [N - k if edge else k for k in range(N + 1)]
+    cols = [(N - k, N + k + right) for k in range(N + 1)]
+    lone = 1 - right  # odd dimension: column N (k = 0) has no partner
+    ws = [w_even[x] if k < lone else w_even[x] / 2 for k, x in enumerate(xs)]
+    _fill_rows(rows, floats, 0, family_table(fam_even, xs), h_even, ws, cols,
+               alternate=not edge, negate=False)
+    xs = [x + xshift for x in xs[lone:]]
+    _fill_rows(rows, floats, 1, family_table(fam_odd, xs), h_odd,
+               [w_odd[x] / 2 for x in xs], cols[lone:], alternate=not edge, negate=True)
     dcol = [ScaledRoot.zero()] * dim
-    for k in range(1 - right, N + 1):
+    for k in range(lone, N + 1):
         root = ScaledRoot.sqrt(rec.eig_square(params, k))
         dcol[N - k] = -root
         dcol[N + k + right] = root
-    return EigvecMatrix(case, dim, tuple(tuple(r) for r in rows), tuple(dcol))
+    return EigvecMatrix(case, dim, tuple(tuple(r) for r in rows), tuple(dcol), np.array(floats))
 
 
 def orthogonality_residual(u: EigvecMatrix) -> float:

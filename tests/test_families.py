@@ -13,10 +13,10 @@ from twodiag.families import (
     dual_hahn_eval,
     dual_hahn_norm,
     dual_hahn_weight,
-    family_column,
     family_eval,
     family_norm,
     family_norms,
+    family_table,
     family_weight,
     family_weights,
     hahn_eval,
@@ -260,12 +260,35 @@ def _case_families(seed):
     return out
 
 
+def _table_values(fam, xs):
+    """y_n(x) for n = 0..N and x in xs from the integer table."""
+    return [[F(p, q) for p in ps] for q, ps in family_table(fam, xs)]
+
+
+def _draws(seed):
+    """(family, grid) for random draws at N <= 12 of every family and
+    Racah degree cap, each on its grid and on the grid shifted by one."""
+    rng = random.Random(seed)
+    fams = [rand_hahn(rng, 12), rand_dual_hahn(rng, 12), KrawtchoukParams(
+        F(rng.randint(1, 9), 10), rng.randint(1, 12))]
+    fams += [rand_racah(rng, 12, sel) for sel in ("alpha", "beta_delta", "gamma")]
+    return [(fam, [x + s for x in range(fam.N + 1)]) for fam in fams for s in (0, 1)]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_family_column_equals_series(seed):
-    for fam, xs in _case_families(seed):
-        for x in list(xs) + [F(-2, 3)]:
-            assert list(family_column(fam, x)) == [family_eval(fam, n, x)
-                                                   for n in range(fam.N + 1)], (fam, x)
+def test_family_table_equals_series(seed):
+    for fam, xs in _case_families(seed) + _draws(seed):
+        xs = list(xs) + [F(-2, 3)]
+        table = _table_values(fam, xs)
+        assert len(table) == fam.N + 1, fam
+        for n, row in enumerate(table):
+            assert row == [family_eval(fam, n, x) for x in xs], (fam, n)
+
+
+def test_family_table_edges():
+    p = HahnParams(F(1, 2), F(1, 3), 0)
+    assert list(family_table(p, [0, 3])) == [(1, [1, 1])]
+    assert _table_values(HahnParams(F(1, 2), F(1, 3), 3), []) == [[]] * 4
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -283,5 +306,7 @@ def test_weight_and_norm_tables_equal_closed_forms(seed):
 def test_column_at_a_series_pole_raises(params):
     with pytest.raises(DenominatorPole):
         family_eval(params, 2, 3)
-    with pytest.raises(ZeroDivisionError):
-        family_column(params, 3)
+    with pytest.raises(ZeroDivisionError, match=r"A\(1\) = 0"):
+        list(family_table(params, [3]))
+    rows = family_table(params, [3])  # rows below the vanishing A(n) come first
+    assert next(rows) == (1, [1])

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -440,6 +441,45 @@ def test_eigvec_matrix_equals_series_reference(case):
     for max_n in (2, 3, 4, 6):
         p = rand_params_for_case(case, rng, max_n)
         assert _parts(eigvec_matrix(case, p).entries) == _series_u(case, p), p
+
+
+# a parameter set per case whose U has an exact zero entry (y_n(x) = 0)
+_ZERO_ENTRY_PARAMS = {
+    DoubleCase.DUAL_HAHN_I: DualHahnParams(0, 0, 2),
+    DoubleCase.DUAL_HAHN_II: DualHahnParams(0, 0, 2),
+    DoubleCase.DUAL_HAHN_III: DualHahnParams(0, 1, 2),
+    DoubleCase.HAHN_I: HahnParams(0, 0, 2),
+    DoubleCase.HAHN_II: HahnParams(0, 0, 2),
+    DoubleCase.RACAH_I: RacahParams(-3, 3, F(-1, 2), 0),
+    DoubleCase.RACAH_III: RacahParams(-3, -3, 1, F(-1, 2)),
+}
+
+
+def _small_params(case, N):
+    if case.family is RacahParams:
+        return RacahParams(-N - 1, N + F(3, 2), F(1, 3), F(1, 5))
+    return case.family(F(1, 2), F(1, 3), N)
+
+
+@pytest.mark.parametrize("case", EIGVEC_CASES, ids=lambda c: c.value)
+def test_eigvec_floats_are_the_entries_converted(case):
+    # the float U is filled while the entries are built; it must be bit for
+    # bit the entries converted one by one, signed zeros included
+    zero = _ZERO_ENTRY_PARAMS[case]
+    assert any(e.coef == 0 for row in eigvec_matrix(case, zero).entries for e in row)
+    rng = random.Random(case.value)
+    for p in (_small_params(case, 0), _small_params(case, 1),
+              rand_params_for_case(case, rng, 12), zero):
+        u = eigvec_matrix(case, p)
+        converted = np.array([[float(e) for e in row] for row in u.entries])
+        assert u.to_float().shape == converted.shape == (u.dim, u.dim)
+        assert u.to_float().tobytes() == converted.tobytes(), p
+        assert not u.to_float().flags.writeable
+    # a copy with other entries converts its own
+    rows = [list(r) for r in u.entries]
+    rows[0][0] = -rows[0][0]
+    flipped = replace(u, entries=tuple(tuple(r) for r in rows))
+    assert flipped.to_float()[0, 0] == -u.to_float()[0, 0] != 0
 
 
 def _real_eigenvalues(case, p):
