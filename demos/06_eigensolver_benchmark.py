@@ -8,8 +8,8 @@ bisection; `sweeps` below counts bisection passes, each of which moves
 every eigenvalue.  With eigenvectors (`want_vectors=True`) it adds one
 twisted factorisation per value and Newton-Schulz orthogonalisation, and
 `sweeps` still counts bisection passes; only a matrix whose twisted
-vectors fail their guards (repeated values) is solved by QL, whose
-`sweeps` counts QL sweeps summed over the eigenvalues.
+vectors fail their guards (repeated values) takes its vectors from LAPACK.
+The solver takes zero-diagonal matrices only.
 """
 
 from fractions import Fraction as F

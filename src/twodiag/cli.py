@@ -114,9 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="benchmark the eigensolver against closed forms",
                        description="One JSON line per solve; `sweeps` counts bisection "
-                                   "passes for a zero-diagonal matrix (every family here), "
-                                   "with or without --vectors, and QL sweeps where the "
-                                   "eigenvectors fall back to QL.")
+                                   "passes, with or without --vectors.")
     b.add_argument("family", choices=FAMILY_CHOICES)
     b.add_argument("--dims", required=True, help="comma-separated matrix dimensions")
     b.add_argument("--reps", type=int, default=1)

@@ -1,28 +1,25 @@
-"""Floating-point symmetric tridiagonal eigensolver and the benchmark
-harness that pits it against the closed-form spectra of the test-matrix
-gallery.
+"""Floating-point eigensolver for zero-diagonal symmetric tridiagonal
+matrices and the benchmark harness that pits it against the closed-form
+spectra of the test-matrix gallery.
 
-The solver takes one of two paths, by the kind of input:
+Every gallery matrix is zero-diagonal, and so a permuted Golub-Kahan form:
+its eigenvalues are the +-singular values of a lower bidiagonal B of half
+the order (Golub & Kahan 1965).  They are found by bisection on the squares
+of B's entries, counting the negative pivots of B B^T - tau I through the
+differential stationary qd recurrence (dstqds), which keeps high relative
+accuracy (Demmel & Kahan 1990).  All values are bracketed together,
+vectorised over numpy arrays, and each pass splits every interval in four
+(two bisection steps): O(dim^2) work and O(dim) memory.
 
-- A zero-diagonal matrix (every gallery matrix) is a permuted Golub-Kahan
-  form: its eigenvalues are the +-singular values of a lower bidiagonal B
-  of half the order (Golub & Kahan 1965).  They are found by bisection on
-  the squares of B's entries, counting the negative pivots of B B^T - tau I
-  through the differential stationary qd recurrence (dstqds), which keeps
-  high relative accuracy (Demmel & Kahan 1990).  All values are bracketed
-  together, vectorised over numpy arrays, and each pass splits every
-  interval in four (two bisection steps): O(dim^2) work and O(dim) memory.
-  Eigenvectors come from one twisted factorisation of T - lambda I per
-  value lambda >= 0 (Dhillon & Parlett 2004), vectorised over the values,
-  those of -lambda by the sign pattern (-1)^i, and one or two
-  Newton-Schulz steps make them orthonormal: O(dim^2) work and O(dim^3)
-  BLAS flops.  Guards on the loss of orthogonality and the residual send
-  a matrix whose twisted vectors fail them (repeated or barely split
-  values) to QL.
-- Any other matrix goes through the implicit QL iteration with Wilkinson
-  shifts and deflation: O(dim^2) for values, O(dim^3) with vectors, each
-  rotation one 2x2 block product on a contiguous row pair of the
-  transposed eigenvector matrix.
+Eigenvectors come from one twisted factorisation of T - lambda I per value
+lambda >= 0 (Dhillon & Parlett 2004), vectorised over the values, those of
+-lambda by the sign pattern (-1)^i, and one or two Newton-Schulz steps make
+them orthonormal: O(dim^2) work and O(dim^3) BLAS flops.  Guards on the
+loss of orthogonality and the residual refuse the twisted vectors of
+repeated or barely split values; the vectors of such a matrix come from
+LAPACK (`numpy.linalg.eigh`), its values still from bisection.
+
+A nonzero diagonal is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +46,8 @@ from .matrices import (
 
 
 class NoConvergence(RuntimeError):
-    """An eigenvalue failed to deflate within the sweep budget."""
+    """Bisection failed to isolate an eigenvalue within `_MAX_PASSES`
+    passes."""
 
     def __init__(self, index: int, matrix: "FloatTridiag"):
         super().__init__(f"eigenvalue {index} did not converge")
@@ -87,11 +85,9 @@ class FloatTridiag:
 
 @dataclass
 class EigenResult:
-    """`sweeps` counts the work of the path taken: for a zero-diagonal
-    matrix bisection passes, each of which narrows every value's interval
-    to a quarter of its floats, with or without vectors; for a nonzero
-    diagonal, and for a zero-diagonal matrix whose twisted vectors failed
-    their guards, QL sweeps summed over the eigenvalues."""
+    """`sweeps` counts bisection passes, each of which narrows every
+    value's interval to a quarter of its floats; it and `values` do not
+    depend on whether vectors were asked for."""
 
     values: np.ndarray
     vectors: Optional[np.ndarray]
@@ -104,8 +100,6 @@ class EigenResult:
 # take fewer numpy calls per bit than one: the count is call-bound.
 _MAX_PASSES = 32
 _QUARTERS = np.arange(1, 4, dtype=np.uint64)[:, None]
-# QL sweeps allowed per eigenvalue; Wilkinson shifts need about two
-_MAX_SWEEPS = 30
 _EPS = float(np.finfo(float).eps)
 # |pivot| floor of a rerun count and of the twisted factorisations, for
 # entries scaled below 1/2
@@ -279,8 +273,7 @@ def _gram_loss(z: np.ndarray) -> Tuple[np.ndarray, float]:
 
 def _zero_diagonal_vectors(m: FloatTridiag, values: np.ndarray) -> Optional[np.ndarray]:
     """Orthonormal eigenvectors of a zero-diagonal m for its ascending
-    `values` from `_zero_diagonal_values`, or None when a guard fails and
-    QL must solve instead.
+    `values` from `_zero_diagonal_values`, or None when a guard fails.
 
     Since S T S = -T for S = diag((-1)^i), the vector of -lam is S times
     that of lam, so twisted factorisations (`_twisted_vectors`) run only
@@ -318,93 +311,24 @@ def _zero_diagonal_vectors(m: FloatTridiag, values: np.ndarray) -> Optional[np.n
 
 def sym_tridiag_eigen(m: FloatTridiag, want_vectors: bool = False) -> EigenResult:
     """Eigenvalues (sorted ascending) and optionally the orthonormal
-    eigenvector matrix of a symmetric tridiagonal matrix.
+    eigenvector matrix of a zero-diagonal symmetric tridiagonal matrix.
 
-    A zero-diagonal matrix takes its values from bisection on the
-    half-size bidiagonal (`_zero_diagonal_values`) and its vectors from
-    twisted factorisations at those values (`_zero_diagonal_vectors`).  A
-    nonzero diagonal, or a zero-diagonal matrix whose vectors fail the
-    twisted path's guards, is solved whole by QL (`_ql_eigen`).  Raises
-    NoConvergence if bisection needs more than `_MAX_PASSES` passes or a
-    QL eigenvalue more than `_MAX_SWEEPS` sweeps.
+    The values come from bisection on the half-size bidiagonal
+    (`_zero_diagonal_values`), the vectors from twisted factorisations at
+    those values (`_zero_diagonal_vectors`), or from LAPACK where these
+    fail their guards.  Raises ValueError for a nonzero diagonal and
+    NoConvergence if bisection needs more than `_MAX_PASSES` passes.
     """
     if any(m.diagonal):
-        return _ql_eigen(m, want_vectors)
+        i = next(i for i, v in enumerate(m.diagonal) if v)
+        raise ValueError(f"diagonal[{i}] = {m.diagonal[i]!r}: only zero-diagonal "
+                         "matrices are solved")
     result = _zero_diagonal_values(m)
     if want_vectors:
         result.vectors = _zero_diagonal_vectors(m, result.values)
         if result.vectors is None:
-            return _ql_eigen(m, want_vectors=True)
+            result.vectors = np.linalg.eigh(m.to_dense())[1]
     return result
-
-
-def _ql_eigen(m: FloatTridiag, want_vectors: bool = False) -> EigenResult:
-    """Implicitly shifted QL with Wilkinson shifts and deflation, for any
-    diagonal.  Raises NoConvergence if an eigenvalue needs more than
-    `_MAX_SWEEPS` sweeps."""
-    n = m.dim
-    d = [float(v) for v in m.diagonal]
-    e = [float(v) for v in m.offdiagonal] + [0.0]
-    # rotations act on row pairs of z^T, which are contiguous
-    zt = np.eye(n) if want_vectors else None
-    rot = np.empty((2, 2))
-    buf = np.empty((2, n))
-    eps = np.finfo(float).eps
-    sweeps = 0
-
-    for l in range(n):
-        iterations = 0
-        while True:
-            mm = l
-            while mm < n - 1:
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= eps * dd:
-                    break
-                mm += 1
-            if mm == l:
-                break
-            iterations += 1
-            if iterations > _MAX_SWEEPS:
-                raise NoConvergence(l, m)
-            sweeps += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[mm] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(mm - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[mm] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if zt is not None:
-                    rot[0, 0] = rot[1, 1] = c
-                    rot[0, 1] = -s
-                    rot[1, 0] = s
-                    np.dot(rot, zt[i:i + 2], out=buf)
-                    zt[i:i + 2] = buf
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[mm] = 0.0
-
-    values = np.array(d)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    return EigenResult(values, None if zt is None else zt[order].T, sweeps)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,6 @@ from .exact import (
 )
 
 
-def _frac(x: RationalLike) -> Fraction:
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class HahnParams:
     alpha: Fraction
@@ -47,8 +43,8 @@ class HahnParams:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "beta", _frac(self.beta))
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "beta", Fraction(self.beta))
         if self.N < 0:
             raise ValueError("N must be a nonnegative integer")
 
@@ -65,8 +61,8 @@ class DualHahnParams:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _frac(self.gamma))
-        object.__setattr__(self, "delta", _frac(self.delta))
+        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "delta", Fraction(self.delta))
         if self.N < 0:
             raise ValueError("N must be a nonnegative integer")
 
@@ -91,7 +87,7 @@ class RacahParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.minus_n not in ("alpha", "beta_delta", "gamma"):
             raise ValueError(f"unknown minus_n selector {self.minus_n!r}")
         cap = self._cap_value()
@@ -127,7 +123,7 @@ class KrawtchoukParams:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frac(self.p))
+        object.__setattr__(self, "p", Fraction(self.p))
         if self.N < 1:
             raise ValueError("N must be a positive integer")
         if self.p == 0:
@@ -150,7 +146,7 @@ def hahn_eval(n: int, x: RationalLike, params: HahnParams) -> Fraction:
     a, b, N = params.alpha, params.beta, params.N
     if not 0 <= n <= N:
         raise ValueError(f"degree n={n} outside 0..{N}")
-    return hyper_terminating([-n, n + a + b + 1, -_frac(x)], [a + 1, -N], 1)
+    return hyper_terminating([-n, n + a + b + 1, -Fraction(x)], [a + 1, -N], 1)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -163,7 +159,7 @@ def dual_hahn_eval(n: int, x: RationalLike, params: DualHahnParams) -> Fraction:
     g, d, N = params.gamma, params.delta, params.N
     if not 0 <= n <= N:
         raise ValueError(f"degree n={n} outside 0..{N}")
-    return hyper_terminating([-_frac(x), _frac(x) + g + d + 1, -n], [g + 1, -N], 1)
+    return hyper_terminating([-Fraction(x), Fraction(x) + g + d + 1, -n], [g + 1, -N], 1)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -172,7 +168,7 @@ def racah_eval(n: int, x: RationalLike, params: RacahParams) -> Fraction:
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     if not 0 <= n <= params.N:
         raise ValueError(f"degree n={n} outside 0..{params.N}")
-    x = _frac(x)
+    x = Fraction(x)
     return hyper_terminating(
         [-n, n + a + b + 1, -x, x + g + d + 1], [a + 1, b + d + 1, g + 1], 1
     )
@@ -184,7 +180,7 @@ def krawtchouk_eval(n: int, x: RationalLike, params: KrawtchoukParams) -> Fracti
     p, N = params.p, params.N
     if not 0 <= n <= N:
         raise ValueError(f"degree n={n} outside 0..{N}")
-    x = _frac(x)
+    x = Fraction(x)
     prev = Fraction(1)
     if n == 0:
         return prev
@@ -226,14 +222,14 @@ def _quotient_in_n(num, den=(), const: RationalLike = 1) -> Callable[[int], Frac
     def scaled(factors):
         ints, scale = [], 1
         for k, s in factors:
-            s = _frac(s)
+            s = Fraction(s)
             ints.append((k * s.denominator, s.numerator))
             scale *= s.denominator
         return ints, scale
 
     nums, num_scale = scaled(num)
     dens, den_scale = scaled(den)
-    c = _frac(const) * den_scale / num_scale
+    c = Fraction(const) * den_scale / num_scale
     c_num, c_den = c.numerator, c.denominator
 
     def f(n: int) -> Fraction:
@@ -262,7 +258,7 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
                            [(2, a + b + 1), (2, a + b + 2)]),
             _zero_at_0(_quotient_in_n([(1, 0), (1, a + b + N + 1), (1, b)],
                                       [(2, a + b), (2, a + b + 1)])),
-            lambda x: -_frac(x),
+            lambda x: -Fraction(x),
         )
 
     if isinstance(params, DualHahnParams):
@@ -270,7 +266,7 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
         return RecurrenceData(
             _quotient_in_n([(1, g + 1), (1, -N)]),
             _quotient_in_n([(1, 0), (1, -d - N - 1)]),
-            lambda x: _frac(x) * (_frac(x) + g + d + 1),
+            lambda x: Fraction(x) * (Fraction(x) + g + d + 1),
         )
 
     if isinstance(params, RacahParams):
@@ -280,14 +276,14 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
                            [(2, a + b + 1), (2, a + b + 2)]),
             _zero_at_0(_quotient_in_n([(1, 0), (1, a + b - g), (1, a - d), (1, b)],
                                       [(2, a + b), (2, a + b + 1)])),
-            lambda x: _frac(x) * (_frac(x) + g + d + 1),
+            lambda x: Fraction(x) * (Fraction(x) + g + d + 1),
         )
 
     p, N = params.p, params.N
     return RecurrenceData(
         _quotient_in_n([(-1, N)], const=p),
         _quotient_in_n([(1, 0)], const=1 - p),
-        lambda x: -_frac(x),
+        lambda x: -Fraction(x),
     )
 
 

@@ -478,10 +478,12 @@ def orthogonality_residual(u: EigvecMatrix) -> float:
 
 def eigen_residual(case: DoubleCase, params: FamilyParams) -> float:
     """max |M U - U D| in floating point, scaled by max |M| entry.  U comes
-    from the cache of `eigvec_matrix` when the caller has just built it."""
+    from the cache of `eigvec_matrix` when the caller has just built it, and
+    M from the case's squares, entries as in `double_matrix`."""
     u = eigvec_matrix(case, params)
     uf = u.to_float()
-    m = double_matrix(case, params).matrix.to_dense()
+    off = np.array([math.sqrt(float(q)) for q in matrix_squares(case, params)], dtype=float)
+    m = np.diag(off, 1) + np.diag(off, -1)
     res = np.abs(m @ uf - uf * u.d_floats()[None, :]).max()
     scale = max(np.abs(m).max(), 1.0)
     return float(res / scale)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -15,7 +16,6 @@ from twodiag.eigsolve import (
     _dim_to_n,
     _match_error,
     _match_rel_error,
-    _ql_eigen,
     benchmark,
     build_gallery_matrix,
     sym_tridiag_eigen,
@@ -53,28 +53,11 @@ def test_eigenvectors_residual_and_orthogonality():
     assert np.abs(r.vectors.T @ r.vectors - np.eye(41)).max() < 1e-13
 
 
-def test_general_matrix_against_numpy():
-    rng = np.random.default_rng(3)
-    d = tuple(rng.normal(size=40))
-    e = tuple(rng.normal(size=39))
-    ours = sym_tridiag_eigen(FloatTridiag(d, e)).values
-    dense = FloatTridiag(d, e).to_dense()
-    ref = np.sort(np.linalg.eigvalsh(dense))
-    assert np.abs(ours - ref).max() < 1e-12
-
-
-def test_no_convergence_budget(monkeypatch):
-    # the QL budget, on QL called directly: a zero-diagonal matrix reaches
-    # QL only when the twisted path's guards fail
-    tri = to_float_tridiag(sylvester_kac(12))
-    monkeypatch.setattr(eigsolve, "_MAX_SWEEPS", 0)
-    with pytest.raises(NoConvergence) as info:
-        _ql_eigen(tri, want_vectors=True)
-    assert info.value.matrix is tri
-    import json
-
-    doc = json.loads(info.value.matrix_json())
-    assert doc["offdiagonal"] == list(tri.offdiagonal)
+def test_nonzero_diagonal_is_refused():
+    tri = FloatTridiag((0.0, 0.5, 0.0), (1.0, 1.0))
+    for want_vectors in (False, True):
+        with pytest.raises(ValueError, match=r"^diagonal\[1\] = 0\.5: only zero-diagonal"):
+            sym_tridiag_eigen(tri, want_vectors)
 
 
 def test_computed_spectrum_symmetry():
@@ -127,8 +110,6 @@ def test_benchmark_reports():
         assert rep.wall_ns > 0
         assert rep.sweeps > 0
     line = reps[0].to_json_line()
-    import json
-
     doc = json.loads(line)
     assert doc["family"] == "kac" and doc["dim"] == 51
     assert set(doc) == {"family", "params", "dim", "maxAbsEigError", "maxRelEigError",
@@ -194,6 +175,7 @@ def _random_offdiagonal(rng, n, kind):
 
 
 def test_zero_diagonal_values_against_lapack_and_ql():
+    # (the test keeps the name of the QL solver it was also compared with)
     # n = 2..60 runs through every (kind, scale) pair, odd and even n alike;
     # the scales are powers of two from about 1e-150 to 1e150, so the
     # reference spectrum scales exactly
@@ -205,12 +187,10 @@ def test_zero_diagonal_values_against_lapack_and_ql():
         scale = scales[n % 5]
         tri = FloatTridiag((0.0,) * n, tuple(off * scale))
         values = sym_tridiag_eigen(tri).values
-        ql = _ql_eigen(tri).values
         ref = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) * scale
         tol = 4 * n * EPS * max(np.abs(off).max(), 1.0) * scale
         assert len(values) == n
         assert np.abs(values - ref).max() <= tol, (n, kinds[n % 3], scale)
-        assert np.abs(values - ql).max() <= tol, (n, kinds[n % 3], scale)
 
 
 def test_zero_diagonal_values_exact_symmetry_and_odd_zero():
@@ -270,8 +250,8 @@ def test_sweeps_reports_bisection_passes(monkeypatch):
     with pytest.raises(NoConvergence) as info:
         sym_tridiag_eigen(tri)
     assert info.value.matrix is tri
-    # QL counts sweeps
-    assert _ql_eigen(tri, want_vectors=True).sweeps > 0
+    doc = json.loads(info.value.matrix_json())
+    assert doc["offdiagonal"] == list(tri.offdiagonal)
 
 
 def test_benchmark_residual_matches_dense_product():
@@ -291,13 +271,13 @@ def _eigenpair_errors(tri, r):
     """(max |T V - V Lambda| / max|a|, max |V^T V - I|)."""
     a = tri.to_dense()
     v = r.vectors
-    resid = np.abs(a @ v - v * r.values[None, :]).max() / np.abs(a).max()
+    resid = np.abs(a @ v - v * r.values[None, :]).max() / (np.abs(a).max() or 1.0)
     return resid, np.abs(v.T @ v - np.eye(tri.dim)).max()
 
 
 def test_zero_diagonal_vectors_random():
     # the kinds and scales of the values test; integer and split matrices
-    # with repeated values may fall back to QL, and either path must hold
+    # with repeated values may fall back to LAPACK, and either path must hold
     rng = np.random.default_rng(13)
     kinds = ("normal", "integer", "split")
     scales = (2.0 ** -498, 2.0 ** -60, 1.0, 2.0 ** 60, 2.0 ** 498)
@@ -310,10 +290,10 @@ def test_zero_diagonal_vectors_random():
 
 
 def test_zero_diagonal_vectors_take_the_twisted_path(monkeypatch):
-    def no_ql(*args, **kwargs):
-        raise AssertionError("fell back to QL")
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("fell back to LAPACK")
 
-    monkeypatch.setattr(eigsolve, "_ql_eigen", no_ql)
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
     for selector in FAMILY_CHOICES:
         if selector in ("double:RacahII", "double:RacahIV"):
             continue  # no matrix
@@ -332,23 +312,43 @@ def test_zero_diagonal_vectors_take_the_twisted_path(monkeypatch):
             assert resid <= 16 * EPS and orth <= 16 * EPS, (selector, dim, resid, orth)
 
 
+def _assert_lapack_fallback(monkeypatch, tri):
+    """The twisted vectors of tri fail their guards: LAPACK gives the
+    vectors, once, and bisection the values, as without vectors."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    r = sym_tridiag_eigen(tri, want_vectors=True)
+    assert len(calls) == 1
+    plain = sym_tridiag_eigen(tri)
+    assert np.array_equal(r.values, plain.values) and r.sweeps == plain.sweeps
+    resid, orth = _eigenpair_errors(tri, r)
+    assert resid <= 1e-12 and orth <= 1e-13, (resid, orth)
+
+
 @pytest.mark.parametrize("off", [(1.0, 0.0, 1.0), (1.0, 1e-15, 1.0),
                                  (2.0, 1.0, 1e-15, 1.0, 2.0),
                                  (0.0, 0.0, 0.0)])
 def test_zero_diagonal_vectors_fall_back_to_ql(monkeypatch, off):
     # repeated or barely split values: the twisted vectors of a cluster
-    # coincide, the guard refuses them and QL solves the whole matrix
-    tri = FloatTridiag((0.0,) * (len(off) + 1), off)
-    calls = []
-    monkeypatch.setattr(eigsolve, "_ql_eigen",
-                        lambda m, want_vectors=False: calls.append(m) or _ql_eigen(m, want_vectors))
-    r = sym_tridiag_eigen(tri, want_vectors=True)
-    ql = _ql_eigen(tri, want_vectors=True)
-    assert calls == [tri]
-    assert np.array_equal(r.values, ql.values)
-    assert np.array_equal(r.vectors, ql.vectors)
-    assert r.sweeps == ql.sweeps
+    # coincide and the guard refuses them (the test keeps the name of the
+    # fallback before LAPACK)
+    _assert_lapack_fallback(monkeypatch, FloatTridiag((0.0,) * (len(off) + 1), off))
 
+
+def test_graded_zero_diagonal_vectors(monkeypatch):
+    # entries graded over 10^-200..1: QL, the fallback before LAPACK, ran
+    # out of sweeps on this draw
+    rng = np.random.default_rng(1)
+    off = rng.normal(size=99) * 10.0 ** rng.uniform(-200, 0, size=99)
+    _assert_lapack_fallback(monkeypatch, FloatTridiag((0.0,) * 100, tuple(off)))
+
+
+def test_glued_kac_blocks_vectors(monkeypatch):
+    # two copies of kac(199) joined by 1e-12: each value of a block appears
+    # twice, split by at most 1e-12, a true cluster for the twisted vectors
+    off = to_float_tridiag(sylvester_kac(199)).offdiagonal
+    _assert_lapack_fallback(monkeypatch, FloatTridiag((0.0,) * 400, off + (1e-12,) + off))
 
 
 def test_zero_diagonal_vectors_residual_guard():
