@@ -27,9 +27,10 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +39,11 @@ from .families import RacahParams
 from .matrices import (
     InadmissibleParams,
     MatrixWithSpectrum,
+    TwoDiagonal,
     double_matrix,
-    integer_form,
+    extended_kac_even,
+    extended_kac_odd,
+    nonsymmetric_form,
     sylvester_kac,
     symmetrize,
 )
@@ -361,24 +365,29 @@ class BenchReport:
 
 
 class _Selector(NamedTuple):
-    """How a gallery selector is built: its doubling case at N - n_shift, as
-    the symmetric matrix or as the integer-friendly form times `scale`.  The
-    literal Sylvester-Kac matrix alone has no case."""
+    """A gallery selector: the `matrices` builder it calls, and the
+    doubling case whose parameters it takes, at N - n_shift (none for kac)."""
 
-    case: Optional[DoubleCase]
-    integer: bool = True
+    build: Callable[..., MatrixWithSpectrum]
+    case: Optional[DoubleCase] = None
     n_shift: int = 0
-    scale: int = 1
+
+    def family_params(self, n: int, merged: Dict[str, Fraction]):
+        """The family parameters of the selector's doubling case at n."""
+        N = n - self.n_shift
+        if self.case.family is RacahParams:
+            return RacahParams(Fraction(-N - 1), minus_n="alpha", **merged)
+        return self.case.family(N=N, **merged)
 
 
 # kac-odd at N is twice nonsym:DualHahnI at N, kac-even twice
 # nonsym:DualHahnIII at N-1
 _SELECTORS: Dict[str, _Selector] = {
-    "kac": _Selector(None),
-    "kac-odd": _Selector(DoubleCase.DUAL_HAHN_I, scale=2),
-    "kac-even": _Selector(DoubleCase.DUAL_HAHN_III, n_shift=1, scale=2),
-    **{f"double:{c.value}": _Selector(c, integer=False) for c in MATRIX_CASES},
-    **{f"nonsym:{c.value}": _Selector(c) for c in NONSYM_CASES},
+    "kac": _Selector(sylvester_kac),
+    "kac-odd": _Selector(extended_kac_odd, DoubleCase.DUAL_HAHN_I),
+    "kac-even": _Selector(extended_kac_even, DoubleCase.DUAL_HAHN_III, n_shift=1),
+    **{f"double:{c.value}": _Selector(double_matrix, c) for c in MATRIX_CASES},
+    **{f"nonsym:{c.value}": _Selector(nonsymmetric_form, c) for c in NONSYM_CASES},
 }
 
 FAMILY_CHOICES = list(_SELECTORS)
@@ -418,39 +427,37 @@ def gallery_params(selector: str, n: int,
     return merged
 
 
-def build_gallery_matrix(selector: str, n: int,
-                         params: Optional[Dict[str, Fraction]] = None) -> MatrixWithSpectrum:
-    """Construct the (matrix, spectrum) bundle for a family selector at size
-    parameter n with the parameters `gallery_params` settles on.  A
-    vanishing denominator or an inadmissible parameter is reported with the
-    selector, n and every parameter in use."""
-    merged = gallery_params(selector, n, params)
-    case, integer, n_shift, scale = _SELECTORS[selector]
-    if case is None:
-        return sylvester_kac(n)
-    if scale != 1 and n < 1:  # the Kac extensions start at N = 1
-        raise ValueError("N must be >= 1")
-    N = n - n_shift
-    if case.family is RacahParams:
-        fam = RacahParams(Fraction(-N - 1), minus_n="alpha", **merged)
-    else:
-        fam = case.family(N=N, **merged)
+@contextmanager
+def _reported(selector: str, n: int, merged: Dict[str, Fraction]):
+    """Report a vanishing denominator or an inadmissible parameter with the
+    selector, n and every parameter in use, the Racah alpha too."""
     try:
-        if not integer:
-            return double_matrix(case, fam)
-        # the doubled forms are the Kac extensions, labelled with their N
-        return integer_form(case, fam, selector if scale == 1 else f"{selector}(N={n})", scale)
+        yield
     except (ZeroDivisionError, InadmissibleParams) as exc:
+        fam = _SELECTORS[selector].family_params(n, merged)
         used = ", ".join(f"{f.name}={getattr(fam, f.name)}" for f in fields(fam)
                          if f.name not in ("N", "minus_n"))
         what = str(exc) if isinstance(exc, InadmissibleParams) else "a denominator vanishes"
         raise type(exc)(f"{selector} -N {n} with {used}: {what}") from exc
 
 
+def build_gallery_matrix(selector: str, n: int,
+                         params: Optional[Dict[str, Fraction]] = None) -> MatrixWithSpectrum:
+    """Construct the (matrix, spectrum) bundle for a family selector at size
+    parameter n with the parameters `gallery_params` settles on, through
+    its builder: the case builders take the case and its family parameters,
+    the Kac matrices N and their parameters.  Errors are `_reported`."""
+    merged = gallery_params(selector, n, params)
+    sel = _SELECTORS[selector]
+    with _reported(selector, n, merged):
+        if sel.build in (double_matrix, nonsymmetric_form):
+            return sel.build(sel.case, sel.family_params(n, merged))
+        return sel.build(n, **merged)
+
+
 def to_float_tridiag(m: MatrixWithSpectrum) -> FloatTridiag:
-    sym = m.matrix if hasattr(m.matrix, "offdiagonal") else symmetrize(m.matrix)
-    off = tuple(float(v) for v in sym.offdiagonal)
-    return FloatTridiag((0.0,) * sym.dim, off)
+    sym = symmetrize(m.matrix) if isinstance(m.matrix, TwoDiagonal) else m.matrix
+    return FloatTridiag((0.0,) * sym.dim, tuple(sym.offdiag_floats()))
 
 
 def _match_error(computed: np.ndarray, closed: np.ndarray) -> float:
@@ -498,10 +505,13 @@ def benchmark(
         return reports
     for dim in dims:
         n = _dim_to_n(selector, dim)
+        merged = gallery_params(selector, n, params)
         bundle = build_gallery_matrix(selector, n, params)
-        tri = to_float_tridiag(bundle)
+        # an integer form may have a real spectrum but no real symmetric twin
+        with _reported(selector, n, merged):
+            tri = to_float_tridiag(bundle)
         closed = np.sort(np.array(bundle.spectrum.floats()))
-        shown_params = {k: str(v) for k, v in gallery_params(selector, n, params).items()}
+        shown_params = {k: str(v) for k, v in merged.items()}
         for _ in range(repetitions):
             t0 = time.perf_counter_ns()
             result = sym_tridiag_eigen(tri, want_vectors=want_vectors)

@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence, Union
 
 from .exact import (
-    Rational,
     RationalLike,
     hyper_terminating,
     is_nonpositive_int,

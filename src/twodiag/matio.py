@@ -46,11 +46,20 @@ def matrix_market_text(m: TwoDiagonal | SymTridiag) -> str:
 
 
 def parse_matrix_market(text: str) -> Tuple[int, List[Tuple[int, int, float]]]:
-    lines = [ln for ln in text.splitlines()]
+    """(dimension, entries) of a square real general coordinate matrix;
+    each entry's 1-based indices lie within the dimension, and no
+    coordinate is given twice."""
+    lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing MatrixMarket header", 1)
+    if lines[0].split()[1:] != MM_HEADER.split()[1:]:
+        # a symmetric file lists one triangle only; read as general, the
+        # other would silently be zero
+        raise ParseError(f"unsupported header {lines[0]!r}; need {MM_HEADER!r}", 1)
     body = [(k + 1, ln) for k, ln in enumerate(lines)
             if ln.strip() and not ln.startswith("%")]
+    if not body:
+        raise ParseError("missing size line", len(lines) + 1)
     lineno, size = body[0]
     try:
         rows, cols, nnz = (int(t) for t in size.split())
@@ -59,27 +68,42 @@ def parse_matrix_market(text: str) -> Tuple[int, List[Tuple[int, int, float]]]:
     if rows != cols:
         raise ParseError("matrix must be square", lineno)
     entries = []
+    seen = set()
     for lineno, ln in body[1:]:
         toks = ln.split()
         if len(toks) != 3:
             raise ParseError(f"expected 'i j value', got {ln!r}", lineno)
         try:
-            entries.append((int(toks[0]), int(toks[1]), float(toks[2])))
+            i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
         except ValueError:
             raise ParseError(f"bad entry {ln!r}", lineno) from None
+        _check_coordinate(i, j, rows, seen, lineno)
+        entries.append((i, j, v))
     if len(entries) != nnz:
         raise ParseError(f"declared {nnz} entries, found {len(entries)}", body[0][0])
     return rows, entries
 
 
+def _check_coordinate(i: int, j: int, dim: int, seen: set, lineno: int) -> None:
+    """Refuse a 1-based coordinate outside dim x dim or one given before."""
+    if not (1 <= i <= dim and 1 <= j <= dim):
+        raise ParseError(f"entry ({i},{j}) outside the {dim} x {dim} matrix", lineno)
+    if (i, j) in seen:
+        raise ParseError(f"entry ({i},{j}) given twice", lineno)
+    seen.add((i, j))
+
+
 def mm_to_float_tridiag(dim: int, entries: List[Tuple[int, int, float]]) -> FloatTridiag:
-    """Rebuild a symmetric tridiagonal from coordinate entries; a
-    non-symmetric two-diagonal input is symmetrized through the products
-    of paired entries."""
+    """Rebuild a symmetric tridiagonal from the coordinate entries of
+    `parse_matrix_market`; a non-symmetric two-diagonal input is
+    symmetrized through the products of paired entries, a negative one
+    refused (`SymTridiag.from_squares`)."""
     sup = [0.0] * (dim - 1)
     sub = [0.0] * (dim - 1)
     diag = [0.0] * dim
     for i, j, v in entries:
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise ParseError(f"entry ({i},{j}) outside the {dim} x {dim} matrix", 0)
         if i == j:
             diag[i - 1] = v
         elif j == i + 1:
@@ -88,12 +112,7 @@ def mm_to_float_tridiag(dim: int, entries: List[Tuple[int, int, float]]) -> Floa
             sub[j - 1] = v
         else:
             raise ParseError(f"entry ({i},{j}) outside the tridiagonal band", 0)
-    off = []
-    for b, c in zip(sup, sub):
-        prod = b * c
-        if prod < 0:
-            raise ValueError("negative offdiagonal product; cannot symmetrize")
-        off.append(prod ** 0.5)
+    off = SymTridiag.from_squares(b * c for b, c in zip(sup, sub)).offdiag_floats()
     return FloatTridiag(tuple(diag), tuple(off))
 
 
@@ -122,6 +141,7 @@ def parse_exact_text(text: str) -> TwoDiagonal:
         raise ParseError("need a square matrix of dimension >= 2", 1)
     sup = [Fraction(0)] * (rows - 1)
     sub = [Fraction(0)] * (rows - 1)
+    seen = set()
     for k, ln in enumerate(lines[1:], start=2):
         toks = ln.split()
         if len(toks) != 3:
@@ -130,9 +150,10 @@ def parse_exact_text(text: str) -> TwoDiagonal:
             i, j, v = int(toks[0]), int(toks[1]), Fraction(toks[2])
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad entry {ln!r}", k) from None
-        if j == i + 1 and 1 <= i <= rows - 1:
+        _check_coordinate(i, j, rows, seen, k)
+        if j == i + 1:
             sup[i - 1] = v
-        elif i == j + 1 and 1 <= j <= rows - 1:
+        elif i == j + 1:
             sub[j - 1] = v
         else:
             raise ParseError(f"entry ({i},{j}) outside the off-diagonal band", k)

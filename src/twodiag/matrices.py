@@ -1,15 +1,17 @@
 """Two-diagonal test matrices with closed-form spectra.
 
-Covers the classic Sylvester-Kac (Clement) matrix, the symmetric
-tridiagonal matrix of every implemented doubling case together with its
-orthogonal eigenvector matrix, and the integer-friendly non-symmetric forms
-of the dual Hahn cases; the odd and even two-parameter Kac extensions are
-two of those forms doubled.  A doubling case's matrix takes its squares
-from the coefficient products of the case's verified sextet
-(`doubles.matrix_squares`), its spectrum from the closed-form eigenvalue
-squares.  Spectra are certified exactly: the
-characteristic polynomial of a zero-diagonal tridiagonal matrix depends only
-on its superdiagonal-subdiagonal products, a fraction-free integer minor
+One builder per gallery matrix, each called by a gallery selector of
+`eigsolve`: `sylvester_kac` (the Sylvester-Kac or Clement matrix),
+`extended_kac_odd` and `extended_kac_even` (the two-parameter extensions,
+twice the integer forms of the first and third dual Hahn cases),
+`double_matrix` (a doubling case's symmetric matrix, its squares from the
+case's verified sextet, `doubles.matrix_squares`) and `nonsymmetric_form`
+(a dual Hahn case's integer-friendly form).  Each carries its closed-form
+spectrum, `Spectrum.symmetric` of the case's eigenvalue squares, and
+`SymTridiag.from_squares` is the one place exact squares become real
+symmetric entries.  Spectra are certified exactly: the characteristic
+polynomial of a zero-diagonal tridiagonal matrix depends only on its
+superdiagonal-subdiagonal products, a fraction-free integer minor
 recurrence expands it, and it must equal lambda^z prod(lambda^2 - eps_k^2)
 coefficient by coefficient.
 """
@@ -17,7 +19,7 @@ coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
@@ -35,14 +37,14 @@ from .families import (
 )
 
 
-class NegativeProduct(ValueError):
-    """A superdiagonal-subdiagonal product is negative; the symmetrized
-    matrix would need imaginary entries."""
-
-
 class InadmissibleParams(ValueError):
     """Parameters put a weight, norm or matrix radicand outside the range
     where real square roots exist."""
+
+
+class NegativeProduct(InadmissibleParams):
+    """An offdiagonal square (a superdiagonal-subdiagonal product) is
+    negative; the symmetric matrix would need imaginary entries."""
 
 
 class UnsupportedCase(ValueError):
@@ -73,14 +75,6 @@ class TwoDiagonal:
     def products(self) -> List[Fraction]:
         return [b * c for b, c in zip(self.sup, self.sub)]
 
-    def to_dense(self) -> np.ndarray:
-        d = self.dim
-        out = np.zeros((d, d))
-        for i, (b, c) in enumerate(zip(self.sup, self.sub)):
-            out[i, i + 1] = float(b)
-            out[i + 1, i] = float(c)
-        return out
-
 
 @dataclass(frozen=True)
 class SymTridiag:
@@ -88,6 +82,18 @@ class SymTridiag:
     sqrt(square_i) >= 0."""
 
     offdiagonal: Tuple[ScaledRoot, ...]
+
+    @classmethod
+    def from_squares(cls, squares: Iterable[RationalLike]) -> "SymTridiag":
+        """Offdiagonal sqrt(q_i) from exact squares q_i, the one place a
+        gallery matrix's squares become real entries.  Raises
+        NegativeProduct when some q_i < 0."""
+        off = []
+        for i, q in enumerate(squares):
+            if q < 0:
+                raise NegativeProduct(f"offdiagonal square M_{i}^2 = {q} < 0")
+            off.append(ScaledRoot.sqrt(q))
+        return cls(tuple(off))
 
     @property
     def dim(self) -> int:
@@ -98,13 +104,6 @@ class SymTridiag:
 
     def offdiag_floats(self) -> List[float]:
         return [float(m) for m in self.offdiagonal]
-
-    def to_dense(self) -> np.ndarray:
-        d = self.dim
-        out = np.zeros((d, d))
-        for i, m in enumerate(self.offdiagonal):
-            out[i, i + 1] = out[i + 1, i] = float(m)
-        return out
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,7 @@ class Spectrum:
             if s <= 0:
                 raise InadmissibleParams(f"eigenvalue square {s} is not positive")
             root = ScaledRoot.sqrt(s)
-            entries.append(root)
-            entries.append(-root)
+            entries += (root, -root)
         return cls(tuple(entries))
 
     @property
@@ -139,12 +137,6 @@ class Spectrum:
 
     def positive_squares(self) -> List[Fraction]:
         return [e.radicand for e in self.entries if e.sign > 0]
-
-    def scaled(self, factor: RationalLike) -> "Spectrum":
-        f = Fraction(factor)
-        if f <= 0:
-            raise ValueError("scale factor must be positive")
-        return Spectrum(tuple(replace(e, radicand=e.radicand * f * f) for e in self.entries))
 
     def floats(self) -> List[float]:
         return [float(e) for e in self.entries]
@@ -220,12 +212,7 @@ def verify_squares_exact(products: Sequence[RationalLike], zeros: int,
 def symmetrize(m: TwoDiagonal) -> SymTridiag:
     """Offdiagonal sqrt(b_i c_i); the spectrum is unchanged.  Raises
     NegativeProduct when some b_i c_i < 0."""
-    off = []
-    for i, q in enumerate(m.products()):
-        if q < 0:
-            raise NegativeProduct(f"product b_{i} c_{i} = {q} < 0")
-        off.append(ScaledRoot.sqrt(q))
-    return SymTridiag(tuple(off))
+    return SymTridiag.from_squares(m.products())
 
 
 def similarity_scale_squares(m: TwoDiagonal) -> List[Fraction]:
@@ -283,30 +270,19 @@ def _require_alpha_cap(case: DoubleCase, params: FamilyParams) -> None:
         )
 
 
-def double_matrix_squares(case: DoubleCase, params: FamilyParams) -> Tuple[int, List[Fraction], List[Fraction]]:
-    """(dimension, offdiagonal squares M_k^2 from the sextet, closed-form
-    eigenvalue squares with zeros omitted) for a doubling case; purely
-    rational, no realness requirement."""
+def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:
+    """The symmetric two-diagonal matrix of a doubling case, its squares
+    from the sextet (`doubles.matrix_squares`), with its closed-form
+    spectrum.  Raises InadmissibleParams when a square or an eigenvalue
+    square is negative (real entries impossible)."""
     rec = case_record(case, params)
     if rec.eig_square is None:
         raise UnsupportedCase(f"{case.value}: no closed matrix form in the classification")
     _require_alpha_cap(case, params)
-    return rec.dim(params.N), matrix_squares(case, params), rec.eig_squares(params)
-
-
-def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:
-    """The symmetric two-diagonal matrix of a doubling case with its
-    closed-form spectrum.  Raises InadmissibleParams when a radicand is
-    negative (real entries impossible)."""
-    dim, squares, eig_squares = double_matrix_squares(case, params)
-    off = []
-    for i, q in enumerate(squares):
-        if q < 0:
-            raise InadmissibleParams(f"offdiagonal square M_{i}^2 = {q} < 0")
-        off.append(ScaledRoot.sqrt(q))
-    zeros = dim - 2 * len(eig_squares)
-    spec = Spectrum.symmetric(eig_squares, zeros=zeros)
-    return MatrixWithSpectrum(f"double:{case.value}", SymTridiag(tuple(off)), spec)
+    squares, eig_squares = matrix_squares(case, params), rec.eig_squares(params)
+    mat = SymTridiag.from_squares(squares)
+    spec = Spectrum.symmetric(eig_squares, zeros=mat.dim - 2 * len(eig_squares))
+    return MatrixWithSpectrum(f"double:{case.value}", mat, spec)
 
 
 def nonsymmetric_entries(case: DoubleCase, params: DualHahnParams) -> TwoDiagonal:
@@ -482,7 +458,7 @@ def eigen_residual(case: DoubleCase, params: FamilyParams) -> float:
     M from the case's squares, entries as in `double_matrix`."""
     u = eigvec_matrix(case, params)
     uf = u.to_float()
-    off = np.array([math.sqrt(float(q)) for q in matrix_squares(case, params)], dtype=float)
+    off = np.array(SymTridiag.from_squares(matrix_squares(case, params)).offdiag_floats())
     m = np.diag(off, 1) + np.diag(off, -1)
     res = np.abs(m @ uf - uf * u.d_floats()[None, :]).max()
     scale = max(np.abs(m).max(), 1.0)

@@ -5,10 +5,10 @@ common discrete weight on a square-root support.
 Three systems are written out in closed form (the first dual Hahn case and
 the first two Hahn cases); for the rest only the matrix spectra exist in
 closed form.  Even-index members are polynomials in q^2, odd-index members
-are q times a polynomial in q^2; the support is symmetric about 0 and
-coincides exactly with the spectrum of the corresponding two-diagonal
-matrix, which support_matches_spectrum certifies through the matrix's
-characteristic polynomial.
+are q times a polynomial in q^2; the support is the spectrum of the
+case's matrix, built by the same `Spectrum.symmetric`, which
+support_matches_spectrum certifies against the matrix of the gallery's
+builder `double_matrix` (entries from `SymTridiag.from_squares`).
 """
 
 from __future__ import annotations
@@ -72,11 +72,9 @@ class DoubledSystem:
         return self.case.record.eig_square(self.params, k)
 
     def support(self) -> Tuple[ScaledRoot, ...]:
-        pts: List[ScaledRoot] = []
-        for k in range(self.params.N + 1):
-            root = ScaledRoot.sqrt(self.point_square(k))
-            pts.extend((root, -root) if root.sign else (root,))
-        return tuple(sorted(pts, key=ScaledRoot.signed_square))
+        """The support points in ascending order."""
+        squares = self.case.record.eig_squares(self.params)
+        return Spectrum.symmetric(squares, zeros=self.dim - 2 * len(squares)).entries
 
     def point_index(self, q: ScaledRoot) -> int:
         for k in range(self.params.N + 1):
@@ -150,14 +148,13 @@ def verify_discrete_orthogonality(system: DoubledSystem) -> List[Fraction]:
                 res.append(Fraction(0))
                 continue
             expected = system.norm(n) if n == m else Fraction(0)
+            i, j = n // 2, m // 2
             if n % 2 == 0:
-                i, j = n // 2, m // 2
                 sgn = Fraction((-1) ** (i + j)) / 2
                 total = sum(2 * w[k] * sgn * system.even_core(i, k) * system.even_core(j, k)
                             for k in ks)
                 res.append(total - expected)
             else:
-                i, j = n // 2, m // 2
                 pi, pj = system.odd_prefactor(i), system.odd_prefactor(j)
                 sgn = Fraction((-1) ** (i + j)) * pi.coef * pj.coef
                 core = sum(2 * w[k] * q2[k] * system.odd_core(i, k) * system.odd_core(j, k)

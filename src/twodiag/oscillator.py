@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
-from .doubles import ALGEBRA_CASES, DoubleCase
-from .exact import ScaledRoot
+from .doubles import ALGEBRA_CASES, DoubleCase, matrix_squares
 from .families import DualHahnParams
-from .matrices import InadmissibleParams, UnsupportedCase, double_matrix_squares
+from .matrices import SymTridiag, UnsupportedCase
 
 
 @dataclass(frozen=True)
@@ -48,28 +47,19 @@ class AlgebraRealization:
     def commutator_diagonal(self) -> List[Fraction]:
         """Diagonal of [J_plus, J_minus], exactly: 4 (M_{i-1}^2 - M_i^2)
         with vanishing boundary terms."""
-        sq = [m.square for m in self.j_plus_halves]
-        out = []
-        for i in range(self.dim):
-            left = sq[i - 1] if i >= 1 else Fraction(0)
-            right = sq[i] if i < len(sq) else Fraction(0)
-            out.append(4 * (left - right))
-        return out
+        sq = [Fraction(0)] + [m.square for m in self.j_plus_halves] + [Fraction(0)]
+        return [4 * (left - right) for left, right in zip(sq, sq[1:])]
 
 
 def build_generators(case: DoubleCase, params: DualHahnParams) -> AlgebraRealization:
     if case not in ALGEBRA_CASES:
         raise UnsupportedCase(f"{case.value}: algebra realizations cover the dual Hahn cases")
-    dim, squares, _ = double_matrix_squares(case, params)
-    halves = []
-    for i, q in enumerate(squares):
-        if q < 0:
-            raise InadmissibleParams(f"M_{i}^2 = {q} < 0")
-        halves.append(ScaledRoot.sqrt(q))
+    halves = SymTridiag.from_squares(matrix_squares(case, params)).offdiagonal
+    dim = len(halves) + 1
     # equidistant about zero: k - N for dimension 2N+1, k - N - 1/2 for 2N+2
     j0 = tuple(Fraction(2 * k - dim + 1, 2) for k in range(dim))
     parity = tuple(Fraction((-1) ** k) for k in range(dim))
-    return AlgebraRealization(case, params, tuple(halves), j0, parity)
+    return AlgebraRealization(case, params, halves, j0, parity)
 
 
 def verify_algebra(case: DoubleCase, params: DualHahnParams) -> Dict[str, List[Fraction]]:
@@ -125,10 +115,5 @@ def verify_normal_form(case: DoubleCase, params: DualHahnParams) -> List[Fractio
     alg = build_generators(case, params)
     sc = structure_constants(case, params)
     sgn = commutator_sign(case)
-    comm = alg.commutator_diagonal()
-    out = []
-    for i in range(alg.dim):
-        j0, p = alg.j0[i], alg.parity[i]
-        nf = 2 * j0 + 2 * sc.nu * j0 * p + sc.sigma / 2 * p + sc.rho / 2
-        out.append(comm[i] - sgn * nf)
-    return out
+    return [c - sgn * (2 * j0 + 2 * sc.nu * j0 * p + sc.sigma / 2 * p + sc.rho / 2)
+            for c, j0, p in zip(alg.commutator_diagonal(), alg.j0, alg.parity)]

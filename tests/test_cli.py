@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from twodiag.cli import main
-from twodiag.eigsolve import FAMILY_CHOICES
+from twodiag.eigsolve import FAMILY_CHOICES, gallery_params
 
 
 def run(capsys, *argv):
@@ -127,6 +129,47 @@ def test_gallery_output_matches_golden(capsys):
             parts.append(f"$ twodiag {' '.join(argv)}\n{out}")
     golden = Path(__file__).parent / "golden" / "gallery_n3_spectrum_json.txt"
     assert "".join(parts) == golden.read_text()
+
+
+CLI_GALLERY_GOLDEN = Path(__file__).parent / "golden" / "cli_gallery.txt"
+
+
+def _transcript_entry(argv) -> str:
+    """`$ twodiag argv`, its stdout and, when it fails, its exit code and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    entry = f"$ twodiag {' '.join(argv)}\n{out.getvalue()}"
+    return entry + (f"[exit {code}] {err.getvalue()}" if code else "")
+
+
+def cli_gallery_transcript() -> str:
+    """gen in all three formats and spectrum for every selector at N = 1
+    and 3, each selector with each of its parameters at -3, and kac-odd at
+    parameters whose spectrum is real but whose offdiagonal products are
+    not all positive, which only bench symmetrizes."""
+    runs = []
+    for selector in FAMILY_CHOICES:
+        for n in ("1", "3"):
+            runs.append(["spectrum", selector, "-N", n])
+            runs += [["gen", selector, "-N", n, "--format", f] for f in ("mm", "exact", "json")]
+    runs.append(["gen", "kac", "-N", "0"])
+    for selector in FAMILY_CHOICES:
+        for name in gallery_params(selector, 2):
+            runs.append(["gen", selector, "-N", "2", f"--{name}", "-3"])
+            runs.append(["spectrum", selector, "-N", "2", f"--{name}", "-3"])
+    for cmd in (["gen", "kac-odd", "-N", "2"], ["spectrum", "kac-odd", "-N", "2"],
+                ["bench", "kac-odd", "--dims", "5"]):
+        runs.append(cmd + ["--gamma", "-5/2", "--delta", "1"])
+    return "".join(map(_transcript_entry, runs))
+
+
+def test_cli_gallery_matches_golden():
+    # every construction path of the gallery, its output formats and its
+    # error lines, pinned byte for byte; regenerate with
+    # `PYTHONPATH=src python tests/test_cli.py` and review the diff
+    assert cli_gallery_transcript() == CLI_GALLERY_GOLDEN.read_text()
 
 
 @pytest.mark.parametrize("seed,max_n,label", [
@@ -357,6 +400,16 @@ def test_inadmissible_gallery_error_names_selector_n_and_parameters(capsys):
         assert word in line, line
 
 
+def test_bench_negative_product_names_selector_n_and_parameters(capsys):
+    # the spectrum is real, so gen and spectrum succeed; only the float
+    # conversion, which symmetrizes the integer form, finds M_0^2 < 0
+    code, out, err = run(capsys, "bench", "kac-odd", "--gamma", "-5/2", "--delta", "1",
+                         "--dims", "5")
+    assert code == 2 and out == ""
+    assert _one_line_error(err) == ("error: kac-odd -N 2 with gamma=-5/2, delta=1: "
+                                    "offdiagonal square M_0^2 = -12 < 0")
+
+
 def test_float_overflow_is_one_line_error(capsys):
     huge = "1" + "0" * 400
     code, out, err = run(capsys, "spectrum", "kac-odd", "-N", "2", "--gamma", huge)
@@ -410,3 +463,7 @@ def test_negative_fraction_as_separate_token(capsys):
                        "--gamma", "-1/2", "--format", "json")
     assert code == 0
     assert json.loads(out)["params"] == {"gamma": "-1/2", "delta": "-1/3"}
+
+
+if __name__ == "__main__":
+    CLI_GALLERY_GOLDEN.write_text(cli_gallery_transcript())

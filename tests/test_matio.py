@@ -7,6 +7,7 @@ from twodiag.doubles import DoubleCase
 from twodiag.eigsolve import sym_tridiag_eigen
 from twodiag.families import DualHahnParams
 from twodiag.matio import (
+    MM_HEADER,
     ParseError,
     exact_text,
     json_text,
@@ -96,3 +97,44 @@ def test_json_rendering():
     sym = double_matrix(DoubleCase.DUAL_HAHN_I, DualHahnParams(F(1, 2), F(1, 3), 2)).matrix
     doc = json.loads(json_text("double:DualHahnI", {"gamma": "1/2"}, sym))
     assert doc["offdiagonal_squares"] == [str(v.square) for v in sym.offdiagonal]
+
+
+def test_matrix_market_without_size_line():
+    with pytest.raises(ParseError) as err:
+        parse_matrix_market("%%MatrixMarket matrix coordinate real general\n% comment\n")
+    assert "line 3" in str(err.value) and "size line" in str(err.value)
+
+
+@pytest.mark.parametrize("entries,bad,line", [
+    ("0 1 7.0\n1 0 7.0\n", "(0,1)", 3),
+    ("1 2 7.0\n-1 1 7.0\n", "(-1,1)", 4),
+    ("1 2 7.0\n4 3 7.0\n", "(4,3)", 4),
+])
+def test_matrix_market_refuses_coordinates_outside_the_matrix(entries, bad, line):
+    with pytest.raises(ParseError) as err:
+        mm_to_float_tridiag(*parse_matrix_market(f"{MM_HEADER}\n3 3 2\n{entries}"))
+    assert str(err.value).startswith(f"line {line}:") and bad in str(err.value)
+
+
+def test_float_tridiag_refuses_index_zero():
+    # without the check, index 0 lands in the last slot
+    with pytest.raises(ParseError):
+        mm_to_float_tridiag(3, [(0, 1, 7.0), (1, 0, 7.0)])
+
+
+def test_matrix_market_refuses_symmetric_header():
+    # a symmetric file lists the lower triangle only; read as general it
+    # would be the zero matrix
+    text = "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 2 2.0\n"
+    with pytest.raises(ParseError) as err:
+        parse_matrix_market(text)
+    assert str(err.value).startswith("line 1:") and "symmetric" in str(err.value)
+
+
+def test_duplicate_coordinates_are_refused():
+    with pytest.raises(ParseError) as err:
+        parse_matrix_market(f"{MM_HEADER}\n3 3 3\n1 2 1.0\n2 1 1.0\n1 2 5.0\n")
+    assert str(err.value).startswith("line 5:") and "twice" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_exact_text("dim 3 3\n1 2 1\n2 1 1\n1 2 5\n")
+    assert str(err.value).startswith("line 4:") and "twice" in str(err.value)

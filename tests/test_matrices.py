@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodiag.doubles import CASE_TABLE, EIGVEC_CASES, DoubleCase, coefficients
+from twodiag.doubles import CASE_TABLE, EIGVEC_CASES, DoubleCase, coefficients, matrix_squares
 from twodiag.eigsolve import FAMILY_CHOICES, build_gallery_matrix
 from twodiag.exact import ScaledRoot
 from twodiag.families import (
@@ -31,7 +31,6 @@ from twodiag.matrices import (
     charpoly,
     charpoly_from_products,
     double_matrix,
-    double_matrix_squares,
     eigen_residual,
     eigvec_matrix,
     extended_kac_even,
@@ -169,7 +168,8 @@ def test_even_kac_spectrum_halves_to_dual_hahn_iii():
     g, d, N = F(1, 2), F(1, 3), 4
     me = extended_kac_even(N + 1, g, d)
     md = double_matrix(DoubleCase.DUAL_HAHN_III, DualHahnParams(g, d, N))
-    assert me.spectrum.entries == md.spectrum.scaled(2).entries
+    assert ([e.signed_square() for e in me.spectrum.entries]
+            == [4 * e.signed_square() for e in md.spectrum.entries])
 
 
 @pytest.mark.parametrize("case", MATRIX_CASES, ids=lambda c: c.value)
@@ -214,12 +214,12 @@ def test_nonsym_forms_certified(case, seed):
 
 def test_nonsym_products_match_symmetric_squares():
     p = DualHahnParams(F(1, 2), F(1, 3), 5)
-    _, sq1, _ = double_matrix_squares(DoubleCase.DUAL_HAHN_I, p)
+    sq1 = matrix_squares(DoubleCase.DUAL_HAHN_I, p)
     assert nonsymmetric_form(DoubleCase.DUAL_HAHN_I, p).matrix.products() == sq1
-    _, sq2, _ = double_matrix_squares(DoubleCase.DUAL_HAHN_II, p)
+    sq2 = matrix_squares(DoubleCase.DUAL_HAHN_II, p)
     # the second case's printed form runs through the matrix backwards
     assert nonsymmetric_form(DoubleCase.DUAL_HAHN_II, p).matrix.products() == sq2[::-1]
-    _, sq3, _ = double_matrix_squares(DoubleCase.DUAL_HAHN_III, p)
+    sq3 = matrix_squares(DoubleCase.DUAL_HAHN_III, p)
     assert nonsymmetric_form(DoubleCase.DUAL_HAHN_III, p).matrix.products() == sq3
 
 
