@@ -9,6 +9,7 @@ All Gram residues vanish exactly.
 from fractions import Fraction as F
 
 from twodiag import DoubleCase, DualHahnParams, doubled_system
+from twodiag.families import family_weight
 from twodiag.orthosystems import support_matches_spectrum, verify_discrete_orthogonality
 
 g, d, N = F(1, 2), F(1, 3), 4
@@ -23,8 +24,8 @@ print(f"  {len(res)} Gram residues, all zero: {all(r == 0 for r in res)}")
 
 print("\nweights by support index k (doubled at q = 0):")
 for k in range(N + 1):
-    q0 = system.point_square(k) == 0
-    print(f"  k={k}: w = {system.weight_at(k, q_is_zero=q0)}")
+    w = family_weight(system.params, k)
+    print(f"  k={k}: w = {2 * w if system.point_square(k) == 0 else w}")
 
 print("\nnorms by polynomial index:")
 for n in range(system.dim):

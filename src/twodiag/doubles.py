@@ -123,7 +123,10 @@ class CaseRecord:
     # constant multiplying q * (hatted polynomial) in P_{2n+1}
     odd_prefactor: Optional[Callable[[FamilyParams, int], ScaledRoot]] = None
     # [J_plus, J_minus] diagonal at J_0 entry j0 and parity entry, and the
-    # sign relating it to the normal form of the generator algebra
+    # sign relating it to the normal form 2 J_0 + 2 nu J_0 P + (sigma/2) P
+    # + (rho/2) I of the generator algebra: -1 for DualHahnII, whose ladder
+    # operators match after the rescaling J_pm -> i J_pm, which flips the
+    # commutator
     commutator: Optional[Callable[[FamilyParams, Fraction, Fraction], Fraction]] = None
     commutator_sign: int = 1
 

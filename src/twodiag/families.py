@@ -2,8 +2,8 @@
 their discrete weights, norms and three-term recurrence data.
 
 Hahn and dual Hahn are terminating 3F2's at unit argument, Racah a
-terminating 4F3; all values are exact rationals for rational parameters.
-The recurrence used throughout is
+terminating 4F3, Krawtchouk a terminating 2F1 at 1/p; all values are
+exact rationals for rational parameters.  The recurrence used throughout is
 
     Lam(x) y_n(x) = A(n) y_{n+1}(x) - (A(n)+C(n)) y_n(x) + C(n) y_{n-1}(x).
 
@@ -175,21 +175,11 @@ def racah_eval(n: int, x: RationalLike, params: RacahParams) -> Fraction:
 
 @lru_cache(maxsize=1 << 18)
 def krawtchouk_eval(n: int, x: RationalLike, params: KrawtchoukParams) -> Fraction:
-    """K_n(x; p, N) by upward recurrence from K_0 = 1 and K_1 = 1 - x/(Np)."""
+    """K_n(x; p, N) as a terminating 2F1(-n, -x; -N; 1/p)."""
     p, N = params.p, params.N
     if not 0 <= n <= N:
         raise ValueError(f"degree n={n} outside 0..{N}")
-    x = Fraction(x)
-    prev = Fraction(1)
-    if n == 0:
-        return prev
-    cur = 1 - x / (N * p)
-    for m in range(1, n):
-        A = p * (N - m)
-        C = m * (1 - p)
-        nxt = ((A + C - x) * cur - C * prev) / A
-        prev, cur = cur, nxt
-    return cur
+    return hyper_terminating([-n, -Fraction(x)], [-N], 1 / p)
 
 
 def family_eval(params: FamilyParams, n: int, x: RationalLike) -> Fraction:

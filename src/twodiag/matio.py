@@ -46,9 +46,9 @@ def matrix_market_text(m: TwoDiagonal | SymTridiag) -> str:
 
 
 def parse_matrix_market(text: str) -> Tuple[int, List[Tuple[int, int, float]]]:
-    """(dimension, entries) of a square real general coordinate matrix;
-    each entry's 1-based indices lie within the dimension, and no
-    coordinate is given twice."""
+    """(dimension, entries) of a square real general coordinate matrix of
+    dimension >= 2; each entry's 1-based indices lie within the dimension
+    and the tridiagonal band, and no coordinate is given twice."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing MatrixMarket header", 1)
@@ -65,8 +65,8 @@ def parse_matrix_market(text: str) -> Tuple[int, List[Tuple[int, int, float]]]:
         rows, cols, nnz = (int(t) for t in size.split())
     except ValueError:
         raise ParseError(f"bad size line {size!r}", lineno) from None
-    if rows != cols:
-        raise ParseError("matrix must be square", lineno)
+    if rows != cols or rows < 2:
+        raise ParseError("need a square matrix of dimension >= 2", lineno)
     entries = []
     seen = set()
     for lineno, ln in body[1:]:
@@ -78,6 +78,8 @@ def parse_matrix_market(text: str) -> Tuple[int, List[Tuple[int, int, float]]]:
         except ValueError:
             raise ParseError(f"bad entry {ln!r}", lineno) from None
         _check_coordinate(i, j, rows, seen, lineno)
+        if abs(i - j) > 1:
+            raise ParseError(f"entry ({i},{j}) outside the tridiagonal band", lineno)
         entries.append((i, j, v))
     if len(entries) != nnz:
         raise ParseError(f"declared {nnz} entries, found {len(entries)}", body[0][0])
@@ -127,22 +129,25 @@ def exact_text(m: TwoDiagonal) -> str:
 
 
 def parse_exact_text(text: str) -> TwoDiagonal:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Read `exact_text`; blank lines are skipped, and errors name the
+    line of the text."""
+    body = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not body:
         raise ParseError("empty input", 1)
-    head = lines[0].split()
+    lineno, size = body[0]
+    head = size.split()
     if len(head) != 3 or head[0] != "dim":
-        raise ParseError(f"expected 'dim m n', got {lines[0]!r}", 1)
+        raise ParseError(f"expected 'dim m n', got {size!r}", lineno)
     try:
         rows, cols = int(head[1]), int(head[2])
     except ValueError:
-        raise ParseError(f"bad dimensions in {lines[0]!r}", 1) from None
+        raise ParseError(f"bad dimensions in {size!r}", lineno) from None
     if rows != cols or rows < 2:
-        raise ParseError("need a square matrix of dimension >= 2", 1)
+        raise ParseError("need a square matrix of dimension >= 2", lineno)
     sup = [Fraction(0)] * (rows - 1)
     sub = [Fraction(0)] * (rows - 1)
     seen = set()
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in body[1:]:
         toks = ln.split()
         if len(toks) != 3:
             raise ParseError(f"expected 'i j p/q', got {ln!r}", k)

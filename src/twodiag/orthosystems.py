@@ -4,11 +4,12 @@ common discrete weight on a square-root support.
 
 Three systems are written out in closed form (the first dual Hahn case and
 the first two Hahn cases); for the rest only the matrix spectra exist in
-closed form.  Even-index members are polynomials in q^2, odd-index members
-are q times a polynomial in q^2; the support is the spectrum of the
-case's matrix, built by the same `Spectrum.symmetric`, which
-support_matches_spectrum certifies against the matrix of the gallery's
-builder `double_matrix` (entries from `SymTridiag.from_squares`).
+closed form.  `DoubledSystem.value` is the one definition of P_n: even
+members are polynomials in q^2, odd members q times a polynomial in q^2,
+and `doubled_eval` returns that value at a support point.  The support is
+the spectrum of the case's matrix, built by the same `Spectrum.symmetric`,
+which support_matches_spectrum certifies against the matrix of the
+gallery's builder `double_matrix` (entries from `SymTridiag.from_squares`).
 """
 
 from __future__ import annotations
@@ -29,18 +30,11 @@ from .matrices import (
     verify_spectrum_exact,
 )
 
+_HALF = Fraction(1, 2)
+
 
 class UnsupportedPoint(ValueError):
     """The evaluation point is not in the system's support set."""
-
-
-@dataclass(frozen=True)
-class EvenOddValue:
-    """Value even + odd_coefficient * q of a doubled polynomial at a support
-    point q; exactly one part is nonzero, depending on the index parity."""
-
-    even: ScaledRoot
-    odd_coefficient: ScaledRoot
 
 
 @dataclass(frozen=True)
@@ -82,89 +76,61 @@ class DoubledSystem:
                 return k
         raise UnsupportedPoint(f"{q} is not in the support")
 
-    def weight_at(self, k: int, q_is_zero: bool) -> Fraction:
-        w = family_weight(self.params, k)
-        return 2 * w if q_is_zero else w
-
     def norm(self, n: int) -> Fraction:
         return family_norm(self.params, n // 2)
 
-    def even_core(self, n: int, k: int) -> Fraction:
-        """Base-family polynomial value entering P_{2n} at support index k."""
-        return family_eval(self.params, n, k)
+    def value(self, n: int, k: int) -> ScaledRoot:
+        """c with P_n = c * q^(n mod 2) at both support points +-q_k.
 
-    def odd_core(self, n: int, k: int) -> Fraction:
-        """Hatted-family polynomial value entering P_{2n+1}, taken at the
-        shifted grid point k + xshift."""
+        P_n is (-1)^(n//2) times y_{n//2}(k) / sqrt(2) for even n, and times
+        the case's prefactor, q and the hatted polynomial at k + xshift for
+        odd n; the radicand (1/2, or the prefactor's) depends on n only.
+        Index k may exceed the grid, where the value is formal but exact.
+        """
+        half, sign = n // 2, (-1) ** (n // 2)
+        if n % 2 == 0:
+            return ScaledRoot(sign * family_eval(self.params, half, k), _HALF)
         pair = self._pair
-        return family_eval(pair.hatted, n, k + pair.xshift)
-
-    def odd_prefactor(self, n: int) -> ScaledRoot:
-        """The constant multiplying q * (shifted polynomial) in P_{2n+1},
-        including the overall 1/sqrt(2); its square is rational."""
-        return self.case.record.odd_prefactor(self.params, n)
+        pref = self.case.record.odd_prefactor(self.params, half)
+        core = family_eval(pair.hatted, half, k + pair.xshift)
+        return ScaledRoot(sign * pref.coef * core, pref.radicand)
 
 
 def doubled_system(case: DoubleCase, params: FamilyParams) -> DoubledSystem:
     return DoubledSystem(case, params)
 
 
-def doubled_eval(system: DoubledSystem, n: int, q: ScaledRoot) -> EvenOddValue:
-    """Exact even/odd decomposition of P_n(q) at a support point."""
+def doubled_eval(system: DoubledSystem, n: int, q: ScaledRoot) -> ScaledRoot:
+    """The coefficient c of P_n(q) = c * q^(n mod 2) at a support point."""
     if not 0 <= n < system.dim:
         raise ValueError(f"index n={n} outside 0..{system.dim - 1}")
-    k = system.point_index(q)
-    sgn = Fraction((-1) ** (n // 2))
-    if n % 2 == 0:
-        core = system.even_core(n // 2, k)
-        return EvenOddValue(ScaledRoot(sgn * core, Fraction(1, 2)), ScaledRoot.zero())
-    pref = system.odd_prefactor(n // 2)
-    core = system.odd_core(n // 2, k)
-    return EvenOddValue(ScaledRoot.zero(), ScaledRoot(sgn * pref.coef * core, pref.radicand))
+    return system.value(n, system.point_index(q))
 
 
 def verify_discrete_orthogonality(system: DoubledSystem) -> List[Fraction]:
-    """Residues of sum_{q in S} w(q) P_n(q) P_m(q) = norm(n) delta_{nm},
-    computed exactly through parity pairing.
+    """Residues of sum_{q in S} w(q) P_n(q) P_m(q) = norm(n) delta_{nm}
+    for 0 <= n <= m < dim, computed exactly through parity pairing.
 
+    Grouped by k, the two points +-q_k each carry weight w(k) and the lone
+    q = 0 point the doubled weight 2 w(k); either way each k contributes
+    2 w(k) [q_k^2 if n is odd] c_n(k) c_m(k) times the radicand of
+    `value`, a common nonzero factor that only the diagonal needs.
     Mixed-parity sums vanish identically because the integrand is odd over
     the negation-closed support; they contribute exact zeros here.
     """
-    N = system.params.N
-    dim = system.dim
-    even_top = dim - 1 - dim % 2  # largest even index
+    ks = range(system.params.N + 1)
+    weights = [2 * family_weight(system.params, k) for k in ks]
+    odd_weights = [w * system.point_square(k) for k, w in zip(ks, weights)]
+    table = [[system.value(n, k) for k in ks] for n in range(system.dim)]
     res: List[Fraction] = []
-
-    # grouping by k: the two points +-q_k each carry weight w(k), and the
-    # lone q = 0 point carries the doubled weight 2 w(k); either way each k
-    # contributes 2 w(k) times the (even in q) product value
-    ks = range(N + 1)
-    w = {k: system.weight_at(k, q_is_zero=False) for k in ks}
-    q2 = {k: system.point_square(k) for k in ks}
-
-    for n in range(dim):
-        for m in range(n, dim):
-            if (n - m) % 2 == 1:
+    for n, row in enumerate(table):
+        ws = odd_weights if n % 2 else weights
+        for m in range(n, system.dim):
+            if (n - m) % 2:
                 res.append(Fraction(0))
                 continue
-            expected = system.norm(n) if n == m else Fraction(0)
-            i, j = n // 2, m // 2
-            if n % 2 == 0:
-                sgn = Fraction((-1) ** (i + j)) / 2
-                total = sum(2 * w[k] * sgn * system.even_core(i, k) * system.even_core(j, k)
-                            for k in ks)
-                res.append(total - expected)
-            else:
-                pi, pj = system.odd_prefactor(i), system.odd_prefactor(j)
-                sgn = Fraction((-1) ** (i + j)) * pi.coef * pj.coef
-                core = sum(2 * w[k] * q2[k] * system.odd_core(i, k) * system.odd_core(j, k)
-                           for k in ks)
-                if n == m:
-                    res.append(sgn * pi.radicand * core - expected)
-                else:
-                    # prefactor sqrt(r_i r_j) is a common nonzero factor;
-                    # orthogonality is equivalent to the rational core sum
-                    res.append(sgn * core)
+            total = sum(w * c.coef * d.coef for w, c, d in zip(ws, row, table[m]))
+            res.append(total * row[0].radicand - system.norm(n) if n == m else total)
     return res
 
 
@@ -180,11 +146,9 @@ def degree_check(system: DoubledSystem, n: int) -> bool:
     """P_n has exact degree n in q: the polynomial-in-q^2 factor must have
     exact degree floor(n/2), checked by rational divided differences."""
     half = n // 2
-    core = system.even_core if n % 2 == 0 else system.odd_core
-    # nodes in the rational variable t = q^2; index k may exceed the grid,
-    # where the evaluation is formal but still exact
+    # nodes in the rational variable t = q^2; index k may exceed the grid
     nodes = [system.point_square(k) for k in range(half + 2)]
-    vals = [core(half, k) for k in range(half + 2)]
+    vals = [system.value(n, k).coef for k in range(half + 2)]
     top = _divided_difference(nodes[: half + 1], vals[: half + 1])
     beyond = _divided_difference(nodes, vals)
     return top != 0 and beyond == 0

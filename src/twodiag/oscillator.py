@@ -84,25 +84,14 @@ def verify_algebra(case: DoubleCase, params: DualHahnParams) -> Dict[str, List[F
     return res
 
 
-def commutator_sign(case: DoubleCase) -> int:
-    """Sign relating [J_plus, J_minus] to the normal form
-    2 J_0 + 2 nu J_0 P + (sigma/2) P + (rho/2) I.
-
-    The second dual Hahn case realizes the negated normal form (its ladder
-    operators match after the rescaling J_pm -> i J_pm, which flips the
-    commutator); the other two realize it directly.
-    """
-    return case.record.commutator_sign
-
-
 def structure_constants(case: DoubleCase, params: DualHahnParams) -> StructureConstants:
-    """(nu, sigma, rho) of the normal form, with the sign convention of
-    commutator_sign, read off the case's closed form: divided by the sign
-    it is 2 j0 + 2 nu j0 p + (sigma/2) p + rho/2, so its values at
-    j0, p in {0, 1} determine the three constants."""
+    """(nu, sigma, rho) of the normal form, with the case's commutator_sign,
+    read off the case's closed form: divided by the sign it is
+    2 j0 + 2 nu j0 p + (sigma/2) p + rho/2, so its values at j0, p in
+    {0, 1} determine the three constants."""
     if case not in ALGEBRA_CASES:
         raise UnsupportedCase(f"{case.value}: algebra realizations cover the dual Hahn cases")
-    sgn = commutator_sign(case)
+    sgn = case.record.commutator_sign
     c = {(j0, p): sgn * case.record.commutator(params, Fraction(j0), Fraction(p))
          for j0 in (0, 1) for p in (0, 1)}
     return StructureConstants(nu=(c[1, 1] - c[1, 0] - c[0, 1] + c[0, 0]) / 2,
@@ -114,6 +103,6 @@ def verify_normal_form(case: DoubleCase, params: DualHahnParams) -> List[Fractio
     rho/2 I) with the extracted structure constants; exact round trip."""
     alg = build_generators(case, params)
     sc = structure_constants(case, params)
-    sgn = commutator_sign(case)
+    sgn = case.record.commutator_sign
     return [c - sgn * (2 * j0 + 2 * sc.nu * j0 * p + sc.sigma / 2 * p + sc.rho / 2)
             for c, j0, p in zip(alg.commutator_diagonal(), alg.j0, alg.parity)]

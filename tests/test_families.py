@@ -110,13 +110,12 @@ def test_krawtchouk_values_and_symmetric_recurrence():
 
 
 def test_krawtchouk_matches_hypergeometric_kernel():
-    from twodiag.exact import hyper_terminating
-
-    p = KrawtchoukParams(F(1, 3), 5)
-    for n in range(6):
-        for x in range(6):
-            assert krawtchouk_eval(n, x, p) == hyper_terminating(
-                [-n, -x], [-5], F(3))
+    # the 2F1 evaluator against the fraction-free recurrence table, also
+    # off the grid and at p outside (0, 1)
+    xs = [F(-2), F(0), F(1, 2), F(3), F(7)]
+    for p in (KrawtchoukParams(F(1, 3), 5), KrawtchoukParams(F(-1, 2), 4)):
+        for n, (q, row) in enumerate(family_table(p, xs)):
+            assert [krawtchouk_eval(n, x, p) for x in xs] == [F(v, q) for v in row]
 
 
 def test_hahn_weight_values():

@@ -138,3 +138,28 @@ def test_duplicate_coordinates_are_refused():
     with pytest.raises(ParseError) as err:
         parse_exact_text("dim 3 3\n1 2 1\n2 1 1\n1 2 5\n")
     assert str(err.value).startswith("line 4:") and "twice" in str(err.value)
+
+
+def test_exact_text_errors_name_the_line_of_the_text():
+    with pytest.raises(ParseError) as err:
+        parse_exact_text("dim 3 3\n\n1 2 bogus\n")
+    assert str(err.value).startswith("line 3:")
+    with pytest.raises(ParseError) as err:
+        parse_exact_text("\n\ndim 3\n")
+    assert str(err.value).startswith("line 3:")
+
+
+@pytest.mark.parametrize("size", ["0 0 0", "1 1 0", "2 3 0"])
+def test_matrix_market_refuses_sizes_below_two_by_two(size):
+    with pytest.raises(ParseError) as err:
+        parse_matrix_market(f"{MM_HEADER}\n% comment\n{size}\n")
+    assert str(err.value).startswith("line 3:") and "dimension >= 2" in str(err.value)
+
+
+def test_matrix_market_refuses_entries_outside_the_band():
+    with pytest.raises(ParseError) as err:
+        parse_matrix_market(f"{MM_HEADER}\n3 3 2\n2 2 1.0\n1 3 7.0\n")
+    assert str(err.value).startswith("line 4:") and "(1,3)" in str(err.value)
+    assert "band" in str(err.value)
+    # diagonal entries stay allowed
+    assert parse_matrix_market(f"{MM_HEADER}\n2 2 1\n2 2 1.0\n") == (2, [(2, 2, 1.0)])

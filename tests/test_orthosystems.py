@@ -51,17 +51,19 @@ def test_support_symmetric_about_zero():
 def test_p0_is_constant():
     s = make_system(DoubleCase.DUAL_HAHN_I, 1)
     for q in s.support():
-        v = doubled_eval(s, 0, q)
-        assert v.even.coef == 1 and v.even.radicand == F(1, 2)
-        assert v.odd_coefficient.coef == 0
+        v = doubled_eval(s, 0, q)  # P_0 = v, with no factor q
+        assert v.coef == 1 and v.radicand == F(1, 2)
 
 
 def test_odd_members_vanish_at_zero():
+    # P_n = c q for odd n: c is the same at +-q_k, so P_n is odd in q and
+    # vanishes at q = 0, where c is still defined (support index 0)
     s = make_system(DoubleCase.DUAL_HAHN_I, 2)
     zero = ScaledRoot.zero()
     for n in range(1, s.dim, 2):
-        v = doubled_eval(s, n, zero)
-        assert v.even.coef == 0  # value is odd_coefficient * q = 0
+        assert doubled_eval(s, n, zero) == s.value(n, 0)
+        for q in s.support():
+            assert doubled_eval(s, n, q) == doubled_eval(s, n, -q)
 
 
 def test_even_member_reduces_to_family_value():
@@ -70,7 +72,7 @@ def test_even_member_reduces_to_family_value():
     for k in range(5):
         q = ScaledRoot.sqrt(k * (k + p.gamma + p.delta + 1))
         v = doubled_eval(s, 4, q)  # P_{2n} with n = 2
-        assert v.even.coef == dual_hahn_eval(2, k, p)
+        assert v.coef == dual_hahn_eval(2, k, p)
 
 
 @pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
@@ -78,6 +80,28 @@ def test_even_member_reduces_to_family_value():
 def test_orthogonality_exact(case, seed):
     s = make_system(case, seed)
     assert all(r == 0 for r in verify_discrete_orthogonality(s))
+
+
+@pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
+def test_doubled_prefactor_at_one_degree_is_caught(case, monkeypatch):
+    rec = CASE_TABLE[case]
+
+    def doubled_at_1(p, n):
+        pref = rec.odd_prefactor(p, n)
+        return ScaledRoot(2 * pref.coef, pref.radicand) if n == 1 else pref  # P_3
+
+    monkeypatch.setitem(CASE_TABLE, case, replace(rec, odd_prefactor=doubled_at_1))
+    assert any(r != 0 for r in verify_discrete_orthogonality(make_system(case, 4)))
+
+
+@pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
+def test_hatted_polynomial_off_its_grid_is_caught(case, monkeypatch):
+    # xshift + 1 reads the hatted polynomial at k where xshift = -1
+    # (DualHahnI, HahnII); HahnI has xshift = 0, so it moves to k + 1
+    rec = CASE_TABLE[case]
+    moved = lambda p: {**rec.sextet(p), "xshift": rec.sextet(p)["xshift"] + 1}
+    monkeypatch.setitem(CASE_TABLE, case, replace(rec, sextet=moved))
+    assert any(r != 0 for r in verify_discrete_orthogonality(make_system(case, 4)))
 
 
 @pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)

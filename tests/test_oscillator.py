@@ -9,7 +9,6 @@ from twodiag.matrices import InadmissibleParams, UnsupportedCase
 from twodiag.oscillator import (
     ALGEBRA_CASES,
     build_generators,
-    commutator_sign,
     structure_constants,
     verify_algebra,
     verify_normal_form,
@@ -74,7 +73,7 @@ def test_structure_constants_closed_forms():
     assert sc.rho == 2 * (g - d)
     sc2 = structure_constants(DoubleCase.DUAL_HAHN_II, p)
     assert sc2.nu == -(g + d + 2 * N + 1)
-    assert commutator_sign(DoubleCase.DUAL_HAHN_II) == -1
+    assert DoubleCase.DUAL_HAHN_II.record.commutator_sign == -1
     sc3 = structure_constants(DoubleCase.DUAL_HAHN_III, p)
     assert sc3.nu == g - d
     assert sc3.sigma == -2 * ((2 * N + 2) * (g + d + 1) + (2 * g + 1) * (2 * d + 1))
