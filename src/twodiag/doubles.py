@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exact import RationalLike, ScaledRoot
@@ -33,7 +34,7 @@ from .families import (
     FamilyParams,
     HahnParams,
     RacahParams,
-    family_eval,
+    family_column,
     recurrence_data,
 )
 
@@ -66,10 +67,14 @@ class DoubleCase(Enum):
         return CASE_TABLE[self].family
 
 
+_COEFFICIENTS = ("a", "b", "a_hat", "b_hat", "d", "d_hat")
+
+
 @dataclass(frozen=True)
 class CoefficientSextet:
     """Coefficient data of one doubling case at fixed parameters.
 
+    `coefficients` memoises the six functions for the life of the sextet.
     The overall gauge is fixed so that the requirement system holds with
     unit proportionality (a*ahat shifted = C-hat, b*bhat = A-hat, ...);
     rescaling relation 1 or relation 2 by a constant is the only freedom.
@@ -89,7 +94,7 @@ class CoefficientSextet:
     def flipped(self, which: str) -> "CoefficientSextet":
         """Copy with one coefficient function sign-flipped (for mutation
         sensitivity checks)."""
-        if which not in ("a", "b", "a_hat", "b_hat", "d", "d_hat"):
+        if which not in _COEFFICIENTS:
             raise ValueError(f"unknown coefficient {which!r}")
         old = getattr(self, which)
         return replace(self, **{which: lambda t, old=old: -old(t)})
@@ -148,8 +153,13 @@ def case_record(case: DoubleCase, params: FamilyParams) -> CaseRecord:
 
 
 def coefficients(case: DoubleCase, params: FamilyParams) -> CoefficientSextet:
-    """The exact coefficient sextet of a doubling case."""
-    return CoefficientSextet(case, params, **case_record(case, params).sextet(params))
+    """The exact coefficient sextet of a doubling case; each coefficient is
+    memoised per argument, in a memo of its own that this sextet (and its
+    flipped copies) alone reads."""
+    data = case_record(case, params).sextet(params)
+    for name in _COEFFICIENTS:
+        data[name] = lru_cache(maxsize=None)(data[name])
+    return CoefficientSextet(case, params, **data)
 
 
 def even_row_params(case: DoubleCase, params: FamilyParams) -> FamilyParams:
@@ -196,24 +206,24 @@ def _lazy_sum(*terms) -> Fraction:
 def pair_residue_forward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
     """Residue of relation 1; defined for n <= N-1 (and n <= Nhat)."""
     xf = Fraction(x)
-    y = lambda k: family_eval(cs.base, k, xf)
-    yh = lambda k: family_eval(cs.hatted, k, xf + cs.xshift)
+    y = family_column(cs.base, xf)
+    yh = family_column(cs.hatted, xf + cs.xshift)
     return _lazy_sum(
-        (cs.a(n), lambda: y(n)),
-        (cs.b(n), lambda: y(n + 1)),
-        (-cs.d_hat(xf), lambda: yh(n)),
+        (cs.a(n), lambda: y[n]),
+        (cs.b(n), lambda: y[n + 1]),
+        (-cs.d_hat(xf), lambda: yh[n]),
     )
 
 
 def pair_residue_backward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
     """Residue of relation 2; defined for n+1 <= Nhat (and n+1 <= N)."""
     xf = Fraction(x)
-    y = lambda k: family_eval(cs.base, k, xf)
-    yh = lambda k: family_eval(cs.hatted, k, xf + cs.xshift)
+    y = family_column(cs.base, xf)
+    yh = family_column(cs.hatted, xf + cs.xshift)
     return _lazy_sum(
-        (cs.a_hat(n), lambda: yh(n)),
-        (cs.b_hat(n), lambda: yh(n + 1)),
-        (-cs.d(xf), lambda: y(n + 1)),
+        (cs.a_hat(n), lambda: yh[n]),
+        (cs.b_hat(n), lambda: yh[n + 1]),
+        (-cs.d(xf), lambda: y[n + 1]),
     )
 
 
@@ -255,14 +265,15 @@ def verify_requirements(
     xh = xf + cs.xshift
     a, b, ah, bh = cs.a, cs.b, cs.a_hat, cs.b_hat
     dd = cs.d(xf) * cs.d_hat(xf)
+    lam, lam_h = rec.Lam(xf), rech.Lam(xh)
     res = [
         a(n) * ah(n - 1) - rech.C(n),
         a(n - 1) * ah(n - 1) - rec.C(n),
         b(n) * bh(n) - rech.A(n),
         b(n) * bh(n - 1) - rec.A(n),
-        (a(n) * bh(n - 1) + ah(n) * b(n) + rech.A(n) + rech.C(n)) - (dd - rech.Lam(xh)),
-        (a(n) * bh(n - 1) + ah(n - 1) * b(n - 1) + rec.A(n) + rec.C(n)) - (dd - rec.Lam(xf)),
-        (rec.Lam(xf) - rech.Lam(xh))
+        (a(n) * bh(n - 1) + ah(n) * b(n) + rech.A(n) + rech.C(n)) - (dd - lam_h),
+        (a(n) * bh(n - 1) + ah(n - 1) * b(n - 1) + rec.A(n) + rec.C(n)) - (dd - lam),
+        (lam - lam_h)
         - (ah(n - 1) * (a(n) - a(n - 1) - b(n - 1)) + b(n) * (ah(n) + bh(n) - bh(n - 1))),
     ]
     return res

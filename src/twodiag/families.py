@@ -8,14 +8,17 @@ exact rationals for rational parameters.  The recurrence used throughout is
     Lam(x) y_n(x) = A(n) y_{n+1}(x) - (A(n)+C(n)) y_n(x) + C(n) y_{n-1}(x).
 
 Two ways to the same numbers live here.  The per-point evaluators
-(`*_eval` by the series, `*_weight`/`*_norm` by their closed forms) are
-the independent oracle that the pair, requirement and orthogonality checks
-use.  The whole-table functions run the recurrence above in n, and the
-ratio recurrences of weight and norm, in O(N) steps: `family_table` gives
+(`*_eval` and `family_eval` by the series, `*_weight`/`*_norm` by their
+closed forms) are the definition and the independent oracle.  The
+whole-table functions run the recurrence above in n, and the ratio
+recurrences of weight and norm, in O(N) steps: `family_table` gives
 y_0..y_N on a whole grid as integer numerators over one integer
 denominator per degree (fraction-free, each row divided by its content),
 and `family_weights` and `family_norms` give the weight and norm tables;
-the eigenvector matrices are built from them.
+the eigenvector matrices are built from them.  The pair, requirement,
+transform and orthogonality checks read `family_column`, the recurrence
+values at one point cached per (parameters, x), through `family_value`;
+`verify` cross-checks those columns against the series.
 """
 
 from __future__ import annotations
@@ -192,6 +195,42 @@ def family_eval(params: FamilyParams, n: int, x: RationalLike) -> Fraction:
     return krawtchouk_eval(n, x, params)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class FamilyColumn:
+    """y_0(x), ..., y_N(x) of one family at one point x.  `table` holds the
+    recurrence values up to the first degree the recurrence cannot reach
+    (a vanishing A(n), which is a pole of the series, or a pole of A or C);
+    a higher degree is evaluated by the series when it is asked for, so
+    column[n] equals family_eval(params, n, x) or raises what it raises,
+    the ValueError for n outside 0..N included."""
+
+    params: FamilyParams
+    x: Fraction
+    table: tuple[Fraction, ...]
+
+    def __getitem__(self, n: int) -> Fraction:
+        if 0 <= n < len(self.table):
+            return self.table[n]
+        return family_eval(self.params, n, self.x)
+
+
+@lru_cache(maxsize=1 << 14)
+def family_column(params: FamilyParams, x: RationalLike) -> FamilyColumn:
+    """The column of values at x, from `family_table(params, [x])`."""
+    values = []
+    try:
+        for q, (p,) in family_table(params, [x]):
+            values.append(Fraction(p, q))
+    except ZeroDivisionError:
+        pass  # the degrees from here on are left to the series
+    return FamilyColumn(params, Fraction(x), tuple(values))
+
+
+def family_value(params: FamilyParams, n: int, x: RationalLike) -> Fraction:
+    """y_n(x) read from the cached column at x; equal to family_eval."""
+    return family_column(params, x)[n]
+
+
 # ---------------------------------------------------------------------------
 # recurrence data
 
@@ -205,9 +244,9 @@ class RecurrenceData:
 def _quotient_in_n(num, den=(), const: RationalLike = 1) -> Callable[[int], Fraction]:
     """n -> const * prod(k n + s) / prod(k' n + s'), the products over the
     (slope, offset) pairs of `num` and `den`, slopes integer and offsets
-    rational.  Each factor is scaled to integers once, so a call costs
-    integer products and one normalisation; a vanishing denominator raises
-    ZeroDivisionError."""
+    rational.  Each factor is scaled to integers once, so a first call costs
+    integer products and one normalisation, and later calls at the same n
+    read the memo; a vanishing denominator raises ZeroDivisionError."""
     def scaled(factors):
         ints, scale = [], 1
         for k, s in factors:
@@ -221,6 +260,7 @@ def _quotient_in_n(num, den=(), const: RationalLike = 1) -> Callable[[int], Frac
     c = Fraction(const) * den_scale / num_scale
     c_num, c_den = c.numerator, c.denominator
 
+    @lru_cache(maxsize=None)
     def f(n: int) -> Fraction:
         top, bottom = c_num, c_den
         for k, s in nums:
@@ -239,7 +279,8 @@ def _zero_at_0(f: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
 @lru_cache(maxsize=1024)
 def recurrence_data(params: FamilyParams) -> RecurrenceData:
     """Exact A(n), C(n) and Lam(x) closures for the family, built once per
-    parameter set (the kernel and requirement checks ask for them per point)."""
+    parameter set, with A and C memoised per n (the kernel and requirement
+    checks ask for them per point)."""
     if isinstance(params, HahnParams):
         a, b, N = params.alpha, params.beta, params.N
         return RecurrenceData(

@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 from .doubles import SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients
 from .exact import ScaledRoot
-from .families import FamilyParams, family_eval, family_norm, family_weight
+from .families import FamilyParams, family_norm, family_value, family_weight
 from .matrices import (
     InadmissibleParams,
     Spectrum,
@@ -89,10 +89,10 @@ class DoubledSystem:
         """
         half, sign = n // 2, (-1) ** (n // 2)
         if n % 2 == 0:
-            return ScaledRoot(sign * family_eval(self.params, half, k), _HALF)
+            return ScaledRoot(sign * family_value(self.params, half, k), _HALF)
         pair = self._pair
         pref = self.case.record.odd_prefactor(self.params, half)
-        core = family_eval(pair.hatted, half, k + pair.xshift)
+        core = family_value(pair.hatted, half, k + pair.xshift)
         return ScaledRoot(sign * pref.coef * core, pref.radicand)
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, List
 
 from .doubles import CoefficientSextet, DoubleCase, christoffel_nu, coefficients
 from .exact import RationalLike
-from .families import FamilyParams, family_eval, recurrence_data
+from .families import FamilyParams, family_column, family_value, recurrence_data
 
 
 class ZeroAtNu(ZeroDivisionError):
@@ -33,52 +34,67 @@ class SupportCollision(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class ChristoffelData:
+    """The kernel transform of one family at one nu.  a_n and b_n are
+    memoised per n for the life of the object, so a check that builds one
+    computes each a_n once."""
+
+    params: FamilyParams
     nu: Fraction
+    lam_nu: Fraction
     a_seq: Callable[[int], Fraction]
     b_seq: Callable[[int], Fraction]
+
+    def kernel(self, n: int, x: RationalLike) -> Fraction:
+        """Kernel partner value P_n(x), exact."""
+        denom = recurrence_data(self.params).Lam(x) - self.lam_nu
+        if denom == 0:
+            raise SupportCollision(f"Lam({x}) = Lam({self.nu})")
+        a_n = self.a_seq(n)
+        y = family_column(self.params, x)
+        return (y[n + 1] - a_n * y[n]) / denom
+
+    def reconstruct(self, n: int, x: RationalLike) -> Fraction:
+        """A(n) P_n(x) - b_n P_{n-1}(x); equals y_n(x) exactly."""
+        rec = recurrence_data(self.params)
+        if n == 0:
+            return rec.A(0) * self.kernel(0, x)
+        return rec.A(n) * self.kernel(n, x) - self.b_seq(n) * self.kernel(n - 1, x)
 
 
 def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
     nu = Fraction(nu)
     rec = recurrence_data(params)
     lam_nu = rec.Lam(nu)
+    y = family_column(params, nu)
 
+    @lru_cache(maxsize=None)
     def a_seq(n: int) -> Fraction:
-        denom = family_eval(params, n, nu)
+        denom = y[n]
         if denom == 0:
             raise ZeroAtNu(f"y_{n}({nu}) = 0")
-        return family_eval(params, n + 1, nu) / denom
+        return y[n + 1] / denom
 
+    @lru_cache(maxsize=None)
     def b_seq(n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
         return rec.A(n) + rec.C(n) + lam_nu - rec.A(n) * a_seq(n)
 
-    return ChristoffelData(nu, a_seq, b_seq)
+    return ChristoffelData(params, nu, lam_nu, a_seq, b_seq)
 
 
 def christoffel_kernel(
     params: FamilyParams, nu: RationalLike, n: int, x: RationalLike
 ) -> Fraction:
     """Kernel partner value P_n(x), exact."""
-    nu = Fraction(nu)
-    rec = recurrence_data(params)
-    denom = rec.Lam(x) - rec.Lam(nu)
-    if denom == 0:
-        raise SupportCollision(f"Lam({x}) = Lam({nu})")
-    a_n = christoffel_data(params, nu).a_seq(n)
-    return (family_eval(params, n + 1, x) - a_n * family_eval(params, n, x)) / denom
+    return christoffel_data(params, nu).kernel(n, x)
 
 
 def geronimus_reconstruct(params: FamilyParams, nu: RationalLike, n: int,
                           x: RationalLike) -> Fraction:
     """A(n) P_n(x) - b_n P_{n-1}(x) with P the kernel partner at nu; equals
     y_n(x) exactly."""
-    rec = recurrence_data(params)
-    if n == 0:
-        return rec.A(0) * christoffel_kernel(params, nu, 0, x)
-    return (rec.A(n) * christoffel_kernel(params, nu, n, x)
-            - christoffel_data(params, nu).b_seq(n) * christoffel_kernel(params, nu, n - 1, x))
+    return christoffel_data(params, nu).reconstruct(n, x)
 
 
 def verify_recurrence_link(params: FamilyParams, nu: RationalLike, n_max: int) -> List[Fraction]:
@@ -91,13 +107,13 @@ def verify_recurrence_link(params: FamilyParams, nu: RationalLike, n_max: int) -
 def verify_roundtrip(params: FamilyParams, nu: RationalLike, n_max: int, xs) -> List[Fraction]:
     """Residues of the Geronimus reconstruction against direct evaluation."""
     rec = recurrence_data(params)
-    lam_nu = rec.Lam(Fraction(nu))
+    data = christoffel_data(params, nu)
     out: List[Fraction] = []
     for n in range(n_max + 1):
         for x in xs:
-            if rec.Lam(x) == lam_nu:
+            if rec.Lam(x) == data.lam_nu:
                 continue
-            out.append(geronimus_reconstruct(params, nu, n, x) - family_eval(params, n, x))
+            out.append(data.reconstruct(n, x) - family_value(params, n, x))
     return out
 
 
@@ -140,7 +156,7 @@ def verify_same_family(case: DoubleCase, params: FamilyParams) -> List[Fraction]
         for x in range(N + 1):
             if rec.Lam(x) == lam_nu:
                 continue
-            lhs = christoffel_kernel(cs.base, nu, n, x)
-            rhs = (c / bn) * family_eval(cs.hatted, n, Fraction(x) + cs.xshift)
+            lhs = data.kernel(n, x)
+            rhs = (c / bn) * family_value(cs.hatted, n, Fraction(x) + cs.xshift)
             res.append(lhs - rhs)
     return res

@@ -25,7 +25,14 @@ from .doubles import (
     pair_grid_max_residue,
     requirements_grid_max_residue,
 )
-from .families import DualHahnParams, HahnParams, family_eval, family_norm, family_weight
+from .families import (
+    DualHahnParams,
+    HahnParams,
+    family_column,
+    family_eval,
+    family_norm,
+    family_weight,
+)
 from .matrices import (
     InadmissibleParams,
     double_matrix,
@@ -97,16 +104,25 @@ def suite_christoffel(rng: random.Random, max_n: int, draws: int) -> List[CheckO
     return out
 
 
-def _orthogonality_sum_check(params) -> bool:
-    """sum_x w(x) y_n(x) y_m(x) == delta_nm h_n for 0 <= n <= m <= N."""
+def _orthogonality_sum_check(params) -> tuple[bool, str]:
+    """(ok, detail): every column value y_n(x) on the grid equals the
+    series, and sum_x w(x) y_n(x) y_m(x) == delta_nm h_n for
+    0 <= n <= m <= N with the values read from the columns."""
     N = params.N
-    for n in range(N + 1):
+    grid = range(N + 1)
+    columns = [family_column(params, x) for x in grid]
+    for x, y in zip(grid, columns):
+        for n in grid:
+            if y[n] != family_eval(params, n, x):
+                return False, (f"table value y_{n}({x}) = {y[n]}, "
+                               f"the series gives {family_eval(params, n, x)}")
+    weights = [family_weight(params, x) for x in grid]
+    for n in grid:
         for m in range(n, N + 1):
-            s = sum(family_weight(params, x) * family_eval(params, n, x)
-                    * family_eval(params, m, x) for x in range(N + 1))
+            s = sum(w * y[n] * y[m] for w, y in zip(weights, columns))
             if s != (family_norm(params, n) if n == m else 0):
-                return False
-    return True
+                return False, f"sum at n={n}, m={m} is {s}"
+    return True, f"{(N + 1) ** 2} table values match the series"
 
 
 def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
@@ -116,7 +132,7 @@ def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[Chec
                              ("dual-hahn", rand_dual_hahn(rng, max_n)),
                              ("racah", rand_racah(rng, max_n, RACAH_SELECTORS[i % 3]))):
             out.append(CheckOutcome(f"orthogonality {word} [{_params_label(params)}]",
-                                    _orthogonality_sum_check(params)))
+                                    *_orthogonality_sum_check(params)))
 
     for i in range(draws):
         for case in orthosystems.SYSTEM_CASES:

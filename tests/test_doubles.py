@@ -8,6 +8,7 @@ from twodiag.doubles import (
     FamilyMismatch,
     christoffel_nu,
     coefficients,
+    locate_failure,
     pair_grid_max_residue,
     pair_residue_forward,
     requirements_grid_max_residue,
@@ -186,6 +187,31 @@ def test_mutation_sensitivity_single_sign_flip(case):
         bad = cs.flipped(which)
         assert (pair_grid_max_residue(bad) != 0
                 or requirements_grid_max_residue(bad) != 0), which
+
+
+COEFFICIENTS = ("a", "b", "a_hat", "b_hat", "d", "d_hat")
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_flipping_a_memoised_coefficient_is_caught(case):
+    cs = coefficients(case, draw(case, 5, max_n=4))
+    assert locate_failure(cs) is None  # fills every memo of the sextet
+    for which in COEFFICIENTS:
+        assert locate_failure(cs.flipped(which)) is not None, which
+    assert locate_failure(cs) is None
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_sextets_of_different_parameters_share_no_memo(case):
+    p1, p2 = draw(case, 1), draw(case, 2)
+    assert p1 != p2
+    first, second = coefficients(case, p1), coefficients(case, p2)
+    formulas = case.record.sextet(p2)  # the unmemoised coefficient functions
+    N = min(p1.N, p2.N)
+    for which in COEFFICIENTS:
+        args = range(N) if which in ("a", "b", "a_hat", "b_hat") else [F(x) for x in range(N + 1)]
+        [getattr(first, which)(t) for t in args]  # fill the first sextet's memo
+        assert [getattr(second, which)(t) for t in args] == [formulas[which](t) for t in args]
 
 
 def test_family_mismatch():

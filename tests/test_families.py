@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from twodiag.doubles import DoubleCase, coefficients
+from twodiag import doubles, families, transforms, verify
+from twodiag.doubles import DoubleCase, christoffel_nu, coefficients
 from twodiag.exact import DenominatorPole, pochhammer
 from twodiag.families import (
     DualHahnParams,
@@ -13,10 +15,12 @@ from twodiag.families import (
     dual_hahn_eval,
     dual_hahn_norm,
     dual_hahn_weight,
+    family_column,
     family_eval,
     family_norm,
     family_norms,
     family_table,
+    family_value,
     family_weight,
     family_weights,
     hahn_eval,
@@ -297,11 +301,14 @@ def test_weight_and_norm_tables_equal_closed_forms(seed):
         assert list(family_norms(fam)) == [family_norm(fam, n) for n in range(fam.N + 1)]
 
 
-@pytest.mark.parametrize("params", [
+SERIES_POLES = [
     HahnParams(-2, F(1, 3), 4),                      # alpha+1 = -1
     DualHahnParams(-2, F(1, 3), 4),                  # gamma+1 = -1
     RacahParams(-5, F(1, 2), -2, F(1, 3), "alpha"),  # gamma+1 = -1
-])
+]
+
+
+@pytest.mark.parametrize("params", SERIES_POLES)
 def test_column_at_a_series_pole_raises(params):
     with pytest.raises(DenominatorPole):
         family_eval(params, 2, 3)
@@ -309,3 +316,76 @@ def test_column_at_a_series_pole_raises(params):
         list(family_table(params, [3]))
     rows = family_table(params, [3])  # rows below the vanishing A(n) come first
     assert next(rows) == (1, [1])
+
+
+def _series(params, n, x):
+    """family_eval(params, n, x), or the type of the exception it raises."""
+    try:
+        return family_eval(params, n, x)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_family_value_equals_series(seed):
+    # every family and Racah degree cap, on the base grid, on the hatted
+    # grid at x + xshift (which reaches beyond the hatted N), at an
+    # off-grid point and at each case's rational transform parameter nu
+    rng = random.Random(seed + 10)
+    points = _case_families(seed) + _draws(seed)
+    for i, case in enumerate(DoubleCase):
+        p = rand_params_for_case(case, rng, 7, i)
+        points.append((p, [christoffel_nu(case, p)]))
+    for fam, xs in points:
+        for x in list(xs) + [F(-2, 3)]:
+            got = [family_value(fam, n, x) for n in range(fam.N + 1)]
+            assert got == [family_eval(fam, n, x) for n in range(fam.N + 1)], (fam, x)
+            for n in (-1, fam.N + 1):
+                with pytest.raises(ValueError, match="outside"):
+                    family_value(fam, n, x)
+
+
+@pytest.mark.parametrize("params", SERIES_POLES + [
+    HahnParams(F(-3, 2), F(-3, 2), 4),  # 2n+alpha+beta+1 = 0 at n = 1; no series pole
+])
+def test_column_past_the_recurrence_stop_reads_the_series(params):
+    col = family_column(params, 3)  # building the column raises nothing
+    assert list(col.table) == [family_eval(params, n, 3) for n in (0, 1)]
+    for x in range(params.N + 1):
+        for n in range(params.N + 1):
+            expected = _series(params, n, x)
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    family_value(params, n, x)
+            else:
+                assert family_value(params, n, x) == expected, (n, x)
+
+
+def _clear_family_caches():
+    for fn in (family_column, family_weights, family_norms):
+        fn.cache_clear()
+
+
+def test_a_shifted_hahn_a_fails_the_table_and_the_grids(monkeypatch):
+    real = families.recurrence_data
+
+    def mutant(params):
+        rec = real(params)
+        if not isinstance(params, HahnParams):
+            return rec
+        a = params.alpha
+        # the factor (n + alpha + 1) of A(n) becomes (n + alpha + 2)
+        return replace(rec, A=lambda n: rec.A(n) * (n + a + 2) / (n + a + 1))
+
+    for module in (families, doubles, transforms):
+        monkeypatch.setattr(module, "recurrence_data", mutant)
+    _clear_family_caches()
+    try:
+        with pytest.raises(AssertionError):
+            test_family_table_equals_series(0)
+        hahn = {c.value for c in DoubleCase if c.family is HahnParams}
+        for suite in (verify.suite_pairs, verify.suite_requirements):
+            failed = {o.label.split()[1] for o in suite(random.Random(0), 4, 1) if not o.ok}
+            assert failed == hahn, suite.__name__
+    finally:
+        _clear_family_caches()

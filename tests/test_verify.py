@@ -4,9 +4,10 @@ fact they check is broken."""
 import random
 from dataclasses import replace
 
-from twodiag import verify
+from twodiag import doubles, families, orthosystems, transforms, verify
 from twodiag.doubles import CASE_TABLE, DoubleCase
-from twodiag.families import HahnParams, family_norm
+from twodiag.families import FamilyColumn, HahnParams, family_norm
+from twodiag.sampling import rand_params_for_case
 
 
 def _failed(outcomes):
@@ -30,3 +31,31 @@ def test_kac_odd_spectra_fail_on_a_wrong_eigenvalue_square(monkeypatch):
     outcomes = verify.suite_spectra(random.Random(0), 3, 1)
     assert any(o.label.startswith("spectra kac-odd N=2 ") for o in outcomes if not o.ok)
     assert not any(o.label.startswith("spectra kac-odd N<=") for o in outcomes)
+
+
+def test_a_wrong_column_entry_fails_every_check_that_reads_columns(monkeypatch):
+    case = DoubleCase.HAHN_I
+    params = rand_params_for_case(case, random.Random(4), 4)
+
+    def checks():
+        cs = doubles.coefficients(case, params)
+        system = orthosystems.doubled_system(case, params)
+        return (doubles.pair_grid_max_residue(cs),
+                max(abs(r) for r in transforms.verify_same_family(case, params)),
+                max(abs(r) for r in orthosystems.verify_discrete_orthogonality(system)))
+
+    assert checks() == (0, 0, 0)
+    real = families.family_column
+
+    def perturbed(p, x):
+        col = real(p, x)
+        if x != 1:
+            return col
+        return FamilyColumn(col.params, col.x, (col.table[0], col.table[1] + 1) + col.table[2:])
+
+    for module in (families, doubles, transforms, verify):
+        monkeypatch.setattr(module, "family_column", perturbed)
+    assert all(worst != 0 for worst in checks())
+    failed = [o for o in verify.suite_orthogonality(random.Random(0), 3, 1) if not o.ok]
+    assert [o.label.split()[1] for o in failed] == ["hahn", "dual-hahn", "racah"] + ["doubled"] * 3
+    assert all(o.detail.startswith("table value y_1(1) = ") for o in failed[:3])
