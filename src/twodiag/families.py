@@ -24,10 +24,10 @@ values at one point cached per (parameters, x), through `family_value`;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 from .exact import (
     RationalLike,
@@ -38,44 +38,55 @@ from .exact import (
 )
 
 
+class FamilyParams:
+    """Base of the parameter classes, each a frozen dataclass.  Construction
+    (also through `dataclasses.replace`) coerces the fields declared
+    `Fraction`, runs the class's `_check` and hashes the field values once:
+    the parameters key every `lru_cache` here, and re-hashing their
+    `Fraction`s on each lookup would cost more than the lookup.  Equality
+    is the dataclass one (same class, equal fields); the cached hash is no
+    field, and every subclass gets this `__hash__` in its own namespace, so
+    `@dataclass(frozen=True)` keeps it instead of generating one."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__hash__ = FamilyParams.__hash__
+
+    def __post_init__(self):
+        values = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (Fraction, "Fraction"):
+                value = Fraction(value)
+                object.__setattr__(self, f.name, value)
+            values.append(value)
+        self._check()
+        object.__setattr__(self, "_hash", hash(tuple(values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _check(self) -> None:
+        if self.N < 0:
+            raise ValueError("N must be a nonnegative integer")
+
+
 @dataclass(frozen=True)
-class HahnParams:
+class HahnParams(FamilyParams):
     alpha: Fraction
     beta: Fraction
     N: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.N < 0:
-            raise ValueError("N must be a nonnegative integer")
-
-    @property
-    def is_admissible(self) -> bool:
-        a, b, N = self.alpha, self.beta, self.N
-        return (a > -1 and b > -1) or (a < -N and b < -N)
-
 
 @dataclass(frozen=True)
-class DualHahnParams:
+class DualHahnParams(FamilyParams):
     gamma: Fraction
     delta: Fraction
     N: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        if self.N < 0:
-            raise ValueError("N must be a nonnegative integer")
-
-    @property
-    def is_admissible(self) -> bool:
-        g, d, N = self.gamma, self.delta, self.N
-        return (g > -1 and d > -1) or (g < -N and d < -N)
-
 
 @dataclass(frozen=True)
-class RacahParams:
+class RacahParams(FamilyParams):
     """Racah parameters with an explicit choice of which denominator
     parameter carries the degree cap: one of alpha+1, beta+delta+1, gamma+1
     must equal -N for a nonnegative integer N (degree-0 families are the
@@ -87,9 +98,7 @@ class RacahParams:
     delta: Fraction
     minus_n: str = "alpha"  # "alpha" | "beta_delta" | "gamma"
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def _check(self) -> None:
         if self.minus_n not in ("alpha", "beta_delta", "gamma"):
             raise ValueError(f"unknown minus_n selector {self.minus_n!r}")
         cap = self._cap_value()
@@ -107,36 +116,17 @@ class RacahParams:
     def N(self) -> int:
         return -int(self._cap_value())
 
-    @property
-    def is_admissible(self) -> bool:
-        """True when all derived weights and norms are positive, which is
-        what real square roots in the normalized polynomials require."""
-        try:
-            ws = family_weights(self)
-            hs = family_norms(self)
-        except ZeroDivisionError:
-            return False
-        return all(w > 0 for w in ws) and all(h > 0 for h in hs)
-
 
 @dataclass(frozen=True)
-class KrawtchoukParams:
+class KrawtchoukParams(FamilyParams):
     p: Fraction
     N: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
+    def _check(self) -> None:
         if self.N < 1:
             raise ValueError("N must be a positive integer")
         if self.p == 0:
             raise ValueError("p must be nonzero")
-
-    @property
-    def is_admissible(self) -> bool:
-        return 0 < self.p < 1
-
-
-FamilyParams = Union[HahnParams, DualHahnParams, RacahParams, KrawtchoukParams]
 
 
 # ---------------------------------------------------------------------------

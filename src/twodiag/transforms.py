@@ -35,18 +35,18 @@ class SupportCollision(ZeroDivisionError):
 @dataclass(frozen=True)
 class ChristoffelData:
     """The kernel transform of one family at one nu.  a_n and b_n are
-    memoised per n for the life of the object, so a check that builds one
-    computes each a_n once."""
+    memoised per n, and gap(x) = Lam(x) - Lam(nu) per x, for the life of
+    the object, so a check that builds one computes each of them once."""
 
     params: FamilyParams
     nu: Fraction
-    lam_nu: Fraction
+    gap: Callable[[RationalLike], Fraction]
     a_seq: Callable[[int], Fraction]
     b_seq: Callable[[int], Fraction]
 
     def kernel(self, n: int, x: RationalLike) -> Fraction:
         """Kernel partner value P_n(x), exact."""
-        denom = recurrence_data(self.params).Lam(x) - self.lam_nu
+        denom = self.gap(x)
         if denom == 0:
             raise SupportCollision(f"Lam({x}) = Lam({self.nu})")
         a_n = self.a_seq(n)
@@ -68,6 +68,10 @@ def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
     y = family_column(params, nu)
 
     @lru_cache(maxsize=None)
+    def gap(x: RationalLike) -> Fraction:
+        return rec.Lam(x) - lam_nu
+
+    @lru_cache(maxsize=None)
     def a_seq(n: int) -> Fraction:
         denom = y[n]
         if denom == 0:
@@ -80,7 +84,7 @@ def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
             return Fraction(0)
         return rec.A(n) + rec.C(n) + lam_nu - rec.A(n) * a_seq(n)
 
-    return ChristoffelData(params, nu, lam_nu, a_seq, b_seq)
+    return ChristoffelData(params, nu, gap, a_seq, b_seq)
 
 
 def christoffel_kernel(
@@ -106,12 +110,11 @@ def verify_recurrence_link(params: FamilyParams, nu: RationalLike, n_max: int) -
 
 def verify_roundtrip(params: FamilyParams, nu: RationalLike, n_max: int, xs) -> List[Fraction]:
     """Residues of the Geronimus reconstruction against direct evaluation."""
-    rec = recurrence_data(params)
     data = christoffel_data(params, nu)
     out: List[Fraction] = []
     for n in range(n_max + 1):
         for x in xs:
-            if rec.Lam(x) == data.lam_nu:
+            if data.gap(x) == 0:
                 continue
             out.append(data.reconstruct(n, x) - family_value(params, n, x))
     return out
@@ -127,36 +130,21 @@ def verify_same_family(case: DoubleCase, params: FamilyParams) -> List[Fraction]
     """
     cs: CoefficientSextet = coefficients(case, params)
     nu = christoffel_nu(case, params)
-    rec = recurrence_data(cs.base)
-    lam_nu = rec.Lam(nu)
-    N = cs.base.N
-    res: List[Fraction] = []
-
-    # constant c from any grid point clear of the collision
-    c = None
-    for x0 in range(N + 1):
-        denom = rec.Lam(x0) - lam_nu
-        if denom != 0:
-            c = cs.d_hat(Fraction(x0)) / denom
-            break
-    if c is None:
-        raise SupportCollision("no grid point clear of nu")
-    for x in range(N + 1):
-        res.append(cs.d_hat(Fraction(x)) - c * (rec.Lam(x) - lam_nu))
-
     data = christoffel_data(cs.base, nu)
-    n_top = min(N, cs.hatted.N + 1)
-    for n in range(n_top):
-        res.append(data.a_seq(n) + cs.a(n) / cs.b(n))
+    grid = range(cs.base.N + 1)
+    clear = [x for x in grid if data.gap(x) != 0]
+    if not clear:
+        raise SupportCollision("no grid point clear of nu")
+    c = cs.d_hat(Fraction(clear[0])) / data.gap(clear[0])
+    res = [cs.d_hat(Fraction(x)) - c * data.gap(x) for x in grid]
 
-    for n in range(min(N, cs.hatted.N + 1)):
+    n_top = min(cs.base.N, cs.hatted.N + 1)
+    res += [data.a_seq(n) + cs.a(n) / cs.b(n) for n in range(n_top)]
+    for n in range(n_top):
         bn = cs.b(n)
         if bn == 0:
             continue
-        for x in range(N + 1):
-            if rec.Lam(x) == lam_nu:
-                continue
-            lhs = data.kernel(n, x)
+        for x in clear:
             rhs = (c / bn) * family_value(cs.hatted, n, Fraction(x) + cs.xshift)
-            res.append(lhs - rhs)
+            res.append(data.kernel(n, x) - rhs)
     return res

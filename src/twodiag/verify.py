@@ -139,7 +139,8 @@ def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[Chec
             params = rand_params_for_case(case, rng, max_n)
             system = orthosystems.doubled_system(case, params)
             res = orthosystems.verify_discrete_orthogonality(system)
-            ok = all(r == 0 for r in res) and orthosystems.support_matches_spectrum(system)
+            ok = (all(r == 0 for r in res) and orthosystems.support_matches_spectrum(system)
+                  and all(orthosystems.degree_check(system, n) for n in range(system.dim)))
             out.append(CheckOutcome(
                 f"orthogonality doubled {case.value} [{_params_label(params)}]", ok,
                 f"{len(res)} residues"))

@@ -1,5 +1,6 @@
 import random
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from twodiag.doubles import DoubleCase, christoffel_nu, coefficients
 from twodiag.exact import DenominatorPole, pochhammer
 from twodiag.families import (
     DualHahnParams,
+    FamilyParams,
     HahnParams,
     KrawtchoukParams,
     RacahParams,
@@ -95,10 +97,86 @@ def test_racah_degree_one_hand_expansion():
 
 
 def test_racah_requires_degree_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha selector requires 3/2 to be -N, N >= 0$"):
         RacahParams(F(1, 2), F(1, 3), F(1, 5), F(1, 7), "alpha")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown minus_n selector 'unknown'$"):
         RacahParams(-3, F(1, 2), F(1, 2), F(1, 2), "unknown")
+
+
+# (class, arguments with int spellings, the same with Fraction spellings,
+# field names, replacements that fail the class's check with their messages);
+# Hahn and dual Hahn take the same numbers, so they must differ by class only
+PARAM_CLASSES = [
+    (HahnParams, (1, -2, 3), (F(1), F(-2), 3), ("alpha", "beta", "N"),
+     [({"N": -1}, "N must be a nonnegative integer")]),
+    (DualHahnParams, (1, -2, 3), (F(1), F(-2), 3), ("gamma", "delta", "N"),
+     [({"N": -1}, "N must be a nonnegative integer")]),
+    (RacahParams, (-4, 1, 2, 3, "alpha"), (F(-4), F(1), F(2), F(3), "alpha"),
+     ("alpha", "beta", "gamma", "delta", "minus_n"),
+     [({"minus_n": "gamma"}, "gamma selector requires 3 to be -N, N >= 0")]),
+    (KrawtchoukParams, (2, 5), (F(2), 5), ("p", "N"),
+     [({"p": 0}, "p must be nonzero"), ({"N": 0}, "N must be a positive integer")]),
+]
+param_classes = pytest.mark.parametrize(
+    "cls, ints, fracs, names, bad", PARAM_CLASSES,
+    ids=[row[0].__name__ for row in PARAM_CLASSES])
+
+
+@param_classes
+def test_parameters_keep_their_fields_and_stay_frozen(cls, ints, fracs, names, bad):
+    p = cls(*ints)
+    assert [f.name for f in fields(p)] == list(names)
+    assert repr(p).startswith(f"{cls.__name__}({names[0]}=Fraction(")
+    for name in (names[0], "_hash"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, 1)
+
+
+@param_classes
+def test_parameters_compare_by_class_and_value(cls, ints, fracs, names, bad):
+    p, q = cls(*ints), cls(*fracs)
+    assert p == q and hash(p) == hash(q)
+    assert all(type(getattr(p, name)) is F for name in names if name not in ("N", "minus_n"))
+    assert all(p != other(*o_ints) for other, o_ints, *_ in PARAM_CLASSES if other is not cls)
+    moved, fresh = replace(p, **{names[1]: 7}), cls(*ints[:1], 7, *ints[2:])
+    assert moved != p and moved == fresh and hash(moved) == hash(fresh)
+    for change, message in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(p, **change)
+
+
+def _count_fraction_hashes(monkeypatch):
+    calls = []
+    real = F.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+    monkeypatch.setattr(F, "__hash__", counted)
+    return calls
+
+
+@param_classes
+def test_parameters_are_hashed_once_at_construction(cls, ints, fracs, names, bad,
+                                                     monkeypatch):
+    p = cls(*ints)
+    recurrence_data(p)
+    calls = _count_fraction_hashes(monkeypatch)
+    hash(p)
+    recurrence_data(p)  # a cache hit hashes the key
+    assert calls == []
+
+
+def test_a_dataclass_subclass_keeps_the_cached_hash(monkeypatch):
+    @dataclass(frozen=True)  # eq=True would generate a field hash
+    class Shifted(FamilyParams):
+        alpha: F
+        N: int
+
+    p, q = Shifted(F(1, 2), 3), Shifted(F(1, 2), 3)
+    assert Shifted.__hash__ is FamilyParams.__hash__ and type(Shifted(1, 3).alpha) is F
+    calls = _count_fraction_hashes(monkeypatch)
+    assert hash(p) == hash(q) and calls == []
 
 
 def test_krawtchouk_values_and_symmetric_recurrence():
@@ -229,16 +307,6 @@ def test_degenerate_racah_weight_reports_division():
     p = RacahParams(F(3, 2), F(7, 3), F(1, 3), -5 - F(7, 3), "beta_delta")
     with pytest.raises(ZeroDivisionError):
         racah_weight(2, p)
-    assert not p.is_admissible
-
-
-def test_admissibility_flags():
-    assert HahnParams(F(1, 2), F(1, 3), 4).is_admissible
-    assert not HahnParams(F(-3, 2), F(1, 3), 4).is_admissible
-    assert HahnParams(-6, -7, 4).is_admissible  # alpha < -N branch
-    assert DualHahnParams(F(1, 2), F(1, 3), 4).is_admissible
-    assert KrawtchoukParams(F(1, 2), 4).is_admissible
-    assert not KrawtchoukParams(F(3, 2), 4).is_admissible
 
 
 def test_hahn_norm_degenerate_denominator_reported():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 from twodiag import doubles, families, orthosystems, transforms, verify
 from twodiag.doubles import CASE_TABLE, DoubleCase
+from twodiag.exact import ScaledRoot
 from twodiag.families import FamilyColumn, HahnParams, family_norm
 from twodiag.sampling import rand_params_for_case
 
@@ -59,3 +60,24 @@ def test_a_wrong_column_entry_fails_every_check_that_reads_columns(monkeypatch):
     failed = [o for o in verify.suite_orthogonality(random.Random(0), 3, 1) if not o.ok]
     assert [o.label.split()[1] for o in failed] == ["hahn", "dual-hahn", "racah"] + ["doubled"] * 3
     assert all(o.detail.startswith("table value y_1(1) = ") for o in failed[:3])
+
+
+def test_doubled_values_moved_past_the_grid_fail_the_degree_check(monkeypatch):
+    # the orthogonality sums and the support certificate read P_n at the
+    # grid points k <= N only, so a change at k > N passes both; the
+    # doubled line must still fail, through the degree check
+    real = orthosystems.DoubledSystem.value
+
+    def moved(self, n, k):
+        v = real(self, n, k)
+        return ScaledRoot(v.coef + 1, v.radicand) if k > self.params.N else v
+
+    monkeypatch.setattr(orthosystems.DoubledSystem, "value", moved)
+    for case in orthosystems.SYSTEM_CASES:
+        system = orthosystems.doubled_system(
+            case, rand_params_for_case(case, random.Random(1), 3))
+        assert all(r == 0 for r in orthosystems.verify_discrete_orthogonality(system))
+        assert orthosystems.support_matches_spectrum(system)
+    failed = _failed(verify.suite_orthogonality(random.Random(0), 3, 1))
+    assert [label.split()[2] for label in failed] == ["DualHahnI", "HahnI", "HahnII"]
+    assert all(label.startswith("orthogonality doubled ") for label in failed)
