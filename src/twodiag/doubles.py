@@ -12,12 +12,13 @@ Eliminating yhat reproduces the base family's three-term recurrence, which
 pins the coefficient products to the recurrence data (the requirement
 system checked by verify_requirements).  The same products, times one
 sign per case, are the offdiagonal squares of the case's symmetric matrix
-(matrix_squares), so the matrix is built from the verified sextet.
+(matrix_squares), so the matrix is built from the verified sextet.  Its
+eigenvalue squares are the same sign times the gaps Lam(x) - Lam(nu) of
+the kernel transform onto the hatted family (eig_squares).
 
-Every per-case fact (sextet, Christoffel parameter, matrix, spectrum,
-eigenvector layout, doubled system, algebra, gallery defaults) is written
-once, in the CaseRecord of CASE_TABLE; the other modules look facts up
-there instead of branching on the case.
+Every per-case fact (sextet, Christoffel parameter, matrix, eigenvector
+layout, doubled system, algebra, gallery defaults) is written once, in
+the CaseRecord of CASE_TABLE; the other modules look facts up there.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .exact import RationalLike, ScaledRoot
 from .families import (
@@ -111,13 +112,11 @@ class CaseRecord:
     sextet: Callable[[FamilyParams], dict]
     # kernel-transform parameter mapping the family onto its hatted partner
     nu: Callable[[FamilyParams], Fraction]
-    # matrix dimension 2N+2 when True, else 2N+1 (one zero eigenvalue)
+    # matrix dimension 2N+2 when True, else 2N+1 (one zero eigenvalue, x = nu)
     even_dim: bool
-    # k-th eigenvalue square; k = 0 gives the zero eigenvalue of odd dimension
-    eig_square: Optional[Callable[[FamilyParams, int], Fraction]] = None
-    # sign turning the sextet's coefficient products into the matrix squares
+    # sign turning coefficient products into matrix squares, gaps into eigenvalue squares
     squares_sign: int = 1
-    # gallery parameters and their defaults (None: filled in from N)
+    # gallery parameters and their defaults (None: filled in from N); None: no matrix
     defaults: Optional[Dict[str, Optional[Fraction]]] = None
     # U's even rows, and the sextet of the matrix squares, use the family
     # with delta shifted by this much; its hatted partner gives U's odd
@@ -137,10 +136,6 @@ class CaseRecord:
 
     def dim(self, N: int) -> int:
         return 2 * N + 2 if self.even_dim else 2 * N + 1
-
-    def eig_squares(self, p: FamilyParams) -> List[Fraction]:
-        """Eigenvalue squares with the zero of odd dimension omitted."""
-        return [self.eig_square(p, k) for k in range(0 if self.even_dim else 1, p.N + 1)]
 
 
 def case_record(case: DoubleCase, params: FamilyParams) -> CaseRecord:
@@ -185,6 +180,19 @@ def matrix_squares(case: DoubleCase, params: FamilyParams) -> List[Fraction]:
         k = i // 2
         out.append(rec.squares_sign * (cs.b(k) * cs.a_hat(k) if i % 2 else cs.a(k) * cs.b_hat(k - 1)))
     return out
+
+
+def eig_squares(case: DoubleCase, params: FamilyParams,
+                xs: Optional[Iterable[RationalLike]] = None) -> List[Fraction]:
+    """The eigenvalue squares squares_sign * (Lam(x) - Lam(nu)) at the grid
+    points xs, Lam and nu read at `even_row_params` like the matrix squares;
+    by default x = 0..N but for the zero eigenvalue x = nu of odd dimension."""
+    rec, fam = case_record(case, params), even_row_params(case, params)
+    nu = rec.nu(fam)
+    gap = recurrence_data(fam).gap(nu)
+    if xs is None:
+        xs = [x for x in range(params.N + 1) if rec.even_dim or x != nu]
+    return [gap(x) for x in xs] if rec.squares_sign > 0 else [-gap(x) for x in xs]
 
 
 def christoffel_nu(case: DoubleCase, params: FamilyParams) -> Fraction:
@@ -559,51 +567,40 @@ def _racah_iv(p: RacahParams) -> dict:
 CASE_TABLE: Dict[DoubleCase, CaseRecord] = {
     DoubleCase.DUAL_HAHN_I: CaseRecord(
         DualHahnParams, _dual_hahn_i, nu=lambda p: F(0), even_dim=False,
-        eig_square=lambda p, k: k * (k + p.gamma + p.delta + 1),
         defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=0, nonsym=_dual_hahn_i_nonsym,
         odd_prefactor=_dual_hahn_i_prefactor,
         commutator=_dual_hahn_i_commutator),
     DoubleCase.DUAL_HAHN_II: CaseRecord(
-        DualHahnParams, _dual_hahn_ii, nu=lambda p: F(p.N), even_dim=False,
-        eig_square=lambda p, k: k * (p.gamma + p.delta + 1 + 2 * p.N - k), squares_sign=-1,
+        DualHahnParams, _dual_hahn_ii, nu=lambda p: F(p.N), even_dim=False, squares_sign=-1,
         defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=0, nonsym=_dual_hahn_ii_nonsym,
         commutator=_dual_hahn_ii_commutator, commutator_sign=-1),
     DoubleCase.DUAL_HAHN_III: CaseRecord(
         DualHahnParams, _dual_hahn_iii, nu=lambda p: -p.delta, even_dim=True,
-        eig_square=lambda p, k: (k + p.gamma + 1) * (k + p.delta + 1),
         defaults=_DUAL_HAHN_DEFAULTS, u_delta_shift=1, nonsym=_dual_hahn_iii_nonsym,
         commutator=_dual_hahn_iii_commutator),
     DoubleCase.HAHN_I: CaseRecord(
-        HahnParams, _hahn_i, nu=lambda p: -p.alpha - 1, even_dim=True,
-        eig_square=lambda p, k: k + p.alpha + 1, squares_sign=-1,
+        HahnParams, _hahn_i, nu=lambda p: -p.alpha - 1, even_dim=True, squares_sign=-1,
         defaults=_HAHN_DEFAULTS, u_delta_shift=0, odd_prefactor=_hahn_i_prefactor),
     DoubleCase.HAHN_II: CaseRecord(
-        HahnParams, _hahn_ii, nu=lambda p: F(0), even_dim=False,
-        eig_square=lambda p, k: F(k), squares_sign=-1,
+        HahnParams, _hahn_ii, nu=lambda p: F(0), even_dim=False, squares_sign=-1,
         defaults=_HAHN_DEFAULTS, u_delta_shift=0, odd_prefactor=_hahn_ii_prefactor),
     DoubleCase.HAHN_III: CaseRecord(
-        HahnParams, _hahn_iii, nu=lambda p: p.N + p.beta + 1, even_dim=True,
-        eig_square=lambda p, k: k + p.beta + 1,
-        defaults=_HAHN_DEFAULTS),
+        HahnParams, _hahn_iii, nu=lambda p: p.N + p.beta + 1, even_dim=True, defaults=_HAHN_DEFAULTS),
     DoubleCase.HAHN_IV: CaseRecord(
-        HahnParams, _hahn_iv, nu=lambda p: F(p.N), even_dim=False,
-        eig_square=lambda p, k: F(k),
-        defaults=_HAHN_DEFAULTS),
+        HahnParams, _hahn_iv, nu=lambda p: F(p.N), even_dim=False, defaults=_HAHN_DEFAULTS),
     DoubleCase.RACAH_I: CaseRecord(
         RacahParams, _racah_i, nu=lambda p: -p.delta, even_dim=True,
-        eig_square=lambda p, k: (k + p.gamma + 1) * (k + p.delta + 1),
         defaults=_RACAH_DEFAULTS, u_delta_shift=1),
     DoubleCase.RACAH_II: CaseRecord(
         RacahParams, _racah_ii, nu=lambda p: p.beta - p.gamma, even_dim=False),
     DoubleCase.RACAH_III: CaseRecord(
         RacahParams, _racah_iii, nu=lambda p: F(0), even_dim=False,
-        eig_square=lambda p, k: k * (k + p.gamma + p.delta + 1),
         defaults=_RACAH_DEFAULTS, u_delta_shift=0),
     DoubleCase.RACAH_IV: CaseRecord(
         RacahParams, _racah_iv, nu=lambda p: -p.alpha - 1, even_dim=False),
 }
 
-MATRIX_CASES = tuple(c for c in DoubleCase if c.record.eig_square is not None)
+MATRIX_CASES = tuple(c for c in DoubleCase if c.record.defaults is not None)
 EIGVEC_CASES = tuple(c for c in DoubleCase if c.record.u_delta_shift is not None)
 NONSYM_CASES = tuple(c for c in DoubleCase if c.record.nonsym is not None)
 SYSTEM_CASES = tuple(c for c in DoubleCase if c.record.odd_prefactor is not None)

@@ -230,6 +230,11 @@ class RecurrenceData:
     C: Callable[[int], Fraction]
     Lam: Callable[[RationalLike], Fraction]
 
+    def gap(self, nu: RationalLike) -> Callable[[RationalLike], Fraction]:
+        """x -> Lam(x) - Lam(nu), the kernel transform's denominator at nu."""
+        lam_nu = self.Lam(nu)
+        return lambda x: self.Lam(x) - lam_nu
+
 
 def _quotient_in_n(num, den=(), const: RationalLike = 1) -> Callable[[int], Fraction]:
     """n -> const * prod(k n + s) / prod(k' n + s'), the products over the
@@ -286,7 +291,7 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
         return RecurrenceData(
             _quotient_in_n([(1, g + 1), (1, -N)]),
             _quotient_in_n([(1, 0), (1, -d - N - 1)]),
-            lambda x: Fraction(x) * (Fraction(x) + g + d + 1),
+            lambda x, c=g + d + 1: Fraction(x) * (x + c),
         )
 
     if isinstance(params, RacahParams):
@@ -296,7 +301,7 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
                            [(2, a + b + 1), (2, a + b + 2)]),
             _zero_at_0(_quotient_in_n([(1, 0), (1, a + b - g), (1, a - d), (1, b)],
                                       [(2, a + b), (2, a + b + 1)])),
-            lambda x: Fraction(x) * (Fraction(x) + g + d + 1),
+            lambda x, c=g + d + 1: Fraction(x) * (x + c),
         )
 
     p, N = params.p, params.N

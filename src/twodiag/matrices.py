@@ -7,7 +7,8 @@ twice the integer forms of the first and third dual Hahn cases),
 `double_matrix` (a doubling case's symmetric matrix, its squares from the
 case's verified sextet, `doubles.matrix_squares`) and `nonsymmetric_form`
 (a dual Hahn case's integer-friendly form).  Each carries its closed-form
-spectrum, `Spectrum.symmetric` of the case's eigenvalue squares, and
+spectrum from `case_spectrum`, its squares the gaps Lam(x) - Lam(nu) of
+the case's kernel transform (`doubles.eig_squares`), and
 `SymTridiag.from_squares` is the one place exact squares become real
 symmetric entries.  Spectra are certified exactly: the characteristic
 polynomial of a zero-diagonal tridiagonal matrix depends only on its
@@ -26,7 +27,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .doubles import DoubleCase, case_record, coefficients, even_row_params, matrix_squares
+from .doubles import (DoubleCase, case_record, coefficients, eig_squares, even_row_params,
+                      matrix_squares)
 from .exact import RationalLike, ScaledRoot
 from .families import (
     DualHahnParams,
@@ -115,18 +117,6 @@ class Spectrum:
     def __post_init__(self):
         ordered = tuple(sorted(self.entries, key=ScaledRoot.signed_square))
         object.__setattr__(self, "entries", ordered)
-
-    @classmethod
-    def symmetric(cls, positive_squares: Iterable[RationalLike], zeros: int = 0) -> "Spectrum":
-        """Spectrum {+-sqrt(s)} for each listed square plus a number of zeros."""
-        entries: List[ScaledRoot] = [ScaledRoot.zero()] * zeros
-        for s in positive_squares:
-            s = Fraction(s)
-            if s <= 0:
-                raise InadmissibleParams(f"eigenvalue square {s} is not positive")
-            root = ScaledRoot.sqrt(s)
-            entries += (root, -root)
-        return cls(tuple(entries))
 
     @property
     def dim(self) -> int:
@@ -270,19 +260,28 @@ def _require_alpha_cap(case: DoubleCase, params: FamilyParams) -> None:
         )
 
 
+def case_spectrum(case: DoubleCase, params: FamilyParams, scale: int = 1) -> Spectrum:
+    """The case's closed-form spectrum times `scale`: +-scale sqrt(s) for each
+    s in `doubles.eig_squares` and the zero of odd dimension; s <= 0 raises."""
+    squares = [scale * scale * s for s in eig_squares(case, params)]
+    entries = [ScaledRoot.zero()] * (case_record(case, params).dim(params.N) - 2 * len(squares))
+    for s in squares:
+        if s <= 0:
+            raise InadmissibleParams(f"eigenvalue square {s} is not positive")
+        entries += (root := ScaledRoot.sqrt(s), -root)
+    return Spectrum(tuple(entries))
+
+
 def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:
     """The symmetric two-diagonal matrix of a doubling case, its squares
     from the sextet (`doubles.matrix_squares`), with its closed-form
     spectrum.  Raises InadmissibleParams when a square or an eigenvalue
     square is negative (real entries impossible)."""
-    rec = case_record(case, params)
-    if rec.eig_square is None:
+    if case_record(case, params).defaults is None:  # the cases with a matrix have defaults
         raise UnsupportedCase(f"{case.value}: no closed matrix form in the classification")
     _require_alpha_cap(case, params)
-    squares, eig_squares = matrix_squares(case, params), rec.eig_squares(params)
-    mat = SymTridiag.from_squares(squares)
-    spec = Spectrum.symmetric(eig_squares, zeros=mat.dim - 2 * len(eig_squares))
-    return MatrixWithSpectrum(f"double:{case.value}", mat, spec)
+    mat = SymTridiag.from_squares(matrix_squares(case, params))
+    return MatrixWithSpectrum(f"double:{case.value}", mat, case_spectrum(case, params))
 
 
 def nonsymmetric_entries(case: DoubleCase, params: DualHahnParams) -> TwoDiagonal:
@@ -297,13 +296,11 @@ def nonsymmetric_entries(case: DoubleCase, params: DualHahnParams) -> TwoDiagona
 def integer_form(case: DoubleCase, params: DualHahnParams, label: str,
                  scale: int = 1) -> MatrixWithSpectrum:
     """`scale` times the integer-friendly form of a dual Hahn case, with its
-    closed-form spectrum (the case's eigenvalue squares times scale^2)."""
+    closed-form spectrum scaled alike."""
     mat = nonsymmetric_entries(case, params)
     if scale != 1:
         mat = TwoDiagonal(tuple(scale * v for v in mat.sup), tuple(scale * v for v in mat.sub))
-    eig_squares = [scale * scale * s for s in case.record.eig_squares(params)]
-    spec = Spectrum.symmetric(eig_squares, zeros=mat.dim - 2 * len(eig_squares))
-    return MatrixWithSpectrum(label, mat, spec)
+    return MatrixWithSpectrum(label, mat, case_spectrum(case, params, scale))
 
 
 def nonsymmetric_form(case: DoubleCase, params: DualHahnParams) -> MatrixWithSpectrum:
@@ -397,13 +394,14 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     """The orthogonal eigenvector matrix U of a doubling case, as displayed
     in the corresponding matrix construction.
 
-    Eigenvalue k owns columns N-k (negative root) and N+k (positive root,
+    Grid point k owns columns N-k (negative root) and N+k (positive root,
     one further right in even dimension); in odd dimension the single
     column N holds the zero eigenvalue k = 0.  Row 2n holds (-1)^n y_n of
     the even-row family at x = k, row 2n+1 its hatted partner at x + xshift
     with opposite signs, scaled by sqrt(w(x) / 2h_n) (w(x) / h_n in the
-    single column).  Odd dimension with xshift 0 (second dual Hahn case)
-    runs the grid backwards, x = N - k, without the (-1)^n.
+    single column), for the eigenvalues +-sqrt(`doubles.eig_squares` at x).
+    Odd dimension with xshift 0 (second dual Hahn case) runs the grid
+    backwards, x = N - k, without the (-1)^n.
 
     Values come from the fraction-free integer tables of the three-term
     recurrence over the whole grid, weights and norms from their ratio
@@ -434,14 +432,13 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     ws = [w_even[x] if k < lone else w_even[x] / 2 for k, x in enumerate(xs)]
     _fill_rows(rows, floats, 0, family_table(fam_even, xs), h_even, ws, cols,
                alternate=not edge, negate=False)
+    dcol = [ScaledRoot.zero()] * dim
+    for (neg, pos), s in zip(cols[lone:], eig_squares(case, params, xs[lone:])):
+        root = ScaledRoot.sqrt(s)
+        dcol[neg], dcol[pos] = -root, root
     xs = [x + xshift for x in xs[lone:]]
     _fill_rows(rows, floats, 1, family_table(fam_odd, xs), h_odd,
                [w_odd[x] / 2 for x in xs], cols[lone:], alternate=not edge, negate=True)
-    dcol = [ScaledRoot.zero()] * dim
-    for k in range(lone, N + 1):
-        root = ScaledRoot.sqrt(rec.eig_square(params, k))
-        dcol[N - k] = -root
-        dcol[N + k + right] = root
     return EigvecMatrix(case, dim, tuple(tuple(r) for r in rows), tuple(dcol), np.array(floats))
 
 

@@ -7,7 +7,7 @@ the first two Hahn cases); for the rest only the matrix spectra exist in
 closed form.  `DoubledSystem.value` is the one definition of P_n: even
 members are polynomials in q^2, odd members q times a polynomial in q^2,
 and `doubled_eval` returns that value at a support point.  The support is
-the spectrum of the case's matrix, built by the same `Spectrum.symmetric`,
+the spectrum of the case's matrix, built by the same `case_spectrum`,
 which support_matches_spectrum certifies against the matrix of the
 gallery's builder `double_matrix` (entries from `SymTridiag.from_squares`).
 """
@@ -19,13 +19,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Tuple
 
-from .doubles import SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients
+from .doubles import (SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients,
+                      eig_squares)
 from .exact import ScaledRoot
 from .families import FamilyParams, family_norm, family_value, family_weight
 from .matrices import (
     InadmissibleParams,
     Spectrum,
     UnsupportedCase,
+    case_spectrum,
     double_matrix,
     verify_spectrum_exact,
 )
@@ -62,13 +64,13 @@ class DoubledSystem:
         return self.case.record.dim(self.params.N)
 
     def point_square(self, k: int) -> Fraction:
-        """q^2 of the k-th nonnegative support point."""
-        return self.case.record.eig_square(self.params, k)
+        """q^2 of the k-th nonnegative support point, the eigenvalue square
+        at grid point x = k."""
+        return eig_squares(self.case, self.params, [k])[0]
 
     def support(self) -> Tuple[ScaledRoot, ...]:
         """The support points in ascending order."""
-        squares = self.case.record.eig_squares(self.params)
-        return Spectrum.symmetric(squares, zeros=self.dim - 2 * len(squares)).entries
+        return case_spectrum(self.case, self.params).entries
 
     def point_index(self, q: ScaledRoot) -> int:
         for k in range(self.params.N + 1):

@@ -68,10 +68,6 @@ def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
     y = family_column(params, nu)
 
     @lru_cache(maxsize=None)
-    def gap(x: RationalLike) -> Fraction:
-        return rec.Lam(x) - lam_nu
-
-    @lru_cache(maxsize=None)
     def a_seq(n: int) -> Fraction:
         denom = y[n]
         if denom == 0:
@@ -84,7 +80,7 @@ def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
             return Fraction(0)
         return rec.A(n) + rec.C(n) + lam_nu - rec.A(n) * a_seq(n)
 
-    return ChristoffelData(params, nu, gap, a_seq, b_seq)
+    return ChristoffelData(params, nu, lru_cache(maxsize=None)(rec.gap(nu)), a_seq, b_seq)
 
 
 def christoffel_kernel(

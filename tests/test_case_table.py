@@ -11,6 +11,7 @@ from twodiag.doubles import (
     MATRIX_CASES,
     DoubleCase,
     coefficients,
+    eig_squares,
     even_row_params,
 )
 from twodiag.eigsolve import FAMILY_CHOICES
@@ -54,11 +55,14 @@ def test_eigenvalue_squares_certify_the_matrix(case, seed):
     rec = CASE_TABLE[case]
     p = rand_params_for_case(case, random.Random(seed), 7, 0)
     m = double_matrix(case, p)
-    squares = rec.eig_squares(p)
+    squares = eig_squares(case, p)
     assert m.matrix.dim == rec.dim(p.N)
     assert verify_squares_exact(m.matrix.products(), m.matrix.dim - 2 * len(squares), squares)
-    if not rec.even_dim:
-        assert rec.eig_square(p, 0) == 0  # the zero eigenvalue of odd dimension
+    # in odd dimension exactly the grid point x = nu has gap 0: the zero eigenvalue
+    nu, grid = rec.nu(even_row_params(case, p)), range(p.N + 1)
+    gaps = eig_squares(case, p, grid)
+    assert [x for x in grid if gaps[x] == 0] == ([] if rec.even_dim else [nu])
+    assert rec.even_dim or nu in (0, p.N)
 
 
 @pytest.mark.parametrize("case", EIGVEC_CASES, ids=lambda c: c.value)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodiag.doubles import CASE_TABLE, EIGVEC_CASES, DoubleCase, coefficients, matrix_squares
+from twodiag import verify
+from twodiag.doubles import (CASE_TABLE, EIGVEC_CASES, MATRIX_CASES, DoubleCase, coefficients,
+                             eig_squares, matrix_squares)
 from twodiag.eigsolve import FAMILY_CHOICES, build_gallery_matrix
 from twodiag.exact import ScaledRoot
 from twodiag.families import (
@@ -45,8 +47,6 @@ from twodiag.matrices import (
     verify_squares_exact,
 )
 from twodiag.sampling import rand_dual_hahn, rand_params_for_case, rand_racah
-
-MATRIX_CASES = [c for c in DoubleCase if c not in (DoubleCase.RACAH_II, DoubleCase.RACAH_IV)]
 
 
 def test_sylvester_kac_small():
@@ -160,6 +160,23 @@ def test_extended_kac_match_literal_forms_and_raise_where_they_do():
                     assert (list(m.matrix.sup), list(m.matrix.sub)) == (sup, sub)
                     assert sorted(m.spectrum.positive_squares()) == sorted(squares)
                     assert m.spectrum.zero_count() == (1 if odd else 0)
+
+
+def test_odd_dimension_omits_only_the_zero_gap_at_nu():
+    # kac-odd's gaps are k(k + g + d + 1) = k(k - 1): zero at x = 0 = nu and
+    # at x = 1; the first is the zero eigenvalue, the second refuses the matrix
+    p = DualHahnParams(-1, -1, 3)
+    assert eig_squares(DoubleCase.DUAL_HAHN_I, p, range(4)) == [0, 0, 2, 6]
+    assert eig_squares(DoubleCase.DUAL_HAHN_I, p) == [0, 2, 6]
+    with pytest.raises(InadmissibleParams, match="^eigenvalue square 0 is not positive$"):
+        extended_kac_odd(3, -1, -1)
+    # the spectra suite's fallback certifies such a matrix from its raw squares
+    assert verify._kac_odd_certified(3, F(-1), F(-1))
+
+
+def test_even_dimension_refuses_a_zero_gap():
+    with pytest.raises(InadmissibleParams, match="^eigenvalue square 0 is not positive$"):
+        double_matrix(DoubleCase.DUAL_HAHN_III, DualHahnParams(-1, F(1, 2), 3))
 
 
 def test_even_kac_spectrum_halves_to_dual_hahn_iii():
@@ -484,7 +501,7 @@ def test_eigvec_floats_are_the_entries_converted(case):
 
 def _real_eigenvalues(case, p):
     try:
-        return all(CASE_TABLE[case].eig_square(p, k) >= 0 for k in range(p.N + 1))
+        return all(s >= 0 for s in eig_squares(case, p, range(p.N + 1)))
     except ZeroDivisionError:
         return False
 

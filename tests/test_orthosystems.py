@@ -6,7 +6,7 @@ import pytest
 
 from twodiag.doubles import CASE_TABLE, DoubleCase
 from twodiag.exact import ScaledRoot
-from twodiag.families import DualHahnParams, HahnParams, dual_hahn_eval
+from twodiag.families import DualHahnParams, HahnParams, RecurrenceData, dual_hahn_eval
 from twodiag.matrices import UnsupportedCase
 from twodiag.orthosystems import (
     SYSTEM_CASES,
@@ -111,13 +111,16 @@ def test_support_equals_matrix_spectrum(case):
 
 @pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
 def test_moved_support_point_fails_the_certificate(case, monkeypatch):
-    # the support and the closed-form spectrum both come from eig_square;
-    # moving one point there must still fail against the sextet's matrix
-    rec = CASE_TABLE[case]
-    moved = lambda p, k: rec.eig_square(p, k) + (k == 1)
-    monkeypatch.setitem(CASE_TABLE, case, replace(rec, eig_square=moved))
+    # the support and the closed-form spectrum both come from the gap
+    # Lam(x) - Lam(nu); doubling it at x = 1 must still fail against the
+    # sextet's matrix
     s = make_system(case, 4)
-    assert ScaledRoot.sqrt(rec.eig_square(s.params, 1) + 1) in s.support()
+    square = s.point_square(1)
+    real = RecurrenceData.gap
+    monkeypatch.setattr(RecurrenceData, "gap",
+                        lambda self, nu: lambda x, g=real(self, nu): g(x) * (1 + (x == 1)))
+    s = make_system(case, 4)
+    assert s.point_square(1) == 2 * square and ScaledRoot.sqrt(2 * square) in s.support()
     assert not support_matches_spectrum(s)
 
 

@@ -4,7 +4,7 @@ fact they check is broken."""
 import random
 from dataclasses import replace
 
-from twodiag import doubles, families, orthosystems, transforms, verify
+from twodiag import doubles, families, matrices, orthosystems, transforms, verify
 from twodiag.doubles import CASE_TABLE, DoubleCase
 from twodiag.exact import ScaledRoot
 from twodiag.families import FamilyColumn, HahnParams, family_norm
@@ -26,12 +26,54 @@ def test_orthogonality_sums_fail_on_a_wrong_norm(monkeypatch):
 def test_kac_odd_spectra_fail_on_a_wrong_eigenvalue_square(monkeypatch):
     labels = [o.label for o in verify.suite_spectra(random.Random(0), 3, 1) if o.ok]
     assert any(label.startswith("spectra kac-odd N<=3 ") for label in labels)
-    rec = CASE_TABLE[DoubleCase.DUAL_HAHN_I]
-    moved = lambda p, k: rec.eig_square(p, k) + (k == 2)
-    monkeypatch.setitem(CASE_TABLE, DoubleCase.DUAL_HAHN_I, replace(rec, eig_square=moved))
+    # the gap Lam(x) - Lam(nu) is the one source of every eigenvalue square;
+    # for kac-odd (nu = 0) x = 2 is the second square
+    real = families.RecurrenceData.gap
+    monkeypatch.setattr(families.RecurrenceData, "gap",
+                        lambda self, nu: lambda x, g=real(self, nu): g(x) + (x == 2))
     outcomes = verify.suite_spectra(random.Random(0), 3, 1)
     assert any(o.label.startswith("spectra kac-odd N=2 ") for o in outcomes if not o.ok)
     assert not any(o.label.startswith("spectra kac-odd N<=") for o in outcomes)
+
+
+def test_a_moved_nu_fails_the_spectra_and_the_christoffel_suites(monkeypatch):
+    for case, rec in list(CASE_TABLE.items()):
+        monkeypatch.setitem(CASE_TABLE, case, replace(rec, nu=lambda p, nu=rec.nu: nu(p) + 1))
+    # some gap Lam(x) - Lam(nu + 1) turns negative, so a builder refuses the
+    # spectra suite's admissible draws; the suite then reports that as a FAIL
+    spectra = verify.run_suites(["spectra"], 4, 0, 2)
+    assert [(o.label, o.ok) for o in spectra] == [("spectra suite", False)]
+    assert spectra[0].detail.startswith("a draw was refused: eigenvalue square ")
+    christoffel = verify.run_suites(["christoffel"], 4, 0, 2)
+    assert len(christoffel) == 2 * len(DoubleCase) and not any(o.ok for o in christoffel)
+
+
+def test_eigenvalue_squares_from_the_hatted_lattice_fail_the_spectra_suite(monkeypatch):
+    def hatted_lattice(case, params, xs=None):
+        # the rule with Lam read at the hatted family instead of the base one
+        rec, fam = CASE_TABLE[case], doubles.even_row_params(case, params)
+        nu = rec.nu(fam)
+        gap = families.recurrence_data(doubles.coefficients(case, fam).hatted).gap(nu)
+        if xs is None:
+            xs = [x for x in range(params.N + 1) if rec.even_dim or x != nu]
+        return [rec.squares_sign * gap(x) for x in xs]
+
+    # the hatted lattice is another one only where the parameter map moves
+    # gamma + delta: Hahn Lam(x) = -x takes no parameter, and the other
+    # dual Hahn and Racah maps keep gamma + delta
+    moved = {DoubleCase.DUAL_HAHN_I, DoubleCase.RACAH_III}
+    for case in doubles.MATRIX_CASES:
+        p = rand_params_for_case(case, random.Random(3), 6)
+        assert (hatted_lattice(case, p) != doubles.eig_squares(case, p)) == (case in moved)
+    assert not _failed(verify.suite_spectra(random.Random(0), 4, 2))
+    for module in (matrices, verify):
+        monkeypatch.setattr(module, "eig_squares", hatted_lattice)
+    failed = _failed(verify.suite_spectra(random.Random(0), 4, 2))
+    doubled = {label.split()[1] for label in failed if label.startswith("spectra double:")}
+    assert doubled == {f"double:{c.value}" for c in moved}
+    # kac-odd is twice nonsym:DualHahnI, so both move with DualHahnI
+    assert any(label.startswith("spectra kac-odd N=") for label in failed)
+    assert any(label.startswith("spectra nonsym:DualHahnI ") for label in failed)
 
 
 def test_a_wrong_column_entry_fails_every_check_that_reads_columns(monkeypatch):
