@@ -6,7 +6,8 @@ parameter-shifted copy of itself through a two-term relation couple
 
 with xhat = x + xshift.  Each case fixes the six coefficient functions, the
 hatted parameter map and the shift; all identities verify to exact rational
-zero on the full (n, x) grid.
+zero on the full (n, x) grid.  Each coefficient is linear-factor data read
+by `families.linear_quotient`, like the recurrence data A(n), C(n).
 
 Eliminating yhat reproduces the base family's three-term recurrence, which
 pins the coefficient products to the recurrence data (the requirement
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .exact import RationalLike, ScaledRoot
@@ -36,6 +36,7 @@ from .families import (
     HahnParams,
     RacahParams,
     family_column,
+    linear_quotient as Q,
     recurrence_data,
 )
 
@@ -75,7 +76,7 @@ _COEFFICIENTS = ("a", "b", "a_hat", "b_hat", "d", "d_hat")
 class CoefficientSextet:
     """Coefficient data of one doubling case at fixed parameters.
 
-    `coefficients` memoises the six functions for the life of the sextet.
+    The six functions are linear-factor quotients with memos of their own.
     The overall gauge is fixed so that the requirement system holds with
     unit proportionality (a*ahat shifted = C-hat, b*bhat = A-hat, ...);
     rescaling relation 1 or relation 2 by a constant is the only freedom.
@@ -84,7 +85,7 @@ class CoefficientSextet:
     case: DoubleCase
     base: FamilyParams
     hatted: FamilyParams
-    xshift: Fraction
+    xshift: int
     a: Callable[[int], Fraction]
     b: Callable[[int], Fraction]
     a_hat: Callable[[int], Fraction]
@@ -108,7 +109,7 @@ class CaseRecord:
     form of that construction."""
 
     family: type
-    # hatted parameters, xshift and the six coefficient functions
+    # hatted parameters, xshift and the six coefficients as linear-factor quotients
     sextet: Callable[[FamilyParams], dict]
     # kernel-transform parameter mapping the family onto its hatted partner
     nu: Callable[[FamilyParams], Fraction]
@@ -148,13 +149,9 @@ def case_record(case: DoubleCase, params: FamilyParams) -> CaseRecord:
 
 
 def coefficients(case: DoubleCase, params: FamilyParams) -> CoefficientSextet:
-    """The exact coefficient sextet of a doubling case; each coefficient is
-    memoised per argument, in a memo of its own that this sextet (and its
-    flipped copies) alone reads."""
-    data = case_record(case, params).sextet(params)
-    for name in _COEFFICIENTS:
-        data[name] = lru_cache(maxsize=None)(data[name])
-    return CoefficientSextet(case, params, **data)
+    """The exact coefficient sextet of a doubling case.  Its quotients are
+    built per call, so only it and its flipped copies read their memos."""
+    return CoefficientSextet(case, params, **case_record(case, params).sextet(params))
 
 
 def even_row_params(case: DoubleCase, params: FamilyParams) -> FamilyParams:
@@ -274,7 +271,7 @@ def verify_requirements(
     a, b, ah, bh = cs.a, cs.b, cs.a_hat, cs.b_hat
     dd = cs.d(xf) * cs.d_hat(xf)
     lam, lam_h = rec.Lam(xf), rech.Lam(xh)
-    res = [
+    return [
         a(n) * ah(n - 1) - rech.C(n),
         a(n - 1) * ah(n - 1) - rec.C(n),
         b(n) * bh(n) - rech.A(n),
@@ -284,7 +281,6 @@ def verify_requirements(
         (lam - lam_h)
         - (ah(n - 1) * (a(n) - a(n - 1) - b(n - 1)) + b(n) * (ah(n) + bh(n) - bh(n - 1))),
     ]
-    return res
 
 
 def _relation_residues(cs: CoefficientSextet, x: int):
@@ -333,7 +329,8 @@ def locate_failure(cs: CoefficientSextet) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# per-case formulas, paired with their cases in CASE_TABLE below
+# per-case formulas, paired with their cases in CASE_TABLE below; Q(num, den,
+# const) is const * prod(k t + s) / prod(k' t + s') over its factors (k, s)
 
 _DUAL_HAHN_DEFAULTS = {"gamma": F(1, 2), "delta": F(1, 3)}
 _HAHN_DEFAULTS = {"alpha": F(1, 2), "beta": F(1, 3)}
@@ -344,13 +341,13 @@ _RACAH_DEFAULTS = {"beta": None, "gamma": F(1, 3), "delta": F(1, 5)}
 def _dual_hahn_i(p: DualHahnParams) -> dict:
     g, d_, N = p.gamma, p.delta, p.N
     return dict(
-        hatted=DualHahnParams(g + 1, d_ + 1, N - 1), xshift=F(-1),
-        a=lambda n: F(1),
-        b=lambda n: F(-1),
-        a_hat=lambda n: -(n + 1) * (N - n + d_),
-        b_hat=lambda n: (N - n - 1) * (n + g + 2),
-        d=lambda x: N * (g + 1),
-        d_hat=lambda x: x * (x + g + d_ + 1) / (N * (g + 1)),
+        hatted=DualHahnParams(g + 1, d_ + 1, N - 1), xshift=-1,
+        a=Q([]),
+        b=Q([], const=-1),
+        a_hat=Q([(1, 1), (-1, N + d_)], const=-1),
+        b_hat=Q([(-1, N - 1), (1, g + 2)]),
+        d=Q([], const=N * (g + 1)),
+        d_hat=Q([(1, 0), (1, g + d_ + 1)], [(0, N * (g + 1))]),
     )
 
 
@@ -376,13 +373,13 @@ def _dual_hahn_i_commutator(p: DualHahnParams, j0: Fraction, par: Fraction) -> F
 def _dual_hahn_ii(p: DualHahnParams) -> dict:
     g, d_, N = p.gamma, p.delta, p.N
     return dict(
-        hatted=DualHahnParams(g, d_, N - 1), xshift=F(0),
-        a=lambda n: n - d_ - N,
-        b=lambda n: -(n + g + 1),
-        a_hat=lambda n: F(n + 1),
-        b_hat=lambda n: F(-(n - N + 1)),
-        d=lambda x: F(N),
-        d_hat=lambda x: -(N - x) * (x + g + d_ + N + 1) / N,
+        hatted=DualHahnParams(g, d_, N - 1), xshift=0,
+        a=Q([(1, -d_ - N)]),
+        b=Q([(1, g + 1)], const=-1),
+        a_hat=Q([(1, 1)]),
+        b_hat=Q([(-1, N - 1)]),
+        d=Q([], const=N),
+        d_hat=Q([(-1, N), (1, g + d_ + N + 1)], [(0, N)], const=-1),
     )
 
 
@@ -403,13 +400,13 @@ def _dual_hahn_ii_commutator(p: DualHahnParams, j0: Fraction, par: Fraction) -> 
 def _dual_hahn_iii(p: DualHahnParams) -> dict:
     g, d_, N = p.gamma, p.delta, p.N
     return dict(
-        hatted=DualHahnParams(g + 1, d_ - 1, N), xshift=F(0),
-        a=lambda n: -(n - d_ - N),
-        b=lambda n: F(n - N),
-        a_hat=lambda n: F(-(n + 1)),
-        b_hat=lambda n: n + g + 2,
-        d=lambda x: g + 1,
-        d_hat=lambda x: (x + g + 1) * (x + d_) / (g + 1),
+        hatted=DualHahnParams(g + 1, d_ - 1, N), xshift=0,
+        a=Q([(-1, d_ + N)]),
+        b=Q([(1, -N)]),
+        a_hat=Q([(1, 1)], const=-1),
+        b_hat=Q([(1, g + 2)]),
+        d=Q([], const=g + 1),
+        d_hat=Q([(1, g + 1), (1, d_)], [(0, g + 1)]),
     )
 
 
@@ -437,13 +434,13 @@ def _hahn_i(p: HahnParams) -> dict:
     # relation 2 carries the opposite overall sign from relation 1's
     # natural gauge; d absorbs it so the requirement system closes.
     return dict(
-        hatted=HahnParams(al + 1, be, N), xshift=F(0),
-        a=lambda n: (n + s + N + 2) / (2 * n + s + 2),
-        b=lambda n: -(N - n) / (2 * n + s + 2),
-        a_hat=lambda n: (n + 1) * (n + be + 1) / (2 * n + s + 3),
-        b_hat=lambda n: -(n + s + 2) * (n + al + 2) / (2 * n + s + 3),
-        d=lambda x: -(al + 1),
-        d_hat=lambda x: (al + x + 1) / (al + 1),
+        hatted=HahnParams(al + 1, be, N), xshift=0,
+        a=Q([(1, s + N + 2)], [(2, s + 2)]),
+        b=Q([(-1, N)], [(2, s + 2)], const=-1),
+        a_hat=Q([(1, 1), (1, be + 1)], [(2, s + 3)]),
+        b_hat=Q([(1, s + 2), (1, al + 2)], [(2, s + 3)], const=-1),
+        d=Q([], const=-(al + 1)),
+        d_hat=Q([(1, al + 1)], [(0, al + 1)]),
     )
 
 
@@ -459,13 +456,13 @@ def _hahn_ii(p: HahnParams) -> dict:
     al, be, N = p.alpha, p.beta, p.N
     s = al + be
     return dict(
-        hatted=HahnParams(al + 1, be, N - 1), xshift=F(-1),
-        a=lambda n: 1 / (2 * n + s + 2),
-        b=lambda n: -1 / (2 * n + s + 2),
-        a_hat=lambda n: (n + 1) * (n + be + 1) * (n + s + N + 2) / (2 * n + s + 3),
-        b_hat=lambda n: -(n + s + 2) * (N - n - 1) * (n + al + 2) / (2 * n + s + 3),
-        d=lambda x: -N * (al + 1),
-        d_hat=lambda x: x / (N * (al + 1)),
+        hatted=HahnParams(al + 1, be, N - 1), xshift=-1,
+        a=Q([], [(2, s + 2)]),
+        b=Q([], [(2, s + 2)], const=-1),
+        a_hat=Q([(1, 1), (1, be + 1), (1, s + N + 2)], [(2, s + 3)]),
+        b_hat=Q([(1, s + 2), (-1, N - 1), (1, al + 2)], [(2, s + 3)], const=-1),
+        d=Q([], const=-N * (al + 1)),
+        d_hat=Q([(1, 0)], [(0, N * (al + 1))]),
     )
 
 
@@ -481,13 +478,13 @@ def _hahn_iii(p: HahnParams) -> dict:
     al, be, N = p.alpha, p.beta, p.N
     s = al + be
     return dict(
-        hatted=HahnParams(al, be + 1, N), xshift=F(0),
-        a=lambda n: (n + be + 1) * (n + N + 2 + s) / (2 * n + s + 2),
-        b=lambda n: (N - n) * (n + al + 1) / (2 * n + s + 2),
-        a_hat=lambda n: (n + 1) / (2 * n + s + 3),
-        b_hat=lambda n: (n + s + 2) / (2 * n + s + 3),
-        d=lambda x: F(1),
-        d_hat=lambda x: be + 1 + N - x,
+        hatted=HahnParams(al, be + 1, N), xshift=0,
+        a=Q([(1, be + 1), (1, s + N + 2)], [(2, s + 2)]),
+        b=Q([(-1, N), (1, al + 1)], [(2, s + 2)]),
+        a_hat=Q([(1, 1)], [(2, s + 3)]),
+        b_hat=Q([(1, s + 2)], [(2, s + 3)]),
+        d=Q([]),
+        d_hat=Q([(-1, be + N + 1)]),
     )
 
 
@@ -495,13 +492,13 @@ def _hahn_iv(p: HahnParams) -> dict:
     al, be, N = p.alpha, p.beta, p.N
     s = al + be
     return dict(
-        hatted=HahnParams(al, be + 1, N - 1), xshift=F(0),
-        a=lambda n: (n + be + 1) / (2 * n + s + 2),
-        b=lambda n: (n + al + 1) / (2 * n + s + 2),
-        a_hat=lambda n: (n + 1) * (n + s + N + 2) / (2 * n + s + 3),
-        b_hat=lambda n: (N - n - 1) * (n + s + 2) / (2 * n + s + 3),
-        d=lambda x: F(N),
-        d_hat=lambda x: (N - x) / N,
+        hatted=HahnParams(al, be + 1, N - 1), xshift=0,
+        a=Q([(1, be + 1)], [(2, s + 2)]),
+        b=Q([(1, al + 1)], [(2, s + 2)]),
+        a_hat=Q([(1, 1), (1, s + N + 2)], [(2, s + 3)]),
+        b_hat=Q([(-1, N - 1), (1, s + 2)], [(2, s + 3)]),
+        d=Q([], const=N),
+        d_hat=Q([(-1, N)], [(0, N)]),
     )
 
 
@@ -509,13 +506,13 @@ def _racah_i(p: RacahParams) -> dict:
     al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
     s = al + be
     return dict(
-        hatted=RacahParams(al, be + 1, ga + 1, de - 1, p.minus_n), xshift=F(0),
-        a=lambda n: -(n - de + al + 1) * (n + be + 1) / (2 * n + s + 2),
-        b=lambda n: (n + be + de + 1) * (n + al + 1) / (2 * n + s + 2),
-        a_hat=lambda n: -(n + 1) * (n - ga + s + 1) / (2 * n + s + 3),
-        b_hat=lambda n: (n + s + 2) * (n + ga + 2) / (2 * n + s + 3),
-        d=lambda x: ga + 1,
-        d_hat=lambda x: (x + de) * (x + ga + 1) / (ga + 1),
+        hatted=RacahParams(al, be + 1, ga + 1, de - 1, p.minus_n), xshift=0,
+        a=Q([(1, al - de + 1), (1, be + 1)], [(2, s + 2)], const=-1),
+        b=Q([(1, be + de + 1), (1, al + 1)], [(2, s + 2)]),
+        a_hat=Q([(1, 1), (1, s - ga + 1)], [(2, s + 3)], const=-1),
+        b_hat=Q([(1, s + 2), (1, ga + 2)], [(2, s + 3)]),
+        d=Q([], const=ga + 1),
+        d_hat=Q([(1, de), (1, ga + 1)], [(0, ga + 1)]),
     )
 
 
@@ -523,13 +520,13 @@ def _racah_ii(p: RacahParams) -> dict:
     al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
     s = al + be
     return dict(
-        hatted=RacahParams(al, be + 1, ga, de, p.minus_n), xshift=F(0),
-        a=lambda n: -(n - ga + s + 1) * (n + be + 1) / (2 * n + s + 2),
-        b=lambda n: (n + ga + 1) * (n + al + 1) / (2 * n + s + 2),
-        a_hat=lambda n: -(n + 1) * (n - de + al + 1) / (2 * n + s + 3),
-        b_hat=lambda n: (n + be + de + 2) * (n + s + 2) / (2 * n + s + 3),
-        d=lambda x: be + de + 1,
-        d_hat=lambda x: (x + be + de + 1) * (x + ga - be) / (be + de + 1),
+        hatted=RacahParams(al, be + 1, ga, de, p.minus_n), xshift=0,
+        a=Q([(1, s - ga + 1), (1, be + 1)], [(2, s + 2)], const=-1),
+        b=Q([(1, ga + 1), (1, al + 1)], [(2, s + 2)]),
+        a_hat=Q([(1, 1), (1, al - de + 1)], [(2, s + 3)], const=-1),
+        b_hat=Q([(1, be + de + 2), (1, s + 2)], [(2, s + 3)]),
+        d=Q([], const=be + de + 1),
+        d_hat=Q([(1, be + de + 1), (1, ga - be)], [(0, be + de + 1)]),
     )
 
 
@@ -537,13 +534,13 @@ def _racah_iii(p: RacahParams) -> dict:
     al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
     s = al + be
     return dict(
-        hatted=RacahParams(al + 1, be, ga + 1, de + 1, p.minus_n), xshift=F(-1),
-        a=lambda n: -1 / (2 * n + s + 2),
-        b=lambda n: 1 / (2 * n + s + 2),
-        a_hat=lambda n: -(n + 1) * (n - ga + s + 1) * (n - de + al + 1) * (n + be + 1) / (2 * n + s + 3),
-        b_hat=lambda n: (n + ga + 2) * (n + be + de + 2) * (n + al + 2) * (n + s + 2) / (2 * n + s + 3),
-        d=lambda x: (ga + 1) * (be + de + 1) * (al + 1),
-        d_hat=lambda x: x * (x + ga + de + 1) / ((ga + 1) * (be + de + 1) * (al + 1)),
+        hatted=RacahParams(al + 1, be, ga + 1, de + 1, p.minus_n), xshift=-1,
+        a=Q([], [(2, s + 2)], const=-1),
+        b=Q([], [(2, s + 2)]),
+        a_hat=Q([(1, 1), (1, s - ga + 1), (1, al - de + 1), (1, be + 1)], [(2, s + 3)], const=-1),
+        b_hat=Q([(1, ga + 2), (1, be + de + 2), (1, al + 2), (1, s + 2)], [(2, s + 3)]),
+        d=Q([], const=(ga + 1) * (be + de + 1) * (al + 1)),
+        d_hat=Q([(1, 0), (1, ga + de + 1)], [(0, ga + 1), (0, be + de + 1), (0, al + 1)]),
     )
 
 
@@ -551,13 +548,13 @@ def _racah_iv(p: RacahParams) -> dict:
     al, be, ga, de = p.alpha, p.beta, p.gamma, p.delta
     s = al + be
     return dict(
-        hatted=RacahParams(al + 1, be, ga, de, p.minus_n), xshift=F(0),
-        a=lambda n: -(n - ga + s + 1) * (n - de + al + 1) / (2 * n + s + 2),
-        b=lambda n: (n + ga + 1) * (n + be + de + 1) / (2 * n + s + 2),
-        a_hat=lambda n: -(n + 1) * (n + be + 1) / (2 * n + s + 3),
-        b_hat=lambda n: (n + al + 2) * (n + s + 2) / (2 * n + s + 3),
-        d=lambda x: al + 1,
-        d_hat=lambda x: (x + ga + de - al) * (x + al + 1) / (al + 1),
+        hatted=RacahParams(al + 1, be, ga, de, p.minus_n), xshift=0,
+        a=Q([(1, s - ga + 1), (1, al - de + 1)], [(2, s + 2)], const=-1),
+        b=Q([(1, ga + 1), (1, be + de + 1)], [(2, s + 2)]),
+        a_hat=Q([(1, 1), (1, be + 1)], [(2, s + 3)], const=-1),
+        b_hat=Q([(1, al + 2), (1, s + 2)], [(2, s + 3)]),
+        d=Q([], const=al + 1),
+        d_hat=Q([(1, ga + de - al), (1, al + 1)], [(0, al + 1)]),
     )
 
 

@@ -18,7 +18,9 @@ and `family_weights` and `family_norms` give the weight and norm tables;
 the eigenvector matrices are built from them.  The pair, requirement,
 transform and orthogonality checks read `family_column`, the recurrence
 values at one point cached per (parameters, x), through `family_value`;
-`verify` cross-checks those columns against the series.
+`verify` cross-checks those columns against the series.  `linear_quotient`
+is the one evaluator of A(n), C(n) and the coefficients of the `doubles`
+sextets, all products of linear factors, at integer or rational arguments.
 """
 
 from __future__ import annotations
@@ -236,12 +238,12 @@ class RecurrenceData:
         return lambda x: self.Lam(x) - lam_nu
 
 
-def _quotient_in_n(num, den=(), const: RationalLike = 1) -> Callable[[int], Fraction]:
-    """n -> const * prod(k n + s) / prod(k' n + s'), the products over the
-    (slope, offset) pairs of `num` and `den`, slopes integer and offsets
-    rational.  Each factor is scaled to integers once, so a first call costs
-    integer products and one normalisation, and later calls at the same n
-    read the memo; a vanishing denominator raises ZeroDivisionError."""
+def linear_quotient(num, den=(), const: RationalLike = 1) -> Callable[[RationalLike], Fraction]:
+    """t -> const * prod(k t + s) / prod(k' t + s') over the (slope, offset)
+    pairs of `num` and `den`, slopes integer, offsets rational, memoised per
+    t: integer products and one normalisation at an integer t, Fractions at a
+    rational one.  A vanishing denominator raises ZeroDivisionError at the
+    call; a constant that can vanish goes into `den` as (0, c), not `const`."""
     def scaled(factors):
         ints, scale = [], 1
         for k, s in factors:
@@ -256,12 +258,12 @@ def _quotient_in_n(num, den=(), const: RationalLike = 1) -> Callable[[int], Frac
     c_num, c_den = c.numerator, c.denominator
 
     @lru_cache(maxsize=None)
-    def f(n: int) -> Fraction:
+    def f(t: RationalLike) -> Fraction:
         top, bottom = c_num, c_den
         for k, s in nums:
-            top *= k * n + s
+            top *= k * t + s
         for k, s in dens:
-            bottom *= k * n + s
+            bottom *= k * t + s
         return Fraction(top, bottom)
     return f
 
@@ -279,35 +281,35 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
     if isinstance(params, HahnParams):
         a, b, N = params.alpha, params.beta, params.N
         return RecurrenceData(
-            _quotient_in_n([(1, a + 1), (1, a + b + 1), (-1, N)],
-                           [(2, a + b + 1), (2, a + b + 2)]),
-            _zero_at_0(_quotient_in_n([(1, 0), (1, a + b + N + 1), (1, b)],
-                                      [(2, a + b), (2, a + b + 1)])),
+            linear_quotient([(1, a + 1), (1, a + b + 1), (-1, N)],
+                            [(2, a + b + 1), (2, a + b + 2)]),
+            _zero_at_0(linear_quotient([(1, 0), (1, a + b + N + 1), (1, b)],
+                                       [(2, a + b), (2, a + b + 1)])),
             lambda x: -Fraction(x),
         )
 
     if isinstance(params, DualHahnParams):
         g, d, N = params.gamma, params.delta, params.N
         return RecurrenceData(
-            _quotient_in_n([(1, g + 1), (1, -N)]),
-            _quotient_in_n([(1, 0), (1, -d - N - 1)]),
+            linear_quotient([(1, g + 1), (1, -N)]),
+            linear_quotient([(1, 0), (1, -d - N - 1)]),
             lambda x, c=g + d + 1: Fraction(x) * (x + c),
         )
 
     if isinstance(params, RacahParams):
         a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
         return RecurrenceData(
-            _quotient_in_n([(1, a + 1), (1, a + b + 1), (1, g + 1), (1, b + d + 1)],
-                           [(2, a + b + 1), (2, a + b + 2)]),
-            _zero_at_0(_quotient_in_n([(1, 0), (1, a + b - g), (1, a - d), (1, b)],
-                                      [(2, a + b), (2, a + b + 1)])),
+            linear_quotient([(1, a + 1), (1, a + b + 1), (1, g + 1), (1, b + d + 1)],
+                            [(2, a + b + 1), (2, a + b + 2)]),
+            _zero_at_0(linear_quotient([(1, 0), (1, a + b - g), (1, a - d), (1, b)],
+                                       [(2, a + b), (2, a + b + 1)])),
             lambda x, c=g + d + 1: Fraction(x) * (x + c),
         )
 
     p, N = params.p, params.N
     return RecurrenceData(
-        _quotient_in_n([(-1, N)], const=p),
-        _quotient_in_n([(1, 0)], const=1 - p),
+        linear_quotient([(-1, N)], const=p),
+        linear_quotient([(1, 0)], const=1 - p),
         lambda x: -Fraction(x),
     )
 

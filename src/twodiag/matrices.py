@@ -418,7 +418,7 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
         return EigvecMatrix(case, 1, ((ScaledRoot.of(1),),), (ScaledRoot.zero(),), np.ones((1, 1)))
     fam_even = even_row_params(case, params)
     pair = coefficients(case, fam_even)
-    fam_odd, xshift = pair.hatted, int(pair.xshift)
+    fam_odd, xshift = pair.hatted, pair.xshift
     N, dim = params.N, rec.dim(params.N)
     right = 1 if rec.even_dim else 0
     edge = not rec.even_dim and xshift == 0

@@ -9,7 +9,8 @@ the exact checks are written only here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Dict, List
 
@@ -28,7 +29,6 @@ from .doubles import (
 )
 from .families import (
     DualHahnParams,
-    HahnParams,
     family_column,
     family_eval,
     family_norm,
@@ -60,13 +60,24 @@ class CheckOutcome:
     detail: str = ""
 
 
+@contextmanager
+def _check(out: List[CheckOutcome], label: str):
+    """Yield an outcome `label`, FAIL until the block fills it in, then append
+    it to out; a builder refusing the draw leaves it FAIL with the refusal."""
+    outcome = CheckOutcome(label, False)
+    try:
+        yield outcome
+    except InadmissibleParams as exc:
+        outcome.ok, outcome.detail = False, f"refused: {exc}"
+    out.append(outcome)
+
+
+_ABBREVIATIONS = {"alpha": "a", "beta": "b", "gamma": "g", "delta": "d", "minus_n": "cap"}
+
+
 def _params_label(params) -> str:
-    if isinstance(params, DualHahnParams):
-        return f"g={params.gamma},d={params.delta},N={params.N}"
-    if isinstance(params, HahnParams):
-        return f"a={params.alpha},b={params.beta},N={params.N}"
-    return (f"a={params.alpha},b={params.beta},g={params.gamma},"
-            f"d={params.delta},cap={params.minus_n}")
+    return ",".join(f"{_ABBREVIATIONS.get(f.name, f.name)}={getattr(params, f.name)}"
+                    for f in fields(params))
 
 
 def _grid_suite(word: str, grid_max_residue) -> Callable[[random.Random, int, int], List[CheckOutcome]]:
@@ -138,22 +149,19 @@ def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[Chec
     for i in range(draws):
         for case in orthosystems.SYSTEM_CASES:
             params = rand_params_for_case(case, rng, max_n)
-            system = orthosystems.doubled_system(case, params)
-            res = orthosystems.verify_discrete_orthogonality(system)
-            ok = (all(r == 0 for r in res) and orthosystems.support_matches_spectrum(system)
-                  and all(orthosystems.degree_check(system, n) for n in range(system.dim)))
-            out.append(CheckOutcome(
-                f"orthogonality doubled {case.value} [{_params_label(params)}]", ok,
-                f"{len(res)} residues"))
+            with _check(out, f"orthogonality doubled {case.value} [{_params_label(params)}]") as c:
+                system = orthosystems.doubled_system(case, params)
+                res = orthosystems.verify_discrete_orthogonality(system)
+                c.ok = (all(r == 0 for r in res) and orthosystems.support_matches_spectrum(system)
+                        and all(orthosystems.degree_check(system, n) for n in range(system.dim)))
+                c.detail = f"{len(res)} residues"
 
     for case in EIGVEC_CASES:
         params = rand_params_for_case(case, rng, max_n, 0)
-        u = eigvec_matrix(case, params)
-        r1 = orthogonality_residual(u)
-        r2 = eigen_residual(case, params)
-        ok = r1 <= 1e-12 and r2 <= 1e-12
-        out.append(CheckOutcome(f"orthogonality U {case.value} [{_params_label(params)}]",
-                                ok, f"UtU-I {r1:.2e}, MU-UD {r2:.2e}"))
+        with _check(out, f"orthogonality U {case.value} [{_params_label(params)}]") as c:
+            r1 = orthogonality_residual(eigvec_matrix(case, params))
+            r2 = eigen_residual(case, params)
+            c.ok, c.detail = r1 <= 1e-12 and r2 <= 1e-12, f"UtU-I {r1:.2e}, MU-UD {r2:.2e}"
     return out
 
 
@@ -189,33 +197,30 @@ def suite_spectra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutco
         else:
             out.append(CheckOutcome(f"spectra kac-odd N<={ext_n} g={g} d={d}", True))
         if g > -1 and d > -1:
-            ok = all(_certified(extended_kac_even(n, g, d)) for n in range(1, ext_n + 1))
-            out.append(CheckOutcome(f"spectra kac-even N<={ext_n} g={g} d={d}", ok))
+            with _check(out, f"spectra kac-even N<={ext_n} g={g} d={d}") as c:
+                c.ok = all(_certified(extended_kac_even(n, g, d)) for n in range(1, ext_n + 1))
 
     half = Fraction(-1, 2)
-    ok = all(extended_kac_odd(n, half, half).matrix == sylvester_kac(2 * n).matrix
-             and extended_kac_even(n, half, half).matrix == sylvester_kac(2 * n - 1).matrix
-             for n in range(1, ext_n + 1))
-    out.append(CheckOutcome("spectra reduction at gamma=delta=-1/2", ok))
-    ok = True
-    for g in (Fraction(-1, 4), Fraction(1, 4), Fraction(5, 4), Fraction(9, 4)):
-        for n in range(1, ext_n + 1):
-            mo = extended_kac_odd(n, g, -g - 1)
-            ok &= _certified(mo)
-            ok &= ([float(e) for e in mo.spectrum.entries]
-                   == [float(v) for v in range(-2 * n, 2 * n + 1, 2)])
-    out.append(CheckOutcome("spectra integer line delta=-gamma-1", ok))
+    with _check(out, "spectra reduction at gamma=delta=-1/2") as c:
+        c.ok = all(extended_kac_odd(n, half, half).matrix == sylvester_kac(2 * n).matrix
+                   and extended_kac_even(n, half, half).matrix == sylvester_kac(2 * n - 1).matrix
+                   for n in range(1, ext_n + 1))
+    with _check(out, "spectra integer line delta=-gamma-1") as c:
+        c.ok = True
+        for g in (Fraction(-1, 4), Fraction(1, 4), Fraction(5, 4), Fraction(9, 4)):
+            for n in range(1, ext_n + 1):
+                mo = extended_kac_odd(n, g, -g - 1)
+                c.ok &= _certified(mo)
+                c.ok &= ([float(e) for e in mo.spectrum.entries]
+                         == [float(v) for v in range(-2 * n, 2 * n + 1, 2)])
 
-    for case in MATRIX_CASES:
-        for i in range(draws):
-            params = rand_params_for_case(case, rng, min(max_n, 12), 0)
-            ok = _certified(double_matrix(case, params))
-            out.append(CheckOutcome(f"spectra double:{case.value} [{_params_label(params)}]", ok))
-    for case in NONSYM_CASES:
-        for i in range(draws):
-            params = rand_params_for_case(case, rng, min(max_n, 12))
-            ok = _certified(nonsymmetric_form(case, params))
-            out.append(CheckOutcome(f"spectra nonsym:{case.value} [{_params_label(params)}]", ok))
+    for word, build, cases in (("double", double_matrix, MATRIX_CASES),
+                               ("nonsym", nonsymmetric_form, NONSYM_CASES)):
+        for case in cases:
+            for i in range(draws):
+                params = rand_params_for_case(case, rng, min(max_n, 12))
+                with _check(out, f"spectra {word}:{case.value} [{_params_label(params)}]") as c:
+                    c.ok = _certified(build(case, params))
     return out
 
 
@@ -224,12 +229,11 @@ def suite_algebra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutco
     for case in oscillator.ALGEBRA_CASES:
         for i in range(draws):
             params = rand_dual_hahn(rng, min(max_n, 10))
-            res = oscillator.verify_algebra(case, params)
-            flat = [r for v in res.values() for r in v]
-            flat += oscillator.verify_normal_form(case, params)
-            ok = all(r == 0 for r in flat)
-            out.append(CheckOutcome(f"algebra {case.value} [{_params_label(params)}]",
-                                    ok, f"{len(flat)} residues"))
+            with _check(out, f"algebra {case.value} [{_params_label(params)}]") as c:
+                res = oscillator.verify_algebra(case, params)
+                flat = [r for v in res.values() for r in v]
+                flat += oscillator.verify_normal_form(case, params)
+                c.ok, c.detail = all(r == 0 for r in flat), f"{len(flat)} residues"
     half = Fraction(-1, 2)
     p = DualHahnParams(half, half, 4)
     ok = True
@@ -257,9 +261,5 @@ def run_suites(names, max_n: int, seed: int, draws: int) -> List[CheckOutcome]:
     for name in names:
         if name not in SUITE_RUNNERS:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
-        rng = random.Random(f"{seed}:{name}")
-        try:
-            out.extend(SUITE_RUNNERS[name](rng, max_n, draws))
-        except InadmissibleParams as exc:  # a builder refused one of the suite's own draws
-            out.append(CheckOutcome(f"{name} suite", False, f"a draw was refused: {exc}"))
+        out.extend(SUITE_RUNNERS[name](random.Random(f"{seed}:{name}"), max_n, draws))
     return out

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -206,7 +207,7 @@ def test_sextets_of_different_parameters_share_no_memo(case):
     p1, p2 = draw(case, 1), draw(case, 2)
     assert p1 != p2
     first, second = coefficients(case, p1), coefficients(case, p2)
-    formulas = case.record.sextet(p2)  # the unmemoised coefficient functions
+    formulas = case.record.sextet(p2)  # the same quotients with memos of their own
     N = min(p1.N, p2.N)
     for which in COEFFICIENTS:
         args = range(N) if which in ("a", "b", "a_hat", "b_hat") else [F(x) for x in range(N + 1)]
@@ -248,3 +249,50 @@ def test_grid_walks_visit_every_point_once(case, monkeypatch):
         points.clear()
         assert walk(cs) in (0, None)
         assert sorted(points) == sorted(expected), walk.__name__
+
+
+def _factor_mutants(num, den):
+    """(what, num, den) with one linear factor altered: its offset + 1, or
+    the factor moved across the fraction bar."""
+    for i, (k, s) in enumerate(num):
+        yield f"num[{i}] offset + 1", num[:i] + [(k, s + 1)] + num[i + 1:], den
+        yield f"num[{i}] into den", num[:i] + num[i + 1:], den + [(k, s)]
+    for i, (k, s) in enumerate(den):
+        yield f"den[{i}] offset + 1", num, den[:i] + [(k, s + 1)] + den[i + 1:]
+        yield f"den[{i}] into num", num + [(k, s)], den[:i] + den[i + 1:]
+
+
+# moving the factor x of dhat into its denominator puts a pole at x = 0,
+# where the grid walk starts; the walk raises there instead of passing
+POLE_MUTANTS = {("DualHahnI", "d_hat", "num[0] into den"),
+                ("HahnII", "d_hat", "num[0] into den"),
+                ("RacahIII", "d_hat", "num[0] into den")}
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_every_altered_factor_is_caught(case, monkeypatch):
+    # the builder reads each coefficient through the name Q of `doubles`,
+    # one call per coefficient in the order a, b, a_hat, b_hat, d, d_hat;
+    # alter one factor of one call and walk the grid
+    from twodiag import doubles
+
+    params = next(p for seed in range(50) if (p := draw(case, seed, max_n=5)).N >= 2)
+    real, recorded = doubles.Q, []
+    monkeypatch.setattr(doubles, "Q", lambda num, den=(), const=1:
+                        recorded.append((list(num), list(den))) or real(num, den, const))
+    assert locate_failure(coefficients(case, params)) is None
+    assert len(recorded) == len(COEFFICIENTS)
+    for position, (which, (num, den)) in enumerate(zip(COEFFICIENTS, recorded)):
+        for what, mnum, mden in _factor_mutants(num, den):
+            calls = itertools.count()
+
+            def altered(num_, den_=(), const=1):
+                return real(*((mnum, mden) if next(calls) == position else (num_, den_)), const)
+
+            monkeypatch.setattr(doubles, "Q", altered)
+            mutant = coefficients(case, params)
+            if (case.value, which, what) in POLE_MUTANTS:
+                with pytest.raises(ZeroDivisionError):
+                    locate_failure(mutant)
+            else:
+                assert locate_failure(mutant) is not None, (which, what)

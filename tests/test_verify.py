@@ -39,11 +39,15 @@ def test_kac_odd_spectra_fail_on_a_wrong_eigenvalue_square(monkeypatch):
 def test_a_moved_nu_fails_the_spectra_and_the_christoffel_suites(monkeypatch):
     for case, rec in list(CASE_TABLE.items()):
         monkeypatch.setitem(CASE_TABLE, case, replace(rec, nu=lambda p, nu=rec.nu: nu(p) + 1))
-    # some gap Lam(x) - Lam(nu + 1) turns negative, so a builder refuses the
-    # spectra suite's admissible draws; the suite then reports that as a FAIL
+    # some gap Lam(x) - Lam(nu + 1) turns negative, so a builder refuses
+    # some of the spectra suite's admissible draws; each refused check is a
+    # FAIL under its own label, and the checks before it keep theirs
     spectra = verify.run_suites(["spectra"], 4, 0, 2)
-    assert [(o.label, o.ok) for o in spectra] == [("spectra suite", False)]
-    assert spectra[0].detail.startswith("a draw was refused: eigenvalue square ")
+    assert len(spectra) == 31 and not any(o.ok for o in spectra[1:])
+    assert (spectra[0].label, spectra[0].ok) == ("spectra kac N=1..20", True)
+    refused = [o.label for o in spectra if o.detail.startswith("refused: eigenvalue square ")]
+    assert refused[0] == "spectra kac-even N<=4 g=4 d=-2/3"
+    assert "spectra double:HahnII [a=5/3,b=21/5,N=4]" in refused
     christoffel = verify.run_suites(["christoffel"], 4, 0, 2)
     assert len(christoffel) == 2 * len(DoubleCase) and not any(o.ok for o in christoffel)
 
