@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="benchmark the eigensolver against closed forms",
                        description="One JSON line per solve; `sweeps` counts bisection "
-                                   "passes, with or without --vectors.")
+                                   "passes, each of which splits each distinct open "
+                                   "interval into 2^b parts, with or without --vectors.")
     b.add_argument("family", choices=FAMILY_CHOICES)
     b.add_argument("--dims", required=True, help="comma-separated matrix dimensions")
     b.add_argument("--reps", type=int, default=1)

@@ -47,6 +47,18 @@ class FamilyMismatch(TypeError):
     """Parameters do not belong to the case's polynomial family."""
 
 
+class GridPole(ZeroDivisionError):
+    """A coefficient has a pole at a point of the verification grid, so the
+    residue there has no value.  `position` is its (kind, index, n, x), with
+    index None for the requirement system, whose residues come together."""
+
+    def __init__(self, position: tuple):
+        kind, index, n, x = position
+        what = f"{kind} system" if index is None else f"{kind} {index}"
+        super().__init__(f"{what} at n={n}, x={x}: a coefficient has a pole")
+        self.position = position
+
+
 class DoubleCase(Enum):
     DUAL_HAHN_I = "DualHahnI"
     DUAL_HAHN_II = "DualHahnII"
@@ -283,17 +295,27 @@ def verify_requirements(
     ]
 
 
+def _at(position: tuple, residue: Callable, *args, **kwargs):
+    """(position, residue(*args, **kwargs)), a vanishing denominator raised
+    as the GridPole at position."""
+    try:
+        return position, residue(*args, **kwargs)
+    except ZeroDivisionError as exc:
+        raise GridPole(position) from exc
+
+
 def _relation_residues(cs: CoefficientSextet, x: int):
     N = cs.base.N
     for n in range(N):
-        yield ("relation", 1, n, x), pair_residue_forward(cs, n, x)
+        yield _at(("relation", 1, n, x), pair_residue_forward, cs, n, x)
     for n in range(min(N, cs.hatted.N)):
-        yield ("relation", 2, n, x), pair_residue_backward(cs, n, x)
+        yield _at(("relation", 2, n, x), pair_residue_backward, cs, n, x)
 
 
 def _requirement_residues(cs: CoefficientSextet, x: int):
     for n in range(cs.base.N):
-        for i, r in enumerate(verify_requirements(cs, n=n, x=x)):
+        _, residues = _at(("requirement", None, n, x), verify_requirements, cs, n=n, x=x)
+        for i, r in enumerate(residues):
             yield ("requirement", i, n, x), r
 
 
@@ -301,30 +323,36 @@ def _grid_residues(cs: CoefficientSextet, *walks):
     """Lazily, (position, residue) over the verification grid x = 0..N,
     x outermost: relation 1 for n = 0..N-1, relation 2 for n+1 up to the
     hatted degree cap, the requirement system for n = 0..N-1.  A position
-    is (kind, index, n, x)."""
+    is (kind, index, n, x); a coefficient's pole at one raises GridPole."""
     for x in range(cs.base.N + 1):
         for walk in walks:
             yield from walk(cs, x)
 
 
 def pair_grid_max_residue(cs: CoefficientSextet) -> Fraction:
-    """Largest |residue| of both relations over the full verification grid."""
+    """Largest |residue| of both relations over the full verification grid;
+    GridPole where a coefficient has a pole on it."""
     return max((abs(r) for _, r in _grid_residues(cs, _relation_residues)),
                default=Fraction(0))
 
 
 def requirements_grid_max_residue(cs: CoefficientSextet) -> Fraction:
-    """Largest |residue| of the requirement system over the full grid."""
+    """Largest |residue| of the requirement system over the full grid;
+    GridPole where a coefficient has a pole on it."""
     return max((abs(r) for _, r in _grid_residues(cs, _requirement_residues)),
                default=Fraction(0))
 
 
 def locate_failure(cs: CoefficientSextet) -> str | None:
     """Human-readable location of the first nonzero pair or requirement
-    residue on the verification grid, or None when everything is zero."""
-    for (kind, index, n, x), r in _grid_residues(cs, _relation_residues, _requirement_residues):
-        if r != 0:
-            return f"{kind} {index} at n={n}, x={x}: residue {r}"
+    residue, or of the first pole of a coefficient, on the verification
+    grid; None when every residue is zero."""
+    try:
+        for (kind, index, n, x), r in _grid_residues(cs, _relation_residues, _requirement_residues):
+            if r != 0:
+                return f"{kind} {index} at n={n}, x={x}: residue {r}"
+    except GridPole as pole:
+        return str(pole)
     return None
 
 

@@ -8,8 +8,9 @@ the order (Golub & Kahan 1965).  They are found by bisection on the squares
 of B's entries, counting the negative pivots of B B^T - tau I through the
 differential stationary qd recurrence (dstqds), which keeps high relative
 accuracy (Demmel & Kahan 1990).  All values are bracketed together,
-vectorised over numpy arrays, and each pass splits every interval in four
-(two bisection steps): O(dim^2) work and O(dim) memory.
+vectorised over numpy arrays, and each pass splits each distinct open
+interval into 2^b parts (multisection), b >= 2 as large as 3 dim/2 shifts
+allow: O(dim^2) work and O(dim) memory.
 
 Eigenvectors come from one twisted factorisation of T - lambda I per value
 lambda >= 0 (Dhillon & Parlett 2004), vectorised over the values, those of
@@ -89,8 +90,8 @@ class FloatTridiag:
 
 @dataclass
 class EigenResult:
-    """`sweeps` counts bisection passes, each of which narrows every
-    value's interval to a quarter of its floats; it and `values` do not
+    """`sweeps` counts bisection passes, each of which splits each
+    distinct open interval into 2^b parts, b >= 2; it and `values` do not
     depend on whether vectors were asked for."""
 
     values: np.ndarray
@@ -98,12 +99,11 @@ class EigenResult:
     sweeps: int
 
 
-# Each pass splits every interval at three points into quarters that hold
-# equally many floats; the floats in [0, 1] number fewer than 2**62, so 31
-# passes suffice and the cap only guards the loop.  Three shifts per pass
-# take fewer numpy calls per bit than one: the count is call-bound.
+# Each pass splits each distinct open interval into 2^b parts that hold
+# equally many floats, b >= 2; the floats in [0, 1] number fewer than
+# 2**62, so even at b = 2 the cap only guards the loop.  Several shifts
+# per pass take fewer numpy calls per bit than one: the count is call-bound.
 _MAX_PASSES = 32
-_QUARTERS = np.arange(1, 4, dtype=np.uint64)[:, None]
 _EPS = float(np.finfo(float).eps)
 # |pivot| floor of a rerun count and of the twisted factorisations, for
 # entries scaled below 1/2
@@ -118,22 +118,26 @@ def _count_below(q: np.ndarray, e: np.ndarray, tau: np.ndarray,
     D_i = q_i + s_i, s_{i+1} = e_i s_i / D_i - tau, s_0 = -tau.
 
     Shifts whose s stops being finite (a pivot vanished) are counted again
-    with every |D_i| < pivmin taken as -pivmin, as LAPACK does.  Memory is
-    a few rows the length of tau."""
+    with every |D_i| < pivmin taken as -pivmin, as LAPACK does.  The pivots
+    go into the rows of a block, whose negatives are counted once it is
+    full: four numpy calls per row.  Memory is the block and a few rows the
+    length of tau."""
     s = -tau
-    d = np.empty_like(tau)
-    below = np.empty(tau.shape, dtype=bool)
+    block = np.empty((min(_COUNT_ROWS, len(q)), len(tau)))
     count = np.zeros(tau.shape, dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for qi, ei in zip(q.tolist(), e.tolist()):
-            np.add(s, qi, out=d)
-            if pivmin is not None:
-                np.copyto(d, -pivmin, where=np.abs(d) < pivmin)
-            np.less(d, 0.0, out=below)
-            count += below
-            np.divide(s, d, out=s)
-            np.multiply(s, ei, out=s)
-            np.subtract(s, tau, out=s)
+        for start in range(0, len(q), _COUNT_ROWS):
+            d = block[:len(q) - start]
+            for di, qi, ei in zip(d, q[start:start + _COUNT_ROWS].tolist(),
+                                  e[start:start + _COUNT_ROWS].tolist()):
+                np.add(s, qi, out=di)
+                if pivmin is not None:
+                    np.copyto(di, -pivmin, where=np.abs(di) < pivmin)
+                np.divide(s, di, out=s)
+                np.multiply(s, ei, out=s)
+                np.subtract(s, tau, out=s)
+            # a bytewise sum, exact below 256 rows, is the fast reduction
+            count += (d < 0).view(np.uint8).sum(axis=0, dtype=np.uint8)
     if pivmin is None:
         vanished = ~np.isfinite(s)
         if vanished.any():
@@ -165,21 +169,31 @@ def _zero_diagonal_values(m: FloatTridiag) -> EigenResult:
     # the index of each value among the eigenvalues of B B^T; for odd n the
     # smallest, the padding's exact zero, is not bisected
     target = np.arange(n % 2, n % 2 + half)
-    columns = np.arange(half)
     passes = 0
     while True:
-        gap = hi - lo
-        open_ = gap > 1
+        open_ = hi - lo > 1
         if not open_.any():
             break
         if passes == _MAX_PASSES:
             raise NoConvergence(n - half + int(np.argmax(open_)), m)
         passes += 1
-        ends = np.vstack((lo, lo + gap * _QUARTERS // np.uint64(4), hi))
-        count = _count_below(q, e, ends[1:4].view(float).ravel()).reshape(3, half)
-        # the quarter whose ends' counts bracket the target
-        quarter = (count <= target).sum(axis=0)
-        lo, hi = ends[quarter, columns], ends[quarter + 1, columns]
+        # values in the same interval share its lo; each distinct interval
+        # is cut into 2**b parts, b as large as 3 half shifts allow, so
+        # b >= 2 with at most half intervals
+        lows, first, which = np.unique(lo[open_], return_index=True, return_inverse=True)
+        b = (3 * half // len(lows) + 1).bit_length() - 1
+        shifts = (1 << b) - 1
+        gap = (hi[open_][first] - lows)[:, None]
+        k = np.arange(shifts + 2, dtype=np.uint64)
+        # the cut k at lo + floor(gap k / 2**b), without overflow
+        cuts = lows[:, None] + (gap >> b) * k + ((gap & shifts) * k >> b)
+        count = _count_below(q, e, cuts[:, 1:-1].view(float).ravel()).reshape(len(lows), shifts)
+        # the part whose ends' counts bracket the target, by one search: an
+        # offset of len(q) + 1 per interval keeps each one's counts apart
+        offset = np.arange(len(lows)) * (len(q) + 1)
+        part = np.searchsorted((count + offset[:, None]).ravel(),
+                               offset[which] + target[open_], side="right") - which * shifts
+        lo[open_], hi[open_] = cuts[which, part], cuts[which, part + 1]
     sigma = np.ldexp(np.sqrt(np.sort(lo.view(float))), exp)
     return EigenResult(np.concatenate((-sigma[::-1], np.zeros(n % 2), sigma)), None, passes)
 
@@ -192,6 +206,8 @@ _RESID_PER_DIM = 4.0
 # rows of Z per BLAS product, and columns per band-residual block, so that
 # no temporary approaches the size of Z
 _BLOCK = 64
+# rows of the count's pivot block: under 0.5 MiB at 3 * 500 shifts
+_COUNT_ROWS = _BLOCK // 2
 
 
 def _unit_exponent(top: float) -> int:

@@ -20,6 +20,7 @@ from .doubles import (
     MATRIX_CASES,
     NONSYM_CASES,
     DoubleCase,
+    GridPole,
     christoffel_nu,
     coefficients,
     eig_squares,
@@ -63,12 +64,15 @@ class CheckOutcome:
 @contextmanager
 def _check(out: List[CheckOutcome], label: str):
     """Yield an outcome `label`, FAIL until the block fills it in, then append
-    it to out; a builder refusing the draw leaves it FAIL with the refusal."""
+    it to out; a builder refusing the draw leaves it FAIL with the refusal,
+    a coefficient's pole on the residue grid with the pole's position."""
     outcome = CheckOutcome(label, False)
     try:
         yield outcome
     except InadmissibleParams as exc:
         outcome.ok, outcome.detail = False, f"refused: {exc}"
+    except GridPole as exc:
+        outcome.ok, outcome.detail = False, str(exc)
     out.append(outcome)
 
 
@@ -88,10 +92,10 @@ def _grid_suite(word: str, grid_max_residue) -> Callable[[random.Random, int, in
             for i in range(draws):
                 params = rand_params_for_case(case, rng, max_n, i)
                 cs = coefficients(case, params)
-                worst = grid_max_residue(cs)
-                detail = f"max residue {worst}" if worst == 0 else locate_failure(cs)
-                out.append(CheckOutcome(f"{word} {case.value} [{_params_label(params)}]",
-                                        worst == 0, detail))
+                with _check(out, f"{word} {case.value} [{_params_label(params)}]") as outcome:
+                    worst = grid_max_residue(cs)
+                    outcome.ok = worst == 0
+                    outcome.detail = f"max residue {worst}" if worst == 0 else locate_failure(cs)
         return out
     return suite
 

@@ -7,6 +7,7 @@ import pytest
 from twodiag.doubles import (
     DoubleCase,
     FamilyMismatch,
+    GridPole,
     christoffel_nu,
     coefficients,
     locate_failure,
@@ -263,7 +264,7 @@ def _factor_mutants(num, den):
 
 
 # moving the factor x of dhat into its denominator puts a pole at x = 0,
-# where the grid walk starts; the walk raises there instead of passing
+# where the grid walk starts: the walks name its position instead of passing
 POLE_MUTANTS = {("DualHahnI", "d_hat", "num[0] into den"),
                 ("HahnII", "d_hat", "num[0] into den"),
                 ("RacahIII", "d_hat", "num[0] into den")}
@@ -291,8 +292,12 @@ def test_every_altered_factor_is_caught(case, monkeypatch):
 
             monkeypatch.setattr(doubles, "Q", altered)
             mutant = coefficients(case, params)
+            where = locate_failure(mutant)
+            assert where is not None, (which, what)
             if (case.value, which, what) in POLE_MUTANTS:
-                with pytest.raises(ZeroDivisionError):
-                    locate_failure(mutant)
-            else:
-                assert locate_failure(mutant) is not None, (which, what)
+                assert where == "relation 1 at n=0, x=0: a coefficient has a pole"
+                for walk, at in ((pair_grid_max_residue, ("relation", 1, 0, 0)),
+                                 (requirements_grid_max_residue, ("requirement", None, 0, 0))):
+                    with pytest.raises(GridPole) as pole:
+                        walk(mutant)
+                    assert pole.value.position == at

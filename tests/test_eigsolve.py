@@ -1,7 +1,10 @@
+import functools
+import hashlib
 import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,23 +177,74 @@ def _random_offdiagonal(rng, n, kind):
     return off
 
 
-def test_zero_diagonal_values_against_lapack_and_ql():
-    # (the test keeps the name of the QL solver it was also compared with)
-    # n = 2..60 runs through every (kind, scale) pair, odd and even n alike;
-    # the scales are powers of two from about 1e-150 to 1e150, so the
-    # reference spectrum scales exactly
+def _lapack_draws():
+    """(n, kind, off, scale) for n = 2..60, through every (kind, scale)
+    pair, odd and even n alike; the scales are powers of two from about
+    1e-150 to 1e150, so the reference spectrum scales exactly."""
     rng = np.random.default_rng(11)
     kinds = ("normal", "integer", "split")
     scales = (2.0 ** -498, 2.0 ** -60, 1.0, 2.0 ** 60, 2.0 ** 498)
     for n in range(2, 61):
-        off = _random_offdiagonal(rng, n, kinds[n % 3])
-        scale = scales[n % 5]
+        yield n, kinds[n % 3], _random_offdiagonal(rng, n, kinds[n % 3]), scales[n % 5]
+
+
+def test_zero_diagonal_values_against_lapack_and_ql():
+    # (the test keeps the name of the QL solver it was also compared with)
+    for n, kind, off, scale in _lapack_draws():
         tri = FloatTridiag((0.0,) * n, tuple(off * scale))
         values = sym_tridiag_eigen(tri).values
         ref = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) * scale
         tol = 4 * n * EPS * max(np.abs(off).max(), 1.0) * scale
         assert len(values) == n
-        assert np.abs(values - ref).max() <= tol, (n, kinds[n % 3], scale)
+        assert np.abs(values - ref).max() <= tol, (n, kind, scale)
+
+
+def _gallery_dims(*dims):
+    """(selector, dim) for every selector with a matrix, at each of dims
+    that it takes."""
+    for selector in FAMILY_CHOICES:
+        if selector in ("double:RacahII", "double:RacahIV"):
+            continue  # no matrix
+        for dim in dims:
+            try:
+                _dim_to_n(selector, dim)
+            except ValueError:
+                continue  # the selector takes the other parity
+            yield selector, dim
+
+
+@functools.lru_cache(maxsize=None)
+def _gallery_tri(selector, dim):
+    return to_float_tridiag(build_gallery_matrix(selector, _dim_to_n(selector, dim)))
+
+
+def _glued_kac_blocks():
+    # two copies of kac(199) joined by 1e-12
+    off = to_float_tridiag(sylvester_kac(199)).offdiagonal
+    return FloatTridiag((0.0,) * 400, off + (1e-12,) + off)
+
+
+VALUE_DIGESTS = Path(__file__).parent / "golden" / "value_digests.txt"
+
+
+def value_digests() -> str:
+    """sha256 of the bisected values of the gallery at dimension 400-401
+    and 1000-1001, of the draws of the LAPACK test, and of glued Kac
+    blocks: the count and the multisection must not move a bit of them.
+    (Graded inputs are left out: where their counts below the pivot floor
+    are not monotone, other cut points may give other tiny values.)"""
+    inputs = [(f"{selector} dim {dim}", _gallery_tri(selector, dim))
+              for selector, dim in _gallery_dims(400, 401, 1000, 1001)]
+    inputs += [(f"{kind} n {n} scale 2^{int(np.log2(scale))}",
+                FloatTridiag((0.0,) * n, tuple(off * scale)))
+               for n, kind, off, scale in _lapack_draws()]
+    inputs.append(("kac(199) glued to kac(199) by 1e-12", _glued_kac_blocks()))
+    return "".join(f"{hashlib.sha256(sym_tridiag_eigen(tri).values.tobytes()).hexdigest()}"
+                   f"  {label}\n" for label, tri in inputs)
+
+
+def test_values_are_bit_identical_to_the_recorded_digests():
+    assert value_digests() == VALUE_DIGESTS.read_text()
 
 
 def test_zero_diagonal_values_exact_symmetry_and_odd_zero():
@@ -238,6 +292,123 @@ def test_count_below_recovers_from_vanishing_pivots():
         assert np.array_equal(count, (eig[:, None] < tau).sum(axis=0)), (a, b)
     # D_0 = 1 - 1 vanishes, so the first count is not finite
     assert _count_below(np.ones(3), np.array([1.0, 1.0, 0.0]), np.array([1.0]))[0] == 1
+
+
+def _bidiagonal_squares(rng, rows):
+    """Squared entries q (diagonal) and e (subdiagonal, then 0) of a lower
+    bidiagonal B whose diagonal dominates, so that B B^T >= 1/4."""
+    return rng.uniform(1.0, 4.0, size=rows), np.append(rng.uniform(0.01, 0.25, size=rows - 1), 0.0)
+
+
+def _dense_counts(q, e, tau):
+    """Eigenvalues of B B^T below each tau, by LAPACK, and whether each tau
+    lies clear of them."""
+    b = np.diag(np.sqrt(q)) + np.diag(np.sqrt(e[:-1]), -1)
+    eig = np.linalg.eigvalsh(b @ b.T)
+    return (eig[:, None] < tau).sum(axis=0), np.abs(eig[:, None] - tau).min(axis=0) > 1e-9
+
+
+def _row_by_row_count(q, e, t):
+    """The dstqds count of one shift t, one pivot at a time, with the
+    pivmin rerun of `_count_below`."""
+    for pivmin in (None, eigsolve._PIVMIN):
+        s, count = -t, 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for qi, ei in zip(q, e):
+                d = qi + s
+                if pivmin is not None and abs(d) < pivmin:
+                    d = np.float64(-pivmin)
+                count += int(d < 0)
+                s = s / d * ei - t
+        if np.isfinite(s):
+            break
+    return count
+
+
+def test_count_below_across_block_edges():
+    rng = np.random.default_rng(3)
+    rows = eigsolve._COUNT_ROWS
+    for half in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        q, e = _bidiagonal_squares(rng, half)
+        tau = np.linspace(0.01, 5.0, 3 * half + 4)
+        expected, clear = _dense_counts(q, e, tau)
+        assert np.array_equal(_count_below(q, e, tau)[clear], expected[clear]), half
+        # squares and shifts graded over 10^-320..1: the blocked count is the
+        # row-by-row recurrence, shift by shift
+        q, e = q * 10.0 ** rng.uniform(-300, 0, half), e * 10.0 ** rng.uniform(-300, 0, half)
+        tau = 10.0 ** rng.uniform(-320, 0, 3 * half + 4)
+        assert (_count_below(q, e, tau).tolist()
+                == [_row_by_row_count(q, e, t) for t in tau]), half
+
+
+def test_count_below_reruns_a_pivot_vanishing_in_the_second_block(monkeypatch):
+    # below the spectrum every pivot is positive and s negative; the pivot
+    # q_at = -s_at, in the second block, makes D_at = 0 exactly at tau[0]
+    rng = np.random.default_rng(4)
+    rows = eigsolve._COUNT_ROWS
+    half, at = 2 * rows + 1, rows + 3
+    q, e = _bidiagonal_squares(rng, half)
+    tau = np.concatenate(([0.1], np.linspace(0.01, 5.0, 3 * half)))
+    s = -tau[0]
+    for qi, ei in zip(q[:at], e[:at]):
+        s = s / (qi + s) * ei - tau[0]
+    q[at] = -s
+    reruns = []
+    count_below = eigsolve._count_below
+
+    def spied(q_, e_, tau_, pivmin=None):
+        if pivmin is not None:
+            reruns.append(tau_.tolist())
+        return count_below(q_, e_, tau_, pivmin)
+
+    monkeypatch.setattr(eigsolve, "_count_below", spied)
+    count = eigsolve._count_below(q, e, tau)
+    assert reruns == [[0.1]]
+    expected, clear = _dense_counts(q, e, tau)
+    assert clear[0] and count[0] == expected[0] == 1
+    assert np.array_equal(count[clear], expected[clear])
+
+
+def _passes_and_widths(monkeypatch, tri):
+    """The bisection passes of tri's values, and the number of shifts of
+    each count."""
+    widths = []
+    count_below = eigsolve._count_below
+    monkeypatch.setattr(eigsolve, "_count_below", lambda q, e, tau, pivmin=None:
+                        widths.append(len(tau)) or count_below(q, e, tau, pivmin))
+    result = sym_tridiag_eigen(tri)
+    monkeypatch.undo()
+    return result, widths
+
+
+def test_multisection_on_ones_splits_and_small_dimensions(monkeypatch):
+    for n in (2, 3, 4, 5, 9, 33, 64, 65):
+        ones = np.ones(n - 1)
+        # the values 2 cos(k pi / (n + 1)), which all start in one interval
+        closed = np.sort(2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+        # B = I, padded with a zero for odd n: every bisected value is 1, so
+        # all stay in one interval to the end
+        identity = np.where(np.arange(n - 1) % 2, 0.0, 1.0)
+        split = np.where(np.arange(n - 1) % 3 == 1, 0.0, ones)
+        for off in (ones, identity, split):
+            tri = FloatTridiag((0.0,) * n, tuple(off))
+            result, widths = _passes_and_widths(monkeypatch, tri)
+            values = result.values
+            ref = np.linalg.eigvalsh(tri.to_dense())
+            assert np.abs(values - ref).max() <= 4 * n * EPS, (n, off)
+            assert np.array_equal(values, -values[::-1]) and np.all(np.diff(values) >= 0)
+            assert 0 < result.sweeps <= 31 and max(widths) <= 3 * (n // 2), (n, off)
+            if off is ones:
+                assert np.abs(values - closed).max() <= 4 * n * EPS, n
+
+
+def test_gallery_needs_at_most_27_passes_at_dimension_1000(monkeypatch):
+    # 31 passes bound two bisection steps a pass; multisection spends the
+    # shifts of a pass on few distinct intervals early, and takes 25 here
+    for selector, dim in _gallery_dims(1000, 1001):
+        result, widths = _passes_and_widths(monkeypatch, _gallery_tri(selector, dim))
+        assert result.sweeps <= 27, (selector, result.sweeps)
+        assert max(widths) <= 3 * (dim // 2)
 
 
 def test_sweeps_reports_bisection_passes(monkeypatch):
@@ -345,10 +516,9 @@ def test_graded_zero_diagonal_vectors(monkeypatch):
 
 
 def test_glued_kac_blocks_vectors(monkeypatch):
-    # two copies of kac(199) joined by 1e-12: each value of a block appears
-    # twice, split by at most 1e-12, a true cluster for the twisted vectors
-    off = to_float_tridiag(sylvester_kac(199)).offdiagonal
-    _assert_lapack_fallback(monkeypatch, FloatTridiag((0.0,) * 400, off + (1e-12,) + off))
+    # each value of a block appears twice, split by at most 1e-12, a true
+    # cluster for the twisted vectors
+    _assert_lapack_fallback(monkeypatch, _glued_kac_blocks())
 
 
 def test_zero_diagonal_vectors_residual_guard():
@@ -358,3 +528,7 @@ def test_zero_diagonal_vectors_residual_guard():
     # values off by a relative 1e-9 give vectors that pass the Gram guard
     # and orthogonalise, but miss the band residual
     assert eigsolve._zero_diagonal_vectors(tri, values * (1 + 1e-9)) is None
+
+
+if __name__ == "__main__":
+    VALUE_DIGESTS.write_text(value_digests())

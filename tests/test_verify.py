@@ -1,8 +1,11 @@
 """The suites of `twodiag.verify` report FAIL, under their label, when the
 fact they check is broken."""
 
+import itertools
 import random
 from dataclasses import replace
+
+import pytest
 
 from twodiag import doubles, families, matrices, orthosystems, transforms, verify
 from twodiag.doubles import CASE_TABLE, DoubleCase
@@ -127,3 +130,34 @@ def test_doubled_values_moved_past_the_grid_fail_the_degree_check(monkeypatch):
     failed = _failed(verify.suite_orthogonality(random.Random(0), 3, 1))
     assert [label.split()[2] for label in failed] == ["DualHahnI", "HahnI", "HahnII"]
     assert all(label.startswith("orthogonality doubled ") for label in failed)
+
+
+@pytest.mark.parametrize("case", [DoubleCase.DUAL_HAHN_I, DoubleCase.HAHN_II, DoubleCase.RACAH_III],
+                         ids=lambda c: c.value)
+def test_a_pole_on_the_grid_fails_the_grid_suites_under_their_labels(case, monkeypatch):
+    # d_hat's factor x moved into its denominator: a pole at x = 0, where
+    # the grid walk starts; the check of that case FAILs and names it
+    def mutated(case_, params):
+        if case_ is not case:
+            return real(case_, params)
+        calls, q = itertools.count(), doubles.Q
+
+        def altered(num, den=(), const=1):
+            if next(calls) == 5:  # d_hat, the last of the six coefficients
+                assert num[0] == (1, 0)
+                num, den = num[1:], list(den) + [num[0]]
+            return q(num, den, const)
+
+        with monkeypatch.context() as m:
+            m.setattr(doubles, "Q", altered)
+            return real(case_, params)
+
+    real = doubles.coefficients
+    monkeypatch.setattr(verify, "coefficients", mutated)
+    for suite, word, where in ((verify.suite_pairs, "pairs", "relation 1"),
+                               (verify.suite_requirements, "requirements", "requirement system")):
+        outcomes = suite(random.Random(0), 4, 2)
+        assert len(outcomes) == 2 * len(DoubleCase)
+        failed = [o for o in outcomes if not o.ok]
+        assert [o.label.split()[:2] for o in failed] == [[word, case.value]] * 2
+        assert all(o.detail == f"{where} at n=0, x=0: a coefficient has a pole" for o in failed)
