@@ -115,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="benchmark the eigensolver against closed forms",
                        description="One JSON line per solve; `sweeps` counts bisection "
                                    "passes, each of which splits each distinct open "
-                                   "interval into 2^b parts, with or without --vectors.")
+                                   "interval into 2^b parts, with or without --vectors. "
+                                   "`nanoseconds` times the solve, `buildNanoseconds` "
+                                   "and `convertNanoseconds` the exact build and the "
+                                   "float conversion, once per dimension.")
     b.add_argument("family", choices=FAMILY_CHOICES)
     b.add_argument("--dims", required=True, help="comma-separated matrix dimensions")
     b.add_argument("--reps", type=int, default=1)

@@ -178,16 +178,19 @@ def matrix_squares(case: DoubleCase, params: FamilyParams) -> List[Fraction]:
     """Offdiagonal squares M_i^2 of the case's symmetric matrix, read off
     the sextet at `even_row_params`: sign * a(k) * bhat(k-1) at i = 2k and
     sign * b(k) * ahat(k) at i = 2k+1, for i < dim - 1.  The matrix is the
-    Jacobi matrix of the paired system, so its squares are these products."""
+    Jacobi matrix of the paired system, so its squares are these products,
+    each formed as one Fraction of the two quotients' integer terms."""
     rec = case_record(case, params)
     dim = rec.dim(params.N)
     if dim == 1:  # N = 0 of an odd case: no square, and no hatted family at N - 1
         return []
     cs = coefficients(case, even_row_params(case, params))
-    out = []
+    a, b, a_hat, b_hat = cs.a.terms, cs.b.terms, cs.a_hat.terms, cs.b_hat.terms
+    sign, out = rec.squares_sign, []
     for i in range(dim - 1):
         k = i // 2
-        out.append(rec.squares_sign * (cs.b(k) * cs.a_hat(k) if i % 2 else cs.a(k) * cs.b_hat(k - 1)))
+        (t1, b1), (t2, b2) = (b(k), a_hat(k)) if i % 2 else (a(k), b_hat(k - 1))
+        out.append(Fraction(sign * t1 * t2, b1 * b2))
     return out
 
 

@@ -151,7 +151,10 @@ def _zero_diagonal_values(m: FloatTridiag) -> EigenResult:
     off[k]: the values are +-sigma(B), and an exact 0 when the dimension
     is odd, where B is padded with one zero entry.  The squares sigma^2 are
     bracketed all at once, splitting the intervals on the bit patterns of
-    the floats, until no float lies strictly inside any interval."""
+    the floats, until no float lies strictly inside any interval.  Rounded
+    counts are not monotone within a few ulps of a value (3, 3, 3, 4, 3,
+    4, 4 at consecutive floats), so there the cut points decide which float
+    is returned, and other cuts may move such a value by an ulp."""
     n = m.dim
     half = n // 2
     off = np.abs(np.asarray(m.offdiagonal, dtype=float))
@@ -364,6 +367,9 @@ class BenchReport:
     residual_norm: Optional[float]
     wall_ns: int
     sweeps: int
+    # the exact build and the float conversion, timed once per dimension
+    build_ns: int
+    convert_ns: int
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -375,6 +381,8 @@ class BenchReport:
                 "maxRelEigError": self.max_rel_eig_error,
                 "residualNorm": self.residual_norm,
                 "nanoseconds": self.wall_ns,
+                "buildNanoseconds": self.build_ns,
+                "convertNanoseconds": self.convert_ns,
                 "sweeps": self.sweeps,
             }
         )
@@ -515,17 +523,21 @@ def benchmark(
     want_vectors: bool = False,
 ) -> List[BenchReport]:
     """Solve each family instance and report errors against the closed-form
-    spectrum.  One report per (dimension, repetition)."""
+    spectrum.  One report per (dimension, repetition), with the build and
+    conversion timed once per dimension."""
     reports: List[BenchReport] = []
     if repetitions <= 0:
         return reports
     for dim in dims:
         n = _dim_to_n(selector, dim)
         merged = gallery_params(selector, n, params)
+        t0 = time.perf_counter_ns()
         bundle = build_gallery_matrix(selector, n, params)
+        t1 = time.perf_counter_ns()
         # an integer form may have a real spectrum but no real symmetric twin
         with _reported(selector, n, merged):
             tri = to_float_tridiag(bundle)
+        build_ns, convert_ns = t1 - t0, time.perf_counter_ns() - t1
         closed = np.sort(np.array(bundle.spectrum.floats()))
         shown_params = {k: str(v) for k, v in merged.items()}
         for _ in range(repetitions):
@@ -537,5 +549,5 @@ def benchmark(
             residual = (None if result.vectors is None
                         else _residual(tri, result.values, result.vectors))
             reports.append(BenchReport(selector, shown_params, tri.dim, err, rel,
-                                       residual, wall, result.sweeps))
+                                       residual, wall, result.sweeps, build_ns, convert_ns))
     return reports

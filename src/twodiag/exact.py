@@ -130,7 +130,7 @@ class ScaledRoot:
 
     @classmethod
     def sqrt(cls, radicand: RationalLike) -> "ScaledRoot":
-        r = Fraction(radicand)
+        r = radicand if type(radicand) is Fraction else Fraction(radicand)
         return cls(_ONE if r else _ZERO, r)
 
     @classmethod
@@ -139,9 +139,11 @@ class ScaledRoot:
         v = Fraction(value)
         return cls(Fraction((v > 0) - (v < 0)), v * v)
 
+    # a coef of +-1, as in every spectrum and symmetric entry, is skipped
     @property
     def square(self) -> Fraction:
-        return self.coef * self.coef * self.radicand
+        c, r = self.coef, self.radicand
+        return r if c == 1 or c == -1 else c * c * r
 
     @property
     def sign(self) -> int:
@@ -151,7 +153,8 @@ class ScaledRoot:
 
     def signed_square(self) -> Fraction:
         """sign * square, a strictly increasing function of the value."""
-        return self.coef * abs(self.coef) * self.radicand
+        c, r = self.coef, self.radicand
+        return r if c == 1 else -r if c == -1 else c * abs(c) * r
 
     def exact_rational(self) -> Fraction | None:
         """The value as a rational when the radicand is a perfect square."""

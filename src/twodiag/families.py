@@ -20,7 +20,8 @@ transform and orthogonality checks read `family_column`, the recurrence
 values at one point cached per (parameters, x), through `family_value`;
 `verify` cross-checks those columns against the series.  `linear_quotient`
 is the one evaluator of A(n), C(n) and the coefficients of the `doubles`
-sextets, all products of linear factors, at integer or rational arguments.
+sextets and of Lam(x), all products of linear factors, at integer or
+rational arguments.
 """
 
 from __future__ import annotations
@@ -233,17 +234,24 @@ class RecurrenceData:
     Lam: Callable[[RationalLike], Fraction]
 
     def gap(self, nu: RationalLike) -> Callable[[RationalLike], Fraction]:
-        """x -> Lam(x) - Lam(nu), the kernel transform's denominator at nu."""
-        lam_nu = self.Lam(nu)
-        return lambda x: self.Lam(x) - lam_nu
+        """x -> Lam(x) - Lam(nu), the kernel transform's denominator at nu,
+        one Fraction of Lam's terms over the common denominator."""
+        ln, ld = self.Lam(nu).as_integer_ratio()
+        terms = self.Lam.terms
+
+        def gap(x: RationalLike) -> Fraction:
+            top, bottom = terms(x)
+            return Fraction(top * ld - ln * bottom, bottom * ld)
+        return gap
 
 
 def linear_quotient(num, den=(), const: RationalLike = 1) -> Callable[[RationalLike], Fraction]:
     """t -> const * prod(k t + s) / prod(k' t + s') over the (slope, offset)
     pairs of `num` and `den`, slopes integer, offsets rational, memoised per
-    t: integer products and one normalisation at an integer t, Fractions at a
-    rational one.  A vanishing denominator raises ZeroDivisionError at the
-    call; a constant that can vanish goes into `den` as (0, c), not `const`."""
+    t.  Its `terms(t)` is the unreduced (top, bottom), integers at an integer
+    t, from which a caller combining quotients forms one Fraction.  A
+    vanishing denominator raises ZeroDivisionError at the call; a constant
+    that can vanish goes into `den` as (0, c), not `const`."""
     def scaled(factors):
         ints, scale = [], 1
         for k, s in factors:
@@ -257,14 +265,18 @@ def linear_quotient(num, den=(), const: RationalLike = 1) -> Callable[[RationalL
     c = Fraction(const) * den_scale / num_scale
     c_num, c_den = c.numerator, c.denominator
 
-    @lru_cache(maxsize=None)
-    def f(t: RationalLike) -> Fraction:
+    def terms(t: RationalLike) -> tuple:
         top, bottom = c_num, c_den
         for k, s in nums:
             top *= k * t + s
         for k, s in dens:
             bottom *= k * t + s
-        return Fraction(top, bottom)
+        return top, bottom
+
+    @lru_cache(maxsize=None)
+    def f(t: RationalLike) -> Fraction:
+        return Fraction(*terms(t))
+    f.terms = terms
     return f
 
 
@@ -285,7 +297,7 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
                             [(2, a + b + 1), (2, a + b + 2)]),
             _zero_at_0(linear_quotient([(1, 0), (1, a + b + N + 1), (1, b)],
                                        [(2, a + b), (2, a + b + 1)])),
-            lambda x: -Fraction(x),
+            linear_quotient([(1, 0)], const=-1),
         )
 
     if isinstance(params, DualHahnParams):
@@ -293,7 +305,7 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
         return RecurrenceData(
             linear_quotient([(1, g + 1), (1, -N)]),
             linear_quotient([(1, 0), (1, -d - N - 1)]),
-            lambda x, c=g + d + 1: Fraction(x) * (x + c),
+            linear_quotient([(1, 0), (1, g + d + 1)]),
         )
 
     if isinstance(params, RacahParams):
@@ -303,14 +315,14 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
                             [(2, a + b + 1), (2, a + b + 2)]),
             _zero_at_0(linear_quotient([(1, 0), (1, a + b - g), (1, a - d), (1, b)],
                                        [(2, a + b), (2, a + b + 1)])),
-            lambda x, c=g + d + 1: Fraction(x) * (x + c),
+            linear_quotient([(1, 0), (1, g + d + 1)]),
         )
 
     p, N = params.p, params.N
     return RecurrenceData(
         linear_quotient([(-1, N)], const=p),
         linear_quotient([(1, 0)], const=1 - p),
-        lambda x: -Fraction(x),
+        linear_quotient([(1, 0)], const=-1),
     )
 
 

@@ -56,6 +56,10 @@ class UnsupportedCase(ValueError):
 # ---------------------------------------------------------------------------
 # matrix containers
 
+def _fractions(values: Iterable[RationalLike]) -> Tuple[Fraction, ...]:
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
 @dataclass(frozen=True)
 class TwoDiagonal:
     """Tridiagonal matrix with zero diagonal, stored by its superdiagonal
@@ -67,8 +71,8 @@ class TwoDiagonal:
     def __post_init__(self):
         if len(self.sup) != len(self.sub):
             raise ValueError("superdiagonal and subdiagonal lengths differ")
-        object.__setattr__(self, "sup", tuple(Fraction(v) for v in self.sup))
-        object.__setattr__(self, "sub", tuple(Fraction(v) for v in self.sub))
+        object.__setattr__(self, "sup", _fractions(self.sup))
+        object.__setattr__(self, "sub", _fractions(self.sub))
 
     @property
     def dim(self) -> int:
@@ -105,7 +109,9 @@ class SymTridiag:
         return [m.square for m in self.offdiagonal]
 
     def offdiag_floats(self) -> List[float]:
-        return [float(m) for m in self.offdiagonal]
+        """sqrt(float(square)), float(ScaledRoot) of each entry: coef is 0 or
+        1, and sqrt is correctly rounded."""
+        return np.sqrt([float(m.square) for m in self.offdiagonal]).tolist()
 
 
 @dataclass(frozen=True)
@@ -262,14 +268,18 @@ def _require_alpha_cap(case: DoubleCase, params: FamilyParams) -> None:
 
 def case_spectrum(case: DoubleCase, params: FamilyParams, scale: int = 1) -> Spectrum:
     """The case's closed-form spectrum times `scale`: +-scale sqrt(s) for each
-    s in `doubles.eig_squares` and the zero of odd dimension; s <= 0 raises."""
-    squares = [scale * scale * s for s in eig_squares(case, params)]
-    entries = [ScaledRoot.zero()] * (case_record(case, params).dim(params.N) - 2 * len(squares))
+    s in `doubles.eig_squares` and the zero of odd dimension; the first s <= 0
+    in x order raises.  The squares run up or down in x; sorted once, they
+    give the entries in ascending order."""
+    squares = eig_squares(case, params)
+    if scale != 1:
+        squares = [scale * scale * s for s in squares]
     for s in squares:
         if s <= 0:
             raise InadmissibleParams(f"eigenvalue square {s} is not positive")
-        entries += (root := ScaledRoot.sqrt(s), -root)
-    return Spectrum(tuple(entries))
+    roots = [ScaledRoot.sqrt(s) for s in sorted(squares)]
+    zeros = [ScaledRoot.zero()] * (case_record(case, params).dim(params.N) - 2 * len(roots))
+    return Spectrum((*(-r for r in reversed(roots)), *zeros, *roots))
 
 
 def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:

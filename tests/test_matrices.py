@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodiag import verify
+from twodiag import matrices, verify
 from twodiag.doubles import (CASE_TABLE, EIGVEC_CASES, MATRIX_CASES, DoubleCase, coefficients,
                              eig_squares, matrix_squares)
-from twodiag.eigsolve import FAMILY_CHOICES, build_gallery_matrix
+from twodiag.eigsolve import (FAMILY_CHOICES, _SELECTORS, _dim_to_n, build_gallery_matrix,
+                               gallery_params)
 from twodiag.exact import ScaledRoot
 from twodiag.families import (
     DualHahnParams,
@@ -28,8 +29,11 @@ from twodiag.matrices import (
     nonsymmetric_entries,
     InadmissibleParams,
     NegativeProduct,
+    Spectrum,
+    SymTridiag,
     TwoDiagonal,
     UnsupportedCase,
+    case_spectrum,
     charpoly,
     charpoly_from_products,
     double_matrix,
@@ -187,6 +191,80 @@ def test_even_kac_spectrum_halves_to_dual_hahn_iii():
     md = double_matrix(DoubleCase.DUAL_HAHN_III, DualHahnParams(g, d, N))
     assert ([e.signed_square() for e in me.spectrum.entries]
             == [4 * e.signed_square() for e in md.spectrum.entries])
+
+
+# draws whose eigenvalue squares fall as x rises
+DESCENDING_DRAWS = [
+    (DoubleCase.HAHN_IV, HahnParams(F(9, 7), F(28, 11), 6)),
+    (DoubleCase.DUAL_HAHN_II, DualHahnParams(F(24, 7), 3, 6)),
+    (DoubleCase.DUAL_HAHN_III, DualHahnParams(F(-38, 7), F(-29, 5), 3)),
+]
+
+
+def _default_draws():
+    """(case, parameters) of every matrix case at its gallery defaults, at
+    matrix dimensions 6/7 and 400/401."""
+    for case in MATRIX_CASES:
+        selector = f"double:{case.value}"
+        for dim in (6, 7, 400, 401):
+            try:
+                n = _dim_to_n(selector, dim)
+            except ValueError:
+                continue  # the case takes the other parity
+            yield case, _SELECTORS[selector].family_params(n, gallery_params(selector, n))
+
+
+def _reference_spectrum(case, params, scale):
+    """The spectrum entries as once built: each root and its negation in x
+    order, sorted by signed_square."""
+    squares = [scale * scale * s for s in eig_squares(case, params)]
+    entries = [ScaledRoot.zero()] * (CASE_TABLE[case].dim(params.N) - 2 * len(squares))
+    for s in squares:
+        entries += (root := ScaledRoot.sqrt(s), -root)
+    return sorted(entries, key=ScaledRoot.signed_square)
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_case_spectrum_arrives_sorted_as_the_signed_square_sort(scale, monkeypatch):
+    # case_spectrum lays the entries out in order, whichever way the squares
+    # run in x; Spectrum's own sort must then find them in place
+    for case, params in DESCENDING_DRAWS:
+        squares = eig_squares(case, params)
+        assert squares == sorted(squares, reverse=True) and len(set(squares)) > 1, case
+    given = []
+    monkeypatch.setattr(matrices, "Spectrum",
+                        lambda entries: given.append(entries) or Spectrum(entries))
+    for case, params in [*DESCENDING_DRAWS, *_default_draws()]:
+        spectrum = case_spectrum(case, params, scale)
+        reference = _reference_spectrum(case, params, scale)
+        parts = [(e.coef, e.radicand) for e in spectrum.entries]
+        assert parts == [(e.coef, e.radicand) for e in reference], (case, params)
+        assert [(e.coef, e.radicand) for e in given.pop()] == parts, (case, params)
+
+
+def test_a_nonpositive_eigenvalue_square_is_named_in_x_order():
+    # DualHahnI squares -13, -24, -33, -40; DualHahnIII 65/4, 33/4, 9/4,
+    # -7/4, -15/4: the first in x order is named, not the smallest
+    for case, params, first in [
+            (DoubleCase.DUAL_HAHN_I, DualHahnParams(F(-15, 2), F(-15, 2), 4), -13),
+            (DoubleCase.DUAL_HAHN_III, DualHahnParams(F(-15, 2), F(-7, 2), 4), F(-7, 4))]:
+        squares = eig_squares(case, params)
+        assert first == next(s for s in squares if s <= 0) and first != min(squares)
+        for scale in (1, 2):
+            named = f"^eigenvalue square {scale * scale * first} is not positive$"
+            with pytest.raises(InadmissibleParams, match=named):
+                case_spectrum(case, params, scale)
+
+
+def test_a_negative_offdiagonal_square_is_named_with_its_index():
+    for squares in ([1, 0, -2, -3], [F(1), F(0), F(-2), F(-3)]):
+        with pytest.raises(NegativeProduct, match=r"^offdiagonal square M_2\^2 = -2 < 0$"):
+            SymTridiag.from_squares(squares)
+    # a float square is named as given
+    with pytest.raises(NegativeProduct, match=r"^offdiagonal square M_1\^2 = -0.1 < 0$"):
+        SymTridiag.from_squares([0.5, -0.1])
+    with pytest.raises(NegativeProduct, match=r"^offdiagonal square M_0\^2 = -12 < 0$"):
+        symmetrize(extended_kac_odd(2, F(-5, 2), 1).matrix)
 
 
 @pytest.mark.parametrize("case", MATRIX_CASES, ids=lambda c: c.value)
