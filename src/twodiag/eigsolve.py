@@ -44,9 +44,10 @@ from .matrices import (
     double_matrix,
     extended_kac_even,
     extended_kac_odd,
+    nonnegative_squares,
     nonsymmetric_form,
+    sqrt_floats,
     sylvester_kac,
-    symmetrize,
 )
 
 
@@ -480,8 +481,13 @@ def build_gallery_matrix(selector: str, n: int,
 
 
 def to_float_tridiag(m: MatrixWithSpectrum) -> FloatTridiag:
-    sym = symmetrize(m.matrix) if isinstance(m.matrix, TwoDiagonal) else m.matrix
-    return FloatTridiag((0.0,) * sym.dim, tuple(sym.offdiag_floats()))
+    """The real symmetric twin: offdiagonal sqrt(float(q_i)) straight from
+    the squares q_i, which are the products b_i c_i of an integer form.
+    Raises NegativeProduct when some b_i c_i < 0."""
+    squares = m.matrix.products()
+    if isinstance(m.matrix, TwoDiagonal):
+        nonnegative_squares(squares)
+    return FloatTridiag((0.0,) * m.matrix.dim, tuple(sqrt_floats(squares)))
 
 
 def _match_error(computed: np.ndarray, closed: np.ndarray) -> float:

@@ -30,14 +30,18 @@ def is_nonpositive_int(a: RationalLike) -> bool:
 
 
 def pochhammer(a: RationalLike, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
+
+    With a = p/q, (a)_k = prod_j (p + j q) / q^k: integer products and one
+    `Fraction` at the end."""
     if k < 0:
         raise ValueError("pochhammer needs k >= 0")
     a = Fraction(a)
-    out = Fraction(1)
+    p, q = a.numerator, a.denominator
+    top = 1
     for j in range(k):
-        out *= a + j
-    return out
+        top *= p + j * q
+    return Fraction(top, q ** k)
 
 
 def rbinom(a: RationalLike, k: int) -> Fraction:
@@ -45,7 +49,7 @@ def rbinom(a: RationalLike, k: int) -> Fraction:
     defined through Pochhammer symbols: (a-k+1)_k / k!."""
     if k < 0:
         raise ValueError("rbinom needs k >= 0")
-    return pochhammer(Fraction(a) - k + 1, k) / pochhammer(1, k)
+    return pochhammer(Fraction(a) - k + 1, k) / math.factorial(k)
 
 
 def hyper_terminating(
@@ -56,7 +60,8 @@ def hyper_terminating(
     """Terminating generalized hypergeometric series, exactly.
 
     Returns sum_{k=0}^{n} [prod (num)_k / prod (den)_k] z^k / k!, where n is
-    the smallest value -a over nonpositive-integer numerator parameters a.
+    the smallest value -a over nonpositive-integer numerator parameters a,
+    summed in integers with one `Fraction` for the result.
     Raises NonTerminatingSeries if no numerator terminates the sum, and
     DenominatorPole if a denominator Pochhammer vanishes at k <= n.
     """
@@ -74,17 +79,23 @@ def hyper_terminating(
                 f"denominator parameter {d} vanishes before termination index {n}"
             )
 
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(n):
+    # term ratio prod(a + k) / prod(d + k) * z / (k + 1) as the integers
+    # u_k / v_k over the parameters' denominators; Horner from the last term
+    num_scale = z.numerator
+    for d in dens:
+        num_scale *= d.denominator
+    den_scale = z.denominator
+    for a in nums:
+        den_scale *= a.denominator
+    top = bot = 1
+    for k in reversed(range(n)):
+        u, v = num_scale, den_scale * (k + 1)
         for a in nums:
-            term *= a + k
+            u *= a.numerator + k * a.denominator
         for d in dens:
-            term /= d + k
-        term *= z
-        term /= k + 1
-        total += term
-    return total
+            v *= d.numerator + k * d.denominator
+        top, bot = bot * v + u * top, bot * v
+    return Fraction(top, bot)
 
 
 def _sqrt_exact(r: Fraction) -> Fraction | None:

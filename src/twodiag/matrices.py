@@ -82,6 +82,22 @@ class TwoDiagonal:
         return [b * c for b, c in zip(self.sup, self.sub)]
 
 
+def nonnegative_squares(squares: Iterable[RationalLike]) -> List[RationalLike]:
+    """The offdiagonal squares q_i as a list.  Raises NegativeProduct,
+    naming the first q_i < 0, since its entry sqrt(q_i) would not be real."""
+    out = list(squares)
+    for i, q in enumerate(out):
+        if q < 0:
+            raise NegativeProduct(f"offdiagonal square M_{i}^2 = {q} < 0")
+    return out
+
+
+def sqrt_floats(squares: Iterable[RationalLike]) -> List[float]:
+    """sqrt(float(q)) of each square q >= 0, float(ScaledRoot.sqrt(q)) bit
+    for bit: coef is 0 or 1, and sqrt is correctly rounded."""
+    return np.sqrt([float(q) for q in squares]).tolist()
+
+
 @dataclass(frozen=True)
 class SymTridiag:
     """Symmetric zero-diagonal tridiagonal matrix with offdiagonal entries
@@ -94,12 +110,7 @@ class SymTridiag:
         """Offdiagonal sqrt(q_i) from exact squares q_i, the one place a
         gallery matrix's squares become real entries.  Raises
         NegativeProduct when some q_i < 0."""
-        off = []
-        for i, q in enumerate(squares):
-            if q < 0:
-                raise NegativeProduct(f"offdiagonal square M_{i}^2 = {q} < 0")
-            off.append(ScaledRoot.sqrt(q))
-        return cls(tuple(off))
+        return cls(tuple(ScaledRoot.sqrt(q) for q in nonnegative_squares(squares)))
 
     @property
     def dim(self) -> int:
@@ -109,9 +120,7 @@ class SymTridiag:
         return [m.square for m in self.offdiagonal]
 
     def offdiag_floats(self) -> List[float]:
-        """sqrt(float(square)), float(ScaledRoot) of each entry: coef is 0 or
-        1, and sqrt is correctly rounded."""
-        return np.sqrt([float(m.square) for m in self.offdiagonal]).tolist()
+        return sqrt_floats(self.products())
 
 
 @dataclass(frozen=True)
@@ -161,20 +170,26 @@ def charpoly_from_products(products: Sequence[RationalLike]) -> List[Fraction]:
     minor recurrence p_k = lambda p_{k-1} - q_{k-2} p_{k-2} becomes
     P_k = mu^[k even] P_{k-1} - q_{k-2} P_{k-2} on half the coefficients.
     It runs fraction-free (after Bareiss): with q_i = a_i/b_i in lowest
-    terms the integer polynomials Q_k = (prod_{i<k-1} b_i) P_k obey
-    Q_k = b_{k-2} mu^[k even] Q_{k-1} - a_{k-2} b_{k-3} Q_{k-2}, so no gcd
-    is taken in the loop; P is monic, so one division by the leading
-    coefficient of the last Q recovers it exactly."""
-    prev, cur, b_back = [1], [1], 1  # Q_0, Q_1 and b_{k-3}
+    terms, D_0 = D_1 = 1 and D_k = lcm(D_{k-1}, b_{k-2} D_{k-2}), the
+    integer polynomials Q_k = D_k P_k obey
+    Q_k = (D_k/D_{k-1}) mu^[k even] Q_{k-1} - a_{k-2} (D_k/(b_{k-2} D_{k-2})) Q_{k-2},
+    so only the denominators meet a gcd in the loop; P is monic, so one
+    division by the leading coefficient D of the last Q recovers it
+    exactly."""
+    prev, cur = [1], [1]  # Q_{k-2}, Q_{k-1}
+    d_prev = d_cur = 1  # D_{k-2}, D_{k-1}
     for k, q in enumerate(map(Fraction, products), start=2):
         a, b = q.numerator, q.denominator
-        nxt = [0] * (1 - k % 2) + [b * c for c in cur]
-        ab = a * b_back
+        d_back = b * d_prev
+        d_next = math.lcm(d_cur, d_back)
+        up = d_next // d_cur
+        nxt = [0] * (1 - k % 2) + [up * c for c in cur]
+        ab = a * (d_next // d_back)
         for i, c in enumerate(prev if a else ()):
             nxt[i] -= ab * c
-        prev, cur, b_back = cur, nxt, b
+        prev, cur, d_prev, d_cur = cur, nxt, d_cur, d_next
     out = [Fraction(0)] * (len(products) + 2)
-    out[(len(products) + 1) % 2::2] = [Fraction(c, cur[-1]) for c in cur]
+    out[(len(products) + 1) % 2::2] = [Fraction(c, d_cur) for c in cur]
     return out
 
 

@@ -14,9 +14,11 @@ gallery's builder `double_matrix` (entries from `SymTridiag.from_squares`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import List, Tuple
 
 from .doubles import (SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients,
@@ -117,23 +119,35 @@ def verify_discrete_orthogonality(system: DoubledSystem) -> List[Fraction]:
     q = 0 point the doubled weight 2 w(k); either way each k contributes
     2 w(k) [q_k^2 if n is odd] c_n(k) c_m(k) times the radicand of
     `value`, a common nonzero factor that only the diagonal needs.
+    Each weight list and each row of coefficients is put over one common
+    denominator, so every sum is an integer dot product and one `Fraction`.
     Mixed-parity sums vanish identically because the integrand is odd over
     the negation-closed support; they contribute exact zeros here.
     """
     ks = range(system.params.N + 1)
     weights = [2 * family_weight(system.params, k) for k in ks]
     odd_weights = [w * system.point_square(k) for k, w in zip(ks, weights)]
+    weight_ints = [_over_lcm(weights), _over_lcm(odd_weights)]
     table = [[system.value(n, k) for k in ks] for n in range(system.dim)]
+    rows = [_over_lcm([c.coef for c in values]) for values in table]
     res: List[Fraction] = []
-    for n, row in enumerate(table):
-        ws = odd_weights if n % 2 else weights
+    for n, (row, row_den) in enumerate(rows):
+        ws, w_den = weight_ints[n % 2]
+        weighted = list(map(mul, ws, row))
         for m in range(n, system.dim):
             if (n - m) % 2:
                 res.append(Fraction(0))
                 continue
-            total = sum(w * c.coef * d.coef for w, c, d in zip(ws, row, table[m]))
-            res.append(total * row[0].radicand - system.norm(n) if n == m else total)
+            other, other_den = rows[m]
+            total = Fraction(sum(map(mul, weighted, other)), w_den * row_den * other_den)
+            res.append(total * table[n][0].radicand - system.norm(n) if n == m else total)
     return res
+
+
+def _over_lcm(values: List[Fraction]) -> Tuple[List[int], int]:
+    """Integers t_i and one denominator D with values[i] = t_i / D."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def support_matches_spectrum(system: DoubledSystem) -> bool:

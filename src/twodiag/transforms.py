@@ -35,23 +35,16 @@ class SupportCollision(ZeroDivisionError):
 @dataclass(frozen=True)
 class ChristoffelData:
     """The kernel transform of one family at one nu.  a_n and b_n are
-    memoised per n, and gap(x) = Lam(x) - Lam(nu) per x, for the life of
-    the object, so a check that builds one computes each of them once."""
+    memoised per n, gap(x) = Lam(x) - Lam(nu) per x and the kernel partner
+    P_n(x) per (n, x), for the life of the object, so a check that builds
+    one computes each of them once."""
 
     params: FamilyParams
     nu: Fraction
     gap: Callable[[RationalLike], Fraction]
     a_seq: Callable[[int], Fraction]
     b_seq: Callable[[int], Fraction]
-
-    def kernel(self, n: int, x: RationalLike) -> Fraction:
-        """Kernel partner value P_n(x), exact."""
-        denom = self.gap(x)
-        if denom == 0:
-            raise SupportCollision(f"Lam({x}) = Lam({self.nu})")
-        a_n = self.a_seq(n)
-        y = family_column(self.params, x)
-        return (y[n + 1] - a_n * y[n]) / denom
+    kernel: Callable[[int, RationalLike], Fraction]
 
     def reconstruct(self, n: int, x: RationalLike) -> Fraction:
         """A(n) P_n(x) - b_n P_{n-1}(x); equals y_n(x) exactly."""
@@ -66,6 +59,7 @@ def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
     rec = recurrence_data(params)
     lam_nu = rec.Lam(nu)
     y = family_column(params, nu)
+    gap = lru_cache(maxsize=None)(rec.gap(nu))
 
     @lru_cache(maxsize=None)
     def a_seq(n: int) -> Fraction:
@@ -80,7 +74,16 @@ def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
             return Fraction(0)
         return rec.A(n) + rec.C(n) + lam_nu - rec.A(n) * a_seq(n)
 
-    return ChristoffelData(params, nu, lru_cache(maxsize=None)(rec.gap(nu)), a_seq, b_seq)
+    @lru_cache(maxsize=None)
+    def kernel(n: int, x: RationalLike) -> Fraction:
+        """Kernel partner value P_n(x), exact."""
+        denom = gap(x)
+        if denom == 0:
+            raise SupportCollision(f"Lam({x}) = Lam({nu})")
+        yx = family_column(params, x)
+        return (yx[n + 1] - a_seq(n) * yx[n]) / denom
+
+    return ChristoffelData(params, nu, gap, a_seq, b_seq, kernel)
 
 
 def christoffel_kernel(

@@ -137,3 +137,104 @@ def test_scaled_root():
     assert abs(float(r) + 1.5 * 2 ** 0.5) < 1e-15
     with pytest.raises(ValueError):
         ScaledRoot(F(1), F(-1))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the term-by-term Fraction loops they replaced
+
+
+def _series_reference(numerators, denominators, z):
+    """The term-by-term `Fraction` sum, with the same two refusals."""
+    nums = [F(a) for a in numerators]
+    dens = [F(d) for d in denominators]
+    z = F(z)
+    stops = [-a.numerator for a in nums if is_nonpositive_int(a)]
+    if not stops:
+        raise NonTerminatingSeries(nums)
+    n = min(stops)
+    for d in dens:
+        if is_nonpositive_int(d) and -d.numerator < n:
+            raise DenominatorPole(d)
+    total = term = F(1)
+    for k in range(n):
+        for a in nums:
+            term *= a + k
+        for d in dens:
+            term /= d + k
+        term *= z
+        term /= k + 1
+        total += term
+    return total
+
+
+def _pochhammer_reference(a, k):
+    out = F(1)
+    for j in range(k):
+        out *= F(a) + j
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (NonTerminatingSeries, DenominatorPole) as exc:
+        return type(exc)
+    return type(value), value
+
+
+parameters = st.one_of(fractions, st.integers(min_value=-8, max_value=3))
+
+
+@given(st.lists(parameters, max_size=3), st.one_of(st.none(), st.integers(-7, 0)),
+       st.integers(min_value=0, max_value=3), st.lists(parameters, max_size=3),
+       st.one_of(fractions, fractions.filter(bool).map(lambda p: 1 / p)))
+def test_hyper_equals_the_term_by_term_sum(nums, stop, at, dens, z):
+    # stop None leaves terminating to the draws (NonTerminatingSeries
+    # where none is a nonpositive integer); dens at -8..0 raise poles;
+    # z = 1/p is the Krawtchouk argument, and stop 0 gives n = 0
+    if stop is not None:
+        nums.insert(min(at, len(nums)), stop)
+    assert _outcome(hyper_terminating, nums, dens, z) == _outcome(_series_reference, nums, dens, z)
+
+
+@pytest.mark.parametrize("nums, dens, z, raised", [
+    ([F(1, 2), 3], [F(5, 2)], 1, NonTerminatingSeries),
+    ([-3, F(1, 2)], [-2], 1, DenominatorPole),
+    ([-3, F(-7, 3)], [F(1, 2), 0], F(-5, 2), DenominatorPole),
+])
+def test_hyper_refuses_where_the_term_by_term_sum_refuses(nums, dens, z, raised):
+    assert _outcome(hyper_terminating, nums, dens, z) is raised
+    assert _outcome(_series_reference, nums, dens, z) is raised
+
+
+@given(st.one_of(fractions, st.integers(-8, 8)), st.integers(min_value=0, max_value=12))
+def test_pochhammer_equals_the_product_loop(a, k):
+    value = pochhammer(a, k)
+    assert type(value) is F and value == _pochhammer_reference(a, k)
+    assert rbinom(a, k) == _pochhammer_reference(F(a) - k + 1, k) / _pochhammer_reference(1, k)
+
+
+def test_every_family_series_equals_the_term_by_term_sum(monkeypatch):
+    import random
+
+    from twodiag import families
+    from twodiag.sampling import RACAH_SELECTORS, rand_dual_hahn, rand_hahn, rand_racah
+
+    calls = []
+
+    def checked(nums, dens, z):
+        value = hyper_terminating(nums, dens, z)
+        calls.append(value == _series_reference(nums, dens, z))
+        return value
+
+    monkeypatch.setattr(families, "hyper_terminating", checked)
+    rng = random.Random(20)
+    draws = [(families.hahn_eval, rand_hahn(rng, 7)),
+             (families.dual_hahn_eval, rand_dual_hahn(rng, 7)),
+             (families.krawtchouk_eval, families.KrawtchoukParams(F(3, 7), 6))]
+    draws += [(families.racah_eval, rand_racah(rng, 7, s)) for s in RACAH_SELECTORS]
+    for evaluate, params in draws:
+        for n in range(params.N + 1):
+            for x in (*range(params.N + 1), F(-5, 3)):
+                evaluate.__wrapped__(n, x, params)  # past the cache, to the series
+    assert len(calls) > 200 and all(calls)

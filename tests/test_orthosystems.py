@@ -6,10 +6,12 @@ import pytest
 
 from twodiag.doubles import CASE_TABLE, DoubleCase
 from twodiag.exact import ScaledRoot
-from twodiag.families import DualHahnParams, HahnParams, RecurrenceData, dual_hahn_eval
+from twodiag.families import (DualHahnParams, HahnParams, RecurrenceData, dual_hahn_eval,
+                              family_weight)
 from twodiag.matrices import UnsupportedCase
 from twodiag.orthosystems import (
     SYSTEM_CASES,
+    DoubledSystem,
     UnsupportedPoint,
     degree_check,
     doubled_eval,
@@ -17,7 +19,7 @@ from twodiag.orthosystems import (
     support_matches_spectrum,
     verify_discrete_orthogonality,
 )
-from twodiag.sampling import rand_dual_hahn, rand_hahn
+from twodiag.sampling import rand_dual_hahn, rand_hahn, rand_noninteger
 
 
 def make_system(case, seed=0, max_n=5):
@@ -139,3 +141,51 @@ def test_unsupported_point_and_case():
         doubled_system(DoubleCase.DUAL_HAHN_II, DualHahnParams(F(1, 2), F(1, 3), 4))
     with pytest.raises(ValueError):
         doubled_eval(s, s.dim, ScaledRoot.zero())
+
+
+def _orthogonality_reference(system):
+    """The residues as sums of three `Fraction` products per summand, the
+    form the common-denominator integer sums replaced."""
+    ks = range(system.params.N + 1)
+    weights = [2 * family_weight(system.params, k) for k in ks]
+    odd_weights = [w * system.point_square(k) for k, w in zip(ks, weights)]
+    table = [[system.value(n, k) for k in ks] for n in range(system.dim)]
+    res = []
+    for n, row in enumerate(table):
+        ws = odd_weights if n % 2 else weights
+        for m in range(n, system.dim):
+            if (n - m) % 2:
+                res.append(F(0))
+                continue
+            total = sum(w * c.coef * d.coef for w, c, d in zip(ws, row, table[m]))
+            res.append(total * row[0].radicand - system.norm(n) if n == m else total)
+    return res
+
+
+@pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
+@pytest.mark.parametrize("N", range(1, 9))
+def test_orthogonality_residues_equal_the_fraction_sums(case, N):
+    rng = random.Random(N)
+    family = DualHahnParams if case is DoubleCase.DUAL_HAHN_I else HahnParams
+    params = family(rand_noninteger(rng, 3), rand_noninteger(rng, 5), N)
+    s = doubled_system(case, params)
+    residues = verify_discrete_orthogonality(s)
+    assert len(residues) == s.dim * (s.dim + 1) // 2
+    assert residues == _orthogonality_reference(s)
+    assert all(type(r) is F for r in residues)
+
+
+@pytest.mark.parametrize("case", SYSTEM_CASES, ids=lambda c: c.value)
+def test_one_perturbed_value_is_seen_by_both_sums(case, monkeypatch):
+    # c_n(k) scaled by 1 + 1/97 at n = 2, k = 1: the integer sums must read
+    # the same nonzero residues as the Fraction sums
+    s = make_system(case, 4)
+    real = DoubledSystem.value
+
+    def perturbed(self, n, k):
+        v = real(self, n, k)
+        return ScaledRoot(v.coef * F(98, 97), v.radicand) if (n, k) == (2, 1) else v
+
+    monkeypatch.setattr(DoubledSystem, "value", perturbed)
+    residues = verify_discrete_orthogonality(s)
+    assert residues == _orthogonality_reference(s) and any(r != 0 for r in residues)

@@ -9,6 +9,7 @@ from twodiag.families import (
     DualHahnParams,
     HahnParams,
     dual_hahn_eval,
+    family_value,
     recurrence_data,
 )
 from twodiag.sampling import rand_params_for_case
@@ -152,3 +153,18 @@ def test_kernel_is_polynomial_of_reduced_degree():
         if order == n:
             assert table[0] != 0 or len(table) > 1
     assert table[0] == 0  # order n+1 divided difference vanishes
+
+
+def test_kernel_memo_is_keyed_on_degree_and_point():
+    # one ChristoffelData, read in an order that revisits each degree at
+    # new points and each point at new degrees; every value must equal the
+    # formula (y_{n+1}(x) - a_n y_n(x)) / (Lam(x) - Lam(nu)) at that (n, x)
+    p = HahnParams(F(1, 3), F(2, 7), 5)
+    nu = F(-4, 3)
+    data = christoffel_data(p, nu)
+    rec = recurrence_data(p)
+    grid = [(n, x) for x in (0, 3, F(1, 2), 5) for n in range(p.N)]
+    for n, x in grid + grid[::-1]:
+        y = [family_value(p, j, x) for j in range(p.N + 1)]
+        expected = (y[n + 1] - data.a_seq(n) * y[n]) / (rec.Lam(x) - rec.Lam(nu))
+        assert data.kernel(n, x) == expected
