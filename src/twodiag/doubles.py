@@ -11,11 +11,15 @@ by `families.linear_quotient`, like the recurrence data A(n), C(n).
 
 Eliminating yhat reproduces the base family's three-term recurrence, which
 pins the coefficient products to the recurrence data (the requirement
-system checked by verify_requirements).  The same products, times one
-sign per case, are the offdiagonal squares of the case's symmetric matrix
-(matrix_squares), so the matrix is built from the verified sextet.  Its
-eigenvalue squares are the same sign times the gaps Lam(x) - Lam(nu) of
-the kernel transform onto the hatted family (eig_squares).
+system checked by verify_requirements).  Each of its seven rows is an
+n-part combined with an x-part (rows 0-3 have none); each sextet memoises
+the n-parts per n and the x-parts per x, and the pair relations' columns
+per x, so a grid walk evaluates them once per row and column of the grid,
+not once per point.  The same products, times one sign per case, are the
+offdiagonal squares of the case's symmetric matrix (matrix_squares), so
+the matrix is built from the verified sextet.  Its eigenvalue squares are
+the same sign times the gaps Lam(x) - Lam(nu) of the kernel transform
+onto the hatted family (eig_squares).
 
 Every per-case fact (sextet, Christoffel parameter, matrix, eigenvector
 layout, doubled system, algebra, gallery defaults) is written once, in
@@ -92,6 +96,12 @@ class CoefficientSextet:
     The overall gauge is fixed so that the requirement system holds with
     unit proportionality (a*ahat shifted = C-hat, b*bhat = A-hat, ...);
     rescaling relation 1 or relation 2 by a constant is the only freedom.
+
+    Each sextet also memoises what the grid walks read at one n or one x:
+    the requirement system's n-parts per n and x-parts per x, and the pair
+    relations' columns per x.  `__post_init__` makes the memos and they are
+    no fields, so `flipped` and `dataclasses.replace` start every copy with
+    empty ones.
     """
 
     case: DoubleCase
@@ -104,6 +114,10 @@ class CoefficientSextet:
     b_hat: Callable[[int], Fraction]
     d: Callable[[Fraction], Fraction]
     d_hat: Callable[[Fraction], Fraction]
+
+    def __post_init__(self):
+        for memo in ("_n_rows", "_x_rows", "_columns"):
+            object.__setattr__(self, memo, {})
 
     def flipped(self, which: str) -> "CoefficientSextet":
         """Copy with one coefficient function sign-flipped (for mutation
@@ -216,18 +230,28 @@ def christoffel_nu(case: DoubleCase, params: FamilyParams) -> Fraction:
 def _lazy_sum(*terms) -> Fraction:
     """Sum coef*value(), never evaluating a polynomial whose coefficient is
     exactly zero (degree-edge terms)."""
-    total = Fraction(0)
+    total = None
     for coef, value in terms:
         if coef != 0:
-            total += coef * value()
-    return total
+            term = coef * value()
+            total = term if total is None else total + term
+    return Fraction(0) if total is None else total
+
+
+def _columns(cs: CoefficientSextet, x: RationalLike) -> tuple:
+    """(x, base column at x, hatted column at x + xshift), memoised per x
+    on the sextet, so a grid point hashes its Fraction x once."""
+    point = cs._columns.get(x)
+    if point is None:
+        xf = Fraction(x)
+        point = cs._columns[x] = (
+            xf, family_column(cs.base, xf), family_column(cs.hatted, xf + cs.xshift))
+    return point
 
 
 def pair_residue_forward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
     """Residue of relation 1; defined for n <= N-1 (and n <= Nhat)."""
-    xf = Fraction(x)
-    y = family_column(cs.base, xf)
-    yh = family_column(cs.hatted, xf + cs.xshift)
+    xf, y, yh = _columns(cs, x)
     return _lazy_sum(
         (cs.a(n), lambda: y[n]),
         (cs.b(n), lambda: y[n + 1]),
@@ -237,9 +261,7 @@ def pair_residue_forward(cs: CoefficientSextet, n: int, x: RationalLike) -> Frac
 
 def pair_residue_backward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
     """Residue of relation 2; defined for n+1 <= Nhat (and n+1 <= N)."""
-    xf = Fraction(x)
-    y = family_column(cs.base, xf)
-    yh = family_column(cs.hatted, xf + cs.xshift)
+    xf, y, yh = _columns(cs, x)
     return _lazy_sum(
         (cs.a_hat(n), lambda: yh[n]),
         (cs.b_hat(n), lambda: yh[n + 1]),
@@ -266,6 +288,40 @@ def verify_pair(
     return pair_residue_forward(cs, n, x), pair_residue_backward(cs, n, x)
 
 
+def _requirement_n_part(cs: CoefficientSextet, n: int) -> tuple:
+    """(rows 0-3, K4, K5, K6) of the requirement system at n, memoised per
+    n on the sextet: rows 4-6 are K4 - (dd - Lamhat), K5 - (dd - Lam) and
+    (Lam - Lamhat) - K6 with dd = d*dhat, so their n-parts are the K's."""
+    part = cs._n_rows.get(n)
+    if part is None:
+        rec, rech = recurrence_data(cs.base), recurrence_data(cs.hatted)
+        a, b, ah, bh = cs.a, cs.b, cs.a_hat, cs.b_hat
+        cross = a(n) * bh(n - 1)
+        part = cs._n_rows[n] = (
+            [a(n) * ah(n - 1) - rech.C(n),
+             a(n - 1) * ah(n - 1) - rec.C(n),
+             b(n) * bh(n) - rech.A(n),
+             b(n) * bh(n - 1) - rec.A(n)],
+            cross + ah(n) * b(n) + rech.A(n) + rech.C(n),
+            cross + ah(n - 1) * b(n - 1) + rec.A(n) + rec.C(n),
+            ah(n - 1) * (a(n) - a(n - 1) - b(n - 1)) + b(n) * (ah(n) + bh(n) - bh(n - 1)),
+        )
+    return part
+
+
+def _requirement_x_part(cs: CoefficientSextet, x: RationalLike) -> tuple:
+    """(dd - Lamhat(xhat), dd - Lam(x), Lam(x) - Lamhat(xhat)) of rows 4-6,
+    memoised per x on the sextet."""
+    part = cs._x_rows.get(x)
+    if part is None:
+        xf = Fraction(x)
+        dd = cs.d(xf) * cs.d_hat(xf)
+        lam = recurrence_data(cs.base).Lam(xf)
+        lam_h = recurrence_data(cs.hatted).Lam(xf + cs.xshift)
+        part = cs._x_rows[x] = (dd - lam_h, dd - lam, lam - lam_h)
+    return part
+
+
 def verify_requirements(
     case: DoubleCase | CoefficientSextet,
     params: FamilyParams | None = None,
@@ -277,25 +333,14 @@ def verify_requirements(
 
     Order: [a*ahat - Chat, a*ahat(shift) - C, b*bhat - Ahat, b*bhat(shift) - A,
     both rearranged mixed conditions, and the Lam difference identity].
+    Rows 0-3 depend on n alone and rows 4-6 split into an n-part and an
+    x-part; the sextet memoises the n-parts per n and the x-parts per x, so
+    a grid point past the first row and column costs three subtractions.
     """
     cs = case if isinstance(case, CoefficientSextet) else coefficients(case, params)
-    rec = recurrence_data(cs.base)
-    rech = recurrence_data(cs.hatted)
-    xf = Fraction(x)
-    xh = xf + cs.xshift
-    a, b, ah, bh = cs.a, cs.b, cs.a_hat, cs.b_hat
-    dd = cs.d(xf) * cs.d_hat(xf)
-    lam, lam_h = rec.Lam(xf), rech.Lam(xh)
-    return [
-        a(n) * ah(n - 1) - rech.C(n),
-        a(n - 1) * ah(n - 1) - rec.C(n),
-        b(n) * bh(n) - rech.A(n),
-        b(n) * bh(n - 1) - rec.A(n),
-        (a(n) * bh(n - 1) + ah(n) * b(n) + rech.A(n) + rech.C(n)) - (dd - lam_h),
-        (a(n) * bh(n - 1) + ah(n - 1) * b(n - 1) + rec.A(n) + rec.C(n)) - (dd - lam),
-        (lam - lam_h)
-        - (ah(n - 1) * (a(n) - a(n - 1) - b(n - 1)) + b(n) * (ah(n) + bh(n) - bh(n - 1))),
-    ]
+    rows, k4, k5, k6 = _requirement_n_part(cs, n)
+    x4, x5, x6 = _requirement_x_part(cs, x)
+    return rows + [k4 - x4, k5 - x5, x6 - k6]
 
 
 def _at(position: tuple, residue: Callable, *args, **kwargs):
@@ -382,12 +427,18 @@ def _dual_hahn_i(p: DualHahnParams) -> dict:
     )
 
 
+def _plus(c: Fraction, m: int) -> Fraction:
+    """c + m formed as one Fraction over c's denominator (the entries of the
+    integer-friendly forms are gamma or delta plus an integer linear in k)."""
+    return F(c.numerator + m * c.denominator, c.denominator)
+
+
 def _dual_hahn_i_nonsym(p: DualHahnParams) -> Tuple[list, list]:
     g, d, N = p.gamma, p.delta, p.N
     sup, sub = [], []
     for k in range(N):
-        sup.extend([g + k + 1, F(k + 1)])
-        sub.extend([F(N - k), N + d - k])
+        sup.extend([_plus(g, k + 1), F(k + 1)])
+        sub.extend([F(N - k), _plus(d, N - k)])
     return sup, sub
 
 
@@ -418,8 +469,8 @@ def _dual_hahn_ii_nonsym(p: DualHahnParams) -> Tuple[list, list]:
     g, d, N = p.gamma, p.delta, p.N
     sup, sub = [], []
     for k in range(N):
-        sup.extend([g + N - k, F(k + 1)])
-        sub.extend([F(N - k), d + k + 1])
+        sup.extend([_plus(g, N - k), F(k + 1)])
+        sub.extend([F(N - k), _plus(d, k + 1)])
     return sup, sub
 
 
@@ -445,8 +496,8 @@ def _dual_hahn_iii_nonsym(p: DualHahnParams) -> Tuple[list, list]:
     g, d, N = p.gamma, p.delta, p.N
     sup, sub = [], []
     for k in range(N + 1):
-        sup.append(g + k + 1)
-        sub.append(d + N + 1 - k)
+        sup.append(_plus(g, k + 1))
+        sub.append(_plus(d, N + 1 - k))
         if k < N:
             sup.append(F(k + 1))
             sub.append(F(N - k))

@@ -15,9 +15,9 @@ recurrences of weight and norm, in O(N) steps: `family_table` gives
 y_0..y_N on a whole grid as integer numerators over one integer
 denominator per degree (fraction-free, each row divided by its content),
 and `family_weights` and `family_norms` give the weight and norm tables;
-the eigenvector matrices are built from them.  The pair, requirement,
-transform and orthogonality checks read `family_column`, the recurrence
-values at one point cached per (parameters, x), through `family_value`;
+the eigenvector matrices are built from them.  The pair, transform and
+orthogonality checks read `family_column`, the recurrence values at one
+point cached per (parameters, x), through `family_value`;
 `verify` cross-checks those columns against the series.  `linear_quotient`
 is the one evaluator of A(n), C(n) and the coefficients of the `doubles`
 sextets and of Lam(x), all products of linear factors, at integer or

@@ -117,6 +117,15 @@ def test_verify_output_matches_golden(capsys):
     assert out == golden.read_text()
 
 
+def test_verify_output_matches_golden_at_max_n12(capsys):
+    # the same 67 checks at the grid sizes of the benchmark's verify workload
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-N", "12",
+                       "--seed", "3", "--draws", "1")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "verify_all_max_n12_seed3_draws1.txt"
+    assert out == golden.read_text()
+
+
 def test_gallery_output_matches_golden(capsys):
     # spectrum and gen --format json for every selector at N=3, recorded
     # before the Kac extensions were rebuilt as doubled dual Hahn forms

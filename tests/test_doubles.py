@@ -1,10 +1,12 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from twodiag.doubles import (
+    NONSYM_CASES,
     DoubleCase,
     FamilyMismatch,
     GridPole,
@@ -12,6 +14,7 @@ from twodiag.doubles import (
     coefficients,
     locate_failure,
     pair_grid_max_residue,
+    pair_residue_backward,
     pair_residue_forward,
     requirements_grid_max_residue,
     verify_pair,
@@ -21,6 +24,7 @@ from twodiag.families import (
     DualHahnParams,
     HahnParams,
     RacahParams,
+    family_column,
     family_eval,
     hahn_eval,
     recurrence_data,
@@ -301,3 +305,167 @@ def test_every_altered_factor_is_caught(case, monkeypatch):
                     with pytest.raises(GridPole) as pole:
                         walk(mutant)
                     assert pole.value.position == at
+
+
+# ---------------------------------------------------------------------------
+# the per-sextet memos of the grid walks against the unmemoised expressions
+
+def _reference_requirements(cs, n, x):
+    """The seven requirement residues written out at one (n, x), no memo."""
+    rec, rech = recurrence_data(cs.base), recurrence_data(cs.hatted)
+    xf = F(x)
+    a, b, ah, bh = cs.a, cs.b, cs.a_hat, cs.b_hat
+    dd = cs.d(xf) * cs.d_hat(xf)
+    lam, lam_h = rec.Lam(xf), rech.Lam(xf + cs.xshift)
+    return [
+        a(n) * ah(n - 1) - rech.C(n),
+        a(n - 1) * ah(n - 1) - rec.C(n),
+        b(n) * bh(n) - rech.A(n),
+        b(n) * bh(n - 1) - rec.A(n),
+        (a(n) * bh(n - 1) + ah(n) * b(n) + rech.A(n) + rech.C(n)) - (dd - lam_h),
+        (a(n) * bh(n - 1) + ah(n - 1) * b(n - 1) + rec.A(n) + rec.C(n)) - (dd - lam),
+        (lam - lam_h)
+        - (ah(n - 1) * (a(n) - a(n - 1) - b(n - 1)) + b(n) * (ah(n) + bh(n) - bh(n - 1))),
+    ]
+
+
+def _reference_sum(*terms):
+    total = F(0)
+    for coef, value in terms:
+        if coef != 0:
+            total += coef * value()
+    return total
+
+
+def _reference_pairs(cs, n, x):
+    """(relation 1, relation 2) at one (n, x), columns looked up per call;
+    relation 2 is None beyond the hatted degree cap."""
+    xf = F(x)
+    y, yh = family_column(cs.base, xf), family_column(cs.hatted, xf + cs.xshift)
+    forward = _reference_sum((cs.a(n), lambda: y[n]), (cs.b(n), lambda: y[n + 1]),
+                             (-cs.d_hat(xf), lambda: yh[n]))
+    if n >= min(cs.base.N, cs.hatted.N):
+        return forward, None
+    return forward, _reference_sum((cs.a_hat(n), lambda: yh[n]), (cs.b_hat(n), lambda: yh[n + 1]),
+                                   (-cs.d(xf), lambda: y[n + 1]))
+
+
+def _memoised_pairs(cs, n, x):
+    backward = (pair_residue_backward(cs, n, x) if n < min(cs.base.N, cs.hatted.N) else None)
+    return pair_residue_forward(cs, n, x), backward
+
+
+def _grid_orders(N):
+    xs, ns = range(N + 1), range(N)
+    x_major = [(n, x) for x in xs for n in ns]
+    n_major = [(n, x) for n in ns for x in xs]
+    return {"x-major": x_major, "n-major": n_major,
+            "repeated": x_major[::-1] + n_major + x_major}
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_memoised_residues_equal_the_unmemoised_expressions(case, seed):
+    params = draw(case, seed)
+    reference = coefficients(case, params)
+    for order, points in _grid_orders(params.N).items():
+        cs = coefficients(case, params)
+        for n, x in points:
+            assert verify_requirements(cs, n=n, x=x) == _reference_requirements(reference, n, x), \
+                (order, n, x)
+            assert _memoised_pairs(cs, n, x) == _reference_pairs(reference, n, x), (order, n, x)
+        # the grid walks over the filled memos read the same zeros
+        assert requirements_grid_max_residue(cs) == pair_grid_max_residue(cs) == 0
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_memoised_residues_equal_the_unmemoised_expressions_off_zero(case):
+    # a sign-flipped b_hat makes the residues nonzero, so equal lists here
+    # compare values, not just zeros
+    params = draw(case, 4)
+    bad, reference = coefficients(case, params).flipped("b_hat"), coefficients(case, params).flipped("b_hat")
+    nonzero = 0
+    for n, x in _grid_orders(params.N)["repeated"]:
+        got = verify_requirements(bad, n=n, x=x)
+        assert got == _reference_requirements(reference, n, x), (n, x)
+        assert _memoised_pairs(bad, n, x) == _reference_pairs(reference, n, x), (n, x)
+        nonzero += sum(r != 0 for r in got)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_copies_of_a_sextet_start_with_empty_memos(case):
+    cs = coefficients(case, draw(case, 5, max_n=4))
+    assert locate_failure(cs) is None  # fills every memo of the sextet
+    mutants = [cs.flipped(which) for which in COEFFICIENTS]
+    mutants.append(replace(cs, a=lambda t, a=cs.a: 2 * a(t)))
+    for mutant in mutants:
+        assert pair_grid_max_residue(mutant) != 0
+        assert requirements_grid_max_residue(mutant) != 0
+        assert locate_failure(mutant) is not None
+    assert locate_failure(cs) is None
+
+
+def _with_pole(f, at):
+    """f with a pole at the argument `at`."""
+    return lambda t: F(1, 0) if t == at else f(t)
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_a_pole_is_reported_at_its_first_grid_point(case):
+    params = next(p for seed in range(50) if (p := draw(case, seed, max_n=5)).N >= 2)
+    cs = coefficients(case, params)
+    assert locate_failure(cs) is None  # memos filled before the copies are made
+    x0, n0 = params.N - 1, 1
+    d_hat_pole = replace(cs, d_hat=_with_pole(cs.d_hat, x0))
+    d_pole = replace(cs, d=_with_pole(cs.d, x0))
+    b_pole = replace(cs, b=_with_pole(cs.b, n0))
+    # relation 1 reads dhat and relation 2 reads d, each at every x
+    for mutant, requirement_at, relation_at in (
+            (d_hat_pole, ("requirement", None, 0, x0), ("relation", 1, 0, x0)),
+            (d_pole, ("requirement", None, 0, x0), ("relation", 2, 0, x0)),
+            (b_pole, ("requirement", None, n0, 0), ("relation", 1, n0, 0))):
+        with pytest.raises(GridPole) as pole:
+            requirements_grid_max_residue(mutant)
+        assert pole.value.position == requirement_at
+        with pytest.raises(GridPole) as pole:
+            pair_grid_max_residue(mutant)
+        assert pole.value.position == relation_at
+
+
+# ---------------------------------------------------------------------------
+# the integer-friendly forms against their entries written as Fraction sums
+
+def _reference_nonsym(case, p):
+    g, d, N = p.gamma, p.delta, p.N
+    sup, sub = [], []
+    if case is DoubleCase.DUAL_HAHN_I:
+        for k in range(N):
+            sup.extend([g + k + 1, F(k + 1)])
+            sub.extend([F(N - k), N + d - k])
+    elif case is DoubleCase.DUAL_HAHN_II:
+        for k in range(N):
+            sup.extend([g + N - k, F(k + 1)])
+            sub.extend([F(N - k), d + k + 1])
+    else:
+        for k in range(N + 1):
+            sup.append(g + k + 1)
+            sub.append(d + N + 1 - k)
+            if k < N:
+                sup.append(F(k + 1))
+                sub.append(F(N - k))
+    return sup, sub
+
+
+@pytest.mark.parametrize("case", NONSYM_CASES, ids=lambda c: c.value)
+@pytest.mark.parametrize("gamma, delta", [(F(1, 2), F(1, 3)), (F(-7, 3), F(22, 5)),
+                                          (F(4), F(-13, 7)), (F(-1, 6), F(0))])
+def test_integer_forms_equal_their_fraction_sums(case, gamma, delta):
+    assert set(NONSYM_CASES) == {DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_II,
+                                 DoubleCase.DUAL_HAHN_III}
+    for N in range(1, 9):
+        p = DualHahnParams(gamma, delta, N)
+        sup, sub = case.record.nonsym(p)
+        want_sup, want_sub = _reference_nonsym(case, p)
+        assert (sup, sub) == (want_sup, want_sub), N
+        assert all(type(v) is F for v in sup + sub)
