@@ -15,7 +15,6 @@ from .eigsolve import BenchReport, FloatTridiag, NoConvergence, benchmark, sym_t
 from .exact import (
     DenominatorPole,
     NonTerminatingSeries,
-    Rational,
     ScaledRoot,
     hyper_terminating,
     pochhammer,

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from .eigsolve import FAMILY_CHOICES, benchmark, build_gallery_matrix, gallery_params
 from .exact import DenominatorPole, NonTerminatingSeries
 from .families import (
+    RACAH_SELECTORS,
     DualHahnParams,
     HahnParams,
     KrawtchoukParams,
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", type=int, help="size parameter (not needed for racah)")
     _add_param_flags(p)
     p.add_argument("--p", type=rational_arg, help="Krawtchouk success parameter")
-    p.add_argument("--minus-n", default="alpha", choices=("alpha", "beta_delta", "gamma"),
+    p.add_argument("--minus-n", default="alpha", choices=RACAH_SELECTORS,
                    dest="minus_n", help="which Racah denominator parameter is -N")
     p.add_argument("--x-from", type=int, default=0)
     p.add_argument("--x-to", type=int, default=None)
@@ -144,10 +145,14 @@ def _open_out(path: Optional[str]):
     return open(path, "w") if path else sys.stdout
 
 
-def cmd_gen(args) -> int:
+def _gallery_matrix(args):
     if args.N < 1:
         raise ValueError("-N must be >= 1")
-    bundle = build_gallery_matrix(args.family, args.N, _collect_params(args))
+    return build_gallery_matrix(args.family, args.N, _collect_params(args))
+
+
+def cmd_gen(args) -> int:
+    bundle = _gallery_matrix(args)
     if args.format == "exact" and not isinstance(bundle.matrix, TwoDiagonal):
         raise ValueError("exact format needs rational entries; "
                          f"use the nonsym form instead of {args.family}")
@@ -166,10 +171,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.N < 1:
-        raise ValueError("-N must be >= 1")
-    bundle = build_gallery_matrix(args.family, args.N, _collect_params(args))
-    for e in bundle.spectrum.entries:
+    for e in _gallery_matrix(args).spectrum.entries:
         print(f"{e.sign:+d} {e.radicand} {float(e):.17g}")
     return 0
 

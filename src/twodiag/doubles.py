@@ -227,17 +227,6 @@ def christoffel_nu(case: DoubleCase, params: FamilyParams) -> Fraction:
     return case_record(case, params).nu(params)
 
 
-def _lazy_sum(*terms) -> Fraction:
-    """Sum coef*value(), never evaluating a polynomial whose coefficient is
-    exactly zero (degree-edge terms)."""
-    total = None
-    for coef, value in terms:
-        if coef != 0:
-            term = coef * value()
-            total = term if total is None else total + term
-    return Fraction(0) if total is None else total
-
-
 def _columns(cs: CoefficientSextet, x: RationalLike) -> tuple:
     """(x, base column at x, hatted column at x + xshift), memoised per x
     on the sextet, so a grid point hashes its Fraction x once."""
@@ -250,23 +239,22 @@ def _columns(cs: CoefficientSextet, x: RationalLike) -> tuple:
 
 
 def pair_residue_forward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
-    """Residue of relation 1; defined for n <= N-1 (and n <= Nhat)."""
+    """Residue of relation 1; defined for n <= N-1 (and n <= Nhat).  A pole
+    of a coefficient raises before any value is read, and a column entry is
+    read only where its coefficient is nonzero."""
     xf, y, yh = _columns(cs, x)
-    return _lazy_sum(
-        (cs.a(n), lambda: y[n]),
-        (cs.b(n), lambda: y[n + 1]),
-        (-cs.d_hat(xf), lambda: yh[n]),
-    )
+    a, b, d_hat = cs.a(n), cs.b(n), cs.d_hat(xf)
+    return ((a * y[n] if a else 0) + (b * y[n + 1] if b else 0)
+            - (d_hat * yh[n] if d_hat else 0))
 
 
 def pair_residue_backward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
-    """Residue of relation 2; defined for n+1 <= Nhat (and n+1 <= N)."""
+    """Residue of relation 2; defined for n+1 <= Nhat (and n+1 <= N), read
+    like relation 1."""
     xf, y, yh = _columns(cs, x)
-    return _lazy_sum(
-        (cs.a_hat(n), lambda: yh[n]),
-        (cs.b_hat(n), lambda: yh[n + 1]),
-        (-cs.d(xf), lambda: y[n + 1]),
-    )
+    a_hat, b_hat, d = cs.a_hat(n), cs.b_hat(n), cs.d(xf)
+    return ((a_hat * yh[n] if a_hat else 0) + (b_hat * yh[n + 1] if b_hat else 0)
+            - (d * y[n + 1] if d else 0))
 
 
 def verify_pair(

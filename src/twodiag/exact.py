@@ -1,5 +1,5 @@
 """Exact rational kernel: Pochhammer symbols, terminating hypergeometric
-series, and scaled square roots of rationals.
+series, common denominators, and scaled square roots of rationals.
 
 Everything here is pure and exact; no floats enter until a caller asks for
 a float rendering.
@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 
@@ -96,6 +95,13 @@ def hyper_terminating(
             v *= d.numerator + k * d.denominator
         top, bot = bot * v + u * top, bot * v
     return Fraction(top, bot)
+
+
+def over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integers t_i and the least D with values[i] = t_i / D; ([], 1) for
+    no values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _sqrt_exact(r: Fraction) -> Fraction | None:

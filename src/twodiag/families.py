@@ -36,6 +36,7 @@ from .exact import (
     RationalLike,
     hyper_terminating,
     is_nonpositive_int,
+    over_lcm,
     pochhammer,
     rbinom,
 )
@@ -88,36 +89,37 @@ class DualHahnParams(FamilyParams):
     N: int
 
 
+# The Racah degree caps, in the order the verify draws rotate through them:
+# selector -> (the parameters p with sum(p) + 1 = -N, the dual's selector)
+RACAH_CAPS = {"alpha": (("alpha",), "gamma"), "beta_delta": (("beta", "delta"), "beta_delta"),
+              "gamma": (("gamma",), "alpha")}
+RACAH_SELECTORS = tuple(RACAH_CAPS)
+
+
 @dataclass(frozen=True)
 class RacahParams(FamilyParams):
     """Racah parameters with an explicit choice of which denominator
     parameter carries the degree cap: one of alpha+1, beta+delta+1, gamma+1
-    must equal -N for a nonnegative integer N (degree-0 families are the
-    N = 0 edge produced by hatted parameter maps)."""
+    (`RACAH_CAPS`) must equal -N for a nonnegative integer N (degree-0
+    families are the N = 0 edge produced by hatted parameter maps)."""
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
     delta: Fraction
-    minus_n: str = "alpha"  # "alpha" | "beta_delta" | "gamma"
+    minus_n: str = "alpha"  # a key of RACAH_CAPS
 
     def _check(self) -> None:
-        if self.minus_n not in ("alpha", "beta_delta", "gamma"):
+        if self.minus_n not in RACAH_CAPS:
             raise ValueError(f"unknown minus_n selector {self.minus_n!r}")
-        cap = self._cap_value()
+        cap = sum(getattr(self, name) for name in RACAH_CAPS[self.minus_n][0]) + 1
         if not is_nonpositive_int(cap):
             raise ValueError(f"{self.minus_n} selector requires {cap} to be -N, N >= 0")
-
-    def _cap_value(self) -> Fraction:
-        if self.minus_n == "alpha":
-            return self.alpha + 1
-        if self.minus_n == "beta_delta":
-            return self.beta + self.delta + 1
-        return self.gamma + 1
+        object.__setattr__(self, "_N", -int(cap))
 
     @property
     def N(self) -> int:
-        return -int(self._cap_value())
+        return self._N
 
 
 @dataclass(frozen=True)
@@ -135,12 +137,16 @@ class KrawtchoukParams(FamilyParams):
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _check_index(name: str, i: int, N: int) -> None:
+    if not 0 <= i <= N:
+        raise ValueError(f"{name}={i} outside 0..{N}")
+
+
 @lru_cache(maxsize=1 << 18)
 def hahn_eval(n: int, x: RationalLike, params: HahnParams) -> Fraction:
     """Q_n(x; alpha, beta, N) as a terminating 3F2 at 1."""
     a, b, N = params.alpha, params.beta, params.N
-    if not 0 <= n <= N:
-        raise ValueError(f"degree n={n} outside 0..{N}")
+    _check_index("degree n", n, N)
     return hyper_terminating([-n, n + a + b + 1, -Fraction(x)], [a + 1, -N], 1)
 
 
@@ -152,8 +158,7 @@ def dual_hahn_eval(n: int, x: RationalLike, params: DualHahnParams) -> Fraction:
     series terminates on -n.
     """
     g, d, N = params.gamma, params.delta, params.N
-    if not 0 <= n <= N:
-        raise ValueError(f"degree n={n} outside 0..{N}")
+    _check_index("degree n", n, N)
     return hyper_terminating([-Fraction(x), Fraction(x) + g + d + 1, -n], [g + 1, -N], 1)
 
 
@@ -161,8 +166,7 @@ def dual_hahn_eval(n: int, x: RationalLike, params: DualHahnParams) -> Fraction:
 def racah_eval(n: int, x: RationalLike, params: RacahParams) -> Fraction:
     """R_n(lambda(x); alpha, beta, gamma, delta) as a terminating 4F3 at 1."""
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    if not 0 <= n <= params.N:
-        raise ValueError(f"degree n={n} outside 0..{params.N}")
+    _check_index("degree n", n, params.N)
     x = Fraction(x)
     return hyper_terminating(
         [-n, n + a + b + 1, -x, x + g + d + 1], [a + 1, b + d + 1, g + 1], 1
@@ -173,8 +177,7 @@ def racah_eval(n: int, x: RationalLike, params: RacahParams) -> Fraction:
 def krawtchouk_eval(n: int, x: RationalLike, params: KrawtchoukParams) -> Fraction:
     """K_n(x; p, N) as a terminating 2F1(-n, -x; -N; 1/p)."""
     p, N = params.p, params.N
-    if not 0 <= n <= N:
-        raise ValueError(f"degree n={n} outside 0..{N}")
+    _check_index("degree n", n, N)
     return hyper_terminating([-n, -Fraction(x)], [-N], 1 / p)
 
 
@@ -332,16 +335,14 @@ def recurrence_data(params: FamilyParams) -> RecurrenceData:
 @lru_cache(maxsize=1 << 16)
 def hahn_weight(x: int, params: HahnParams) -> Fraction:
     a, b, N = params.alpha, params.beta, params.N
-    if not 0 <= x <= N:
-        raise ValueError(f"x={x} outside 0..{N}")
+    _check_index("x", x, N)
     return rbinom(a + x, x) * rbinom(N + b - x, N - x)
 
 
 @lru_cache(maxsize=1 << 16)
 def hahn_norm(n: int, params: HahnParams) -> Fraction:
     a, b, N = params.alpha, params.beta, params.N
-    if not 0 <= n <= N:
-        raise ValueError(f"n={n} outside 0..{N}")
+    _check_index("n", n, N)
     num = (-1) ** n * pochhammer(n + a + b + 1, N + 1) * pochhammer(b + 1, n) * pochhammer(1, n)
     den = (2 * n + a + b + 1) * pochhammer(a + 1, n) * pochhammer(-N, n) * pochhammer(1, N)
     return num / den
@@ -350,8 +351,7 @@ def hahn_norm(n: int, params: HahnParams) -> Fraction:
 @lru_cache(maxsize=1 << 16)
 def dual_hahn_weight(x: int, params: DualHahnParams) -> Fraction:
     g, d, N = params.gamma, params.delta, params.N
-    if not 0 <= x <= N:
-        raise ValueError(f"x={x} outside 0..{N}")
+    _check_index("x", x, N)
     num = (2 * x + g + d + 1) * pochhammer(g + 1, x) * pochhammer(-N, x) * pochhammer(1, N)
     den = (-1) ** x * pochhammer(x + g + d + 1, N + 1) * pochhammer(d + 1, x) * pochhammer(1, x)
     return num / den
@@ -360,20 +360,17 @@ def dual_hahn_weight(x: int, params: DualHahnParams) -> Fraction:
 @lru_cache(maxsize=1 << 16)
 def dual_hahn_norm(n: int, params: DualHahnParams) -> Fraction:
     g, d, N = params.gamma, params.delta, params.N
-    if not 0 <= n <= N:
-        raise ValueError(f"n={n} outside 0..{N}")
+    _check_index("n", n, N)
     return 1 / (rbinom(g + n, n) * rbinom(N + d - n, N - n))
 
 
 def racah_weight(x: int, params: RacahParams) -> Fraction:
-    if not 0 <= x <= params.N:
-        raise ValueError(f"x={x} outside 0..{params.N}")
+    _check_index("x", x, params.N)
     return family_weights(params)[x]
 
 
 def racah_norm(n: int, params: RacahParams) -> Fraction:
-    if not 0 <= n <= params.N:
-        raise ValueError(f"n={n} outside 0..{params.N}")
+    _check_index("n", n, params.N)
     return family_norms(params)[n]
 
 
@@ -406,8 +403,8 @@ def _dual_family(params: FamilyParams) -> FamilyParams:
         return DualHahnParams(params.alpha, params.beta, params.N)
     if isinstance(params, DualHahnParams):
         return HahnParams(params.gamma, params.delta, params.N)
-    sel = {"alpha": "gamma", "gamma": "alpha", "beta_delta": "beta_delta"}[params.minus_n]
-    return RacahParams(params.gamma, params.delta, params.alpha, params.beta, sel)
+    return RacahParams(params.gamma, params.delta, params.alpha, params.beta,
+                       RACAH_CAPS[params.minus_n][1])
 
 
 @lru_cache(maxsize=4096)
@@ -465,9 +462,7 @@ def family_table(params: FamilyParams, xs: Sequence[RationalLike]) -> Iterator[t
     pole of the series) raises ZeroDivisionError.
     """
     rec = recurrence_data(params)
-    lams = [rec.Lam(x) for x in xs]
-    L = math.lcm(*(lam.denominator for lam in lams))
-    ls = [lam.numerator * (L // lam.denominator) for lam in lams]
+    ls, L = over_lcm([rec.Lam(x) for x in xs])
     q_prev, q = 1, 1
     prev, cur = [0] * len(ls), [1] * len(ls)
     yield q, cur

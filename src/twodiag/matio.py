@@ -9,18 +9,21 @@ emitted.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .eigsolve import FloatTridiag
-from .matrices import SymTridiag, TwoDiagonal
+from .matrices import SymTridiag, TwoDiagonal, nonnegative_squares, sqrt_floats
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """Bad input at a line of a text, or (line None) in entries handed in."""
+
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -98,14 +101,14 @@ def _check_coordinate(i: int, j: int, dim: int, seen: set, lineno: int) -> None:
 def mm_to_float_tridiag(dim: int, entries: List[Tuple[int, int, float]]) -> FloatTridiag:
     """Rebuild a symmetric tridiagonal from the coordinate entries of
     `parse_matrix_market`; a non-symmetric two-diagonal input is
-    symmetrized through the products of paired entries, a negative one
-    refused (`SymTridiag.from_squares`)."""
+    symmetrized through the products of paired entries, a negative or
+    non-finite one refused."""
     sup = [0.0] * (dim - 1)
     sub = [0.0] * (dim - 1)
     diag = [0.0] * dim
     for i, j, v in entries:
         if not (1 <= i <= dim and 1 <= j <= dim):
-            raise ParseError(f"entry ({i},{j}) outside the {dim} x {dim} matrix", 0)
+            raise ParseError(f"entry ({i},{j}) outside the {dim} x {dim} matrix", None)
         if i == j:
             diag[i - 1] = v
         elif j == i + 1:
@@ -113,9 +116,13 @@ def mm_to_float_tridiag(dim: int, entries: List[Tuple[int, int, float]]) -> Floa
         elif i == j + 1:
             sub[j - 1] = v
         else:
-            raise ParseError(f"entry ({i},{j}) outside the tridiagonal band", 0)
-    off = SymTridiag.from_squares(b * c for b, c in zip(sup, sub)).offdiag_floats()
-    return FloatTridiag(tuple(diag), tuple(off))
+            raise ParseError(f"entry ({i},{j}) outside the tridiagonal band", None)
+    # `or 0.0` drops the sign of a zero product, whose root would be -0.0
+    squares = nonnegative_squares(b * c or 0.0 for b, c in zip(sup, sub))
+    for i, q in enumerate(squares, start=1):
+        if not math.isfinite(q):
+            raise ParseError(f"entries ({i},{i + 1}) and ({i + 1},{i}) have product {q}", None)
+    return FloatTridiag(tuple(diag), tuple(sqrt_floats(squares)))
 
 
 def exact_text(m: TwoDiagonal) -> str:

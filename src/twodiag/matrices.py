@@ -480,7 +480,7 @@ def eigen_residual(case: DoubleCase, params: FamilyParams) -> float:
     M from the case's squares, entries as in `double_matrix`."""
     u = eigvec_matrix(case, params)
     uf = u.to_float()
-    off = np.array(SymTridiag.from_squares(matrix_squares(case, params)).offdiag_floats())
+    off = np.array(sqrt_floats(nonnegative_squares(matrix_squares(case, params))))
     m = np.diag(off, 1) + np.diag(off, -1)
     res = np.abs(m @ uf - uf * u.d_floats()[None, :]).max()
     scale = max(np.abs(m).max(), 1.0)

@@ -14,7 +14,6 @@ gallery's builder `double_matrix` (entries from `SymTridiag.from_squares`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +22,7 @@ from typing import List, Tuple
 
 from .doubles import (SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients,
                       eig_squares)
-from .exact import ScaledRoot
+from .exact import ScaledRoot, over_lcm
 from .families import FamilyParams, family_norm, family_value, family_weight
 from .matrices import (
     InadmissibleParams,
@@ -127,9 +126,9 @@ def verify_discrete_orthogonality(system: DoubledSystem) -> List[Fraction]:
     ks = range(system.params.N + 1)
     weights = [2 * family_weight(system.params, k) for k in ks]
     odd_weights = [w * system.point_square(k) for k, w in zip(ks, weights)]
-    weight_ints = [_over_lcm(weights), _over_lcm(odd_weights)]
+    weight_ints = [over_lcm(weights), over_lcm(odd_weights)]
     table = [[system.value(n, k) for k in ks] for n in range(system.dim)]
-    rows = [_over_lcm([c.coef for c in values]) for values in table]
+    rows = [over_lcm([c.coef for c in values]) for values in table]
     res: List[Fraction] = []
     for n, (row, row_den) in enumerate(rows):
         ws, w_den = weight_ints[n % 2]
@@ -142,12 +141,6 @@ def verify_discrete_orthogonality(system: DoubledSystem) -> List[Fraction]:
             total = Fraction(sum(map(mul, weighted, other)), w_den * row_den * other_den)
             res.append(total * table[n][0].radicand - system.norm(n) if n == m else total)
     return res
-
-
-def _over_lcm(values: List[Fraction]) -> Tuple[List[int], int]:
-    """Integers t_i and one denominator D with values[i] = t_i / D."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def support_matches_spectrum(system: DoubledSystem) -> bool:

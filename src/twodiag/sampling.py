@@ -13,16 +13,12 @@ import random
 from fractions import Fraction
 
 from .doubles import DoubleCase
-from .families import DualHahnParams, FamilyParams, HahnParams, RacahParams
-
-RACAH_SELECTORS = ("alpha", "beta_delta", "gamma")
+from .families import RACAH_SELECTORS, DualHahnParams, FamilyParams, HahnParams, RacahParams
 
 
-def rand_noninteger(rng: random.Random, den: int = 0, lo: int = -1, hi: int = 5) -> Fraction:
-    """Non-integer rational strictly inside (lo, hi); a fixed denominator
-    can be requested to keep combinations of several draws non-integer."""
-    if not den:
-        den = rng.choice((2, 3, 5, 7))
+def rand_noninteger(rng: random.Random, den: int, lo: int = -1, hi: int = 5) -> Fraction:
+    """Non-integer rational p/den strictly inside (lo, hi); distinct prime
+    dens keep combinations of several draws non-integer."""
     num = rng.randrange(lo * den + 1, hi * den)
     while num % den == 0:
         num = rng.randrange(lo * den + 1, hi * den)
@@ -71,4 +67,4 @@ def rand_params_for_case(case: DoubleCase, rng: random.Random, max_n: int,
         return rand_dual_hahn(rng, max_n)
     if case.family is HahnParams:
         return rand_hahn(rng, max_n)
-    return rand_racah(rng, max_n, RACAH_SELECTORS[draw_index % 3])
+    return rand_racah(rng, max_n, RACAH_SELECTORS[draw_index % len(RACAH_SELECTORS)])

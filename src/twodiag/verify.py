@@ -29,6 +29,7 @@ from .doubles import (
     requirements_grid_max_residue,
 )
 from .families import (
+    RACAH_SELECTORS,
     DualHahnParams,
     family_column,
     family_eval,
@@ -49,9 +50,7 @@ from .matrices import (
     verify_spectrum_exact,
     verify_squares_exact,
 )
-from .sampling import RACAH_SELECTORS, rand_dual_hahn, rand_hahn, rand_params_for_case, rand_racah
-
-SUITES = ("pairs", "requirements", "christoffel", "orthogonality", "spectra", "algebra")
+from .sampling import rand_dual_hahn, rand_hahn, rand_params_for_case, rand_racah
 
 
 @dataclass
@@ -144,9 +143,10 @@ def _orthogonality_sum_check(params) -> tuple[bool, str]:
 def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
     out = []
     for i in range(draws):
+        selector = RACAH_SELECTORS[i % len(RACAH_SELECTORS)]
         for word, params in (("hahn", rand_hahn(rng, max_n)),
                              ("dual-hahn", rand_dual_hahn(rng, max_n)),
-                             ("racah", rand_racah(rng, max_n, RACAH_SELECTORS[i % 3]))):
+                             ("racah", rand_racah(rng, max_n, selector))):
             out.append(CheckOutcome(f"orthogonality {word} [{_params_label(params)}]",
                                     *_orthogonality_sum_check(params)))
 
@@ -256,6 +256,7 @@ SUITE_RUNNERS: Dict[str, Callable[[random.Random, int, int], List[CheckOutcome]]
     "spectra": suite_spectra,
     "algebra": suite_algebra,
 }
+SUITES = tuple(SUITE_RUNNERS)
 
 
 def run_suites(names, max_n: int, seed: int, draws: int) -> List[CheckOutcome]:

@@ -476,3 +476,13 @@ def test_negative_fraction_as_separate_token(capsys):
 
 if __name__ == "__main__":
     CLI_GALLERY_GOLDEN.write_text(cli_gallery_transcript())
+
+
+def test_poly_minus_n_offers_exactly_the_racah_caps(capsys):
+    from twodiag.families import RACAH_CAPS
+
+    with pytest.raises(SystemExit) as done:
+        main(["poly", "--help"])
+    assert done.value.code == 0
+    assert "--minus-n {" + ",".join(RACAH_CAPS) + "}" in capsys.readouterr().out
+    assert tuple(RACAH_CAPS) == ("alpha", "beta_delta", "gamma")

@@ -434,6 +434,88 @@ def test_a_pole_is_reported_at_its_first_grid_point(case):
 
 
 # ---------------------------------------------------------------------------
+# a pair residue reads a column entry only where its coefficient is nonzero
+
+class _Unread(Exception):
+    pass
+
+
+class _RaisingColumn:
+    """A family column whose entry `bad` raises `exc`."""
+
+    def __init__(self, column, bad, exc):
+        self.column, self.bad, self.exc = column, bad, exc
+
+    def __getitem__(self, n):
+        if n == self.bad:
+            raise self.exc
+        return self.column[n]
+
+
+def _pair_terms(cs, relation, n, x):
+    """(coefficient, column, degree) of the relation's three terms at (n, x):
+    the column is "base" (read at x) or "hatted" (read at x + xshift)."""
+    if relation == 1:
+        return [(cs.a(n), "base", n), (cs.b(n), "base", n + 1), (cs.d_hat(F(x)), "hatted", n)]
+    return [(cs.a_hat(n), "hatted", n), (cs.b_hat(n), "hatted", n + 1), (cs.d(F(x)), "base", n + 1)]
+
+
+def _raise_at(monkeypatch, cs, which, x, bad, exc):
+    """Make entry `bad` of the sextet's `which` column at grid point x raise."""
+    from twodiag import doubles
+
+    target = cs.base if which == "base" else cs.hatted
+    at = F(x) if which == "base" else F(x + cs.xshift)
+    real = doubles.family_column
+
+    def column(params, point):
+        col = real(params, point)
+        return _RaisingColumn(col, bad, exc) if params == target and point == at else col
+    monkeypatch.setattr(doubles, "family_column", column)
+
+
+def test_a_pair_residue_reads_no_entry_whose_coefficient_is_zero(monkeypatch):
+    with_zero_terms = set()
+    for case in ALL_CASES:
+        params = draw(case, 2, max_n=4)
+        whole = coefficients(case, params)
+        for relation, residue, top in (
+                (1, pair_residue_forward, whole.base.N),
+                (2, pair_residue_backward, min(whole.base.N, whole.hatted.N))):
+            for n, x in itertools.product(range(top), range(params.N + 1)):
+                expected = residue(whole, n, x)
+                for coef, which, degree in _pair_terms(whole, relation, n, x):
+                    with monkeypatch.context() as patch:
+                        _raise_at(patch, whole, which, x, degree, _Unread())
+                        cs = coefficients(case, params)  # empty column memos
+                        if coef == 0:
+                            with_zero_terms.add(case.value)
+                            assert residue(cs, n, x) == expected
+                        else:
+                            with pytest.raises(_Unread):
+                                residue(cs, n, x)
+    # dhat vanishes at one grid point of each of these cases
+    assert with_zero_terms == {"DualHahnI", "DualHahnII", "HahnII", "HahnIV", "RacahI", "RacahIII"}
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_a_raising_column_entry_is_a_pole_at_its_first_reading(case, monkeypatch):
+    params = next(p for seed in range(50) if (p := draw(case, seed, max_n=5)).N >= 2)
+    whole, x0 = coefficients(case, params), 1
+    # the walk reads relation 1 for every n, then relation 2, at each x in turn
+    walk = ([(1, n) for n in range(whole.base.N)]
+            + [(2, n) for n in range(min(whole.base.N, whole.hatted.N))])
+    first = next((relation, n) for relation, n in walk
+                 if any(coef != 0 and (which, degree) == ("base", 1)
+                        for coef, which, degree in _pair_terms(whole, relation, n, x0)))
+    _raise_at(monkeypatch, whole, "base", x0, 1, ZeroDivisionError("entry 1"))
+    with pytest.raises(GridPole) as pole:
+        pair_grid_max_residue(coefficients(case, params))
+    assert pole.value.position == ("relation", *first, x0)
+    assert str(pole.value.__cause__) == "entry 1"
+
+
+# ---------------------------------------------------------------------------
 # the integer-friendly forms against their entries written as Fraction sums
 
 def _reference_nonsym(case, p):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from twodiag.exact import (
     ScaledRoot,
     hyper_terminating,
     is_nonpositive_int,
+    over_lcm,
     pochhammer,
     rbinom,
 )
@@ -218,7 +220,8 @@ def test_every_family_series_equals_the_term_by_term_sum(monkeypatch):
     import random
 
     from twodiag import families
-    from twodiag.sampling import RACAH_SELECTORS, rand_dual_hahn, rand_hahn, rand_racah
+    from twodiag.families import RACAH_SELECTORS
+    from twodiag.sampling import rand_dual_hahn, rand_hahn, rand_racah
 
     calls = []
 
@@ -238,3 +241,16 @@ def test_every_family_series_equals_the_term_by_term_sum(monkeypatch):
             for x in (*range(params.N + 1), F(-5, 3)):
                 evaluate.__wrapped__(n, x, params)  # past the cache, to the series
     assert len(calls) > 200 and all(calls)
+
+
+@given(st.lists(fractions, max_size=8))
+def test_over_lcm_puts_the_values_over_their_least_common_denominator(values):
+    ints, den = over_lcm(values)
+    assert [F(t, den) for t in ints] == values
+    assert all(den % v.denominator == 0 for v in values)
+    # no smaller denominator holds every value: the t_i share no factor with D
+    assert math.gcd(den, *ints) == 1
+
+
+def test_over_lcm_of_no_values():
+    assert over_lcm([]) == ([], 1)

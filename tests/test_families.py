@@ -10,6 +10,8 @@ from twodiag import doubles, families, transforms, verify
 from twodiag.doubles import DoubleCase, christoffel_nu, coefficients
 from twodiag.exact import DenominatorPole, pochhammer
 from twodiag.families import (
+    RACAH_CAPS,
+    RACAH_SELECTORS,
     DualHahnParams,
     FamilyParams,
     HahnParams,
@@ -102,6 +104,39 @@ def test_racah_requires_degree_cap():
         RacahParams(F(1, 2), F(1, 3), F(1, 5), F(1, 7), "alpha")
     with pytest.raises(ValueError, match=r"^unknown minus_n selector 'unknown'$"):
         RacahParams(-3, F(1, 2), F(1, 2), F(1, 2), "unknown")
+    with pytest.raises(ValueError, match=r"^unknown minus_n selector 'beta'$"):
+        RacahParams(-3, F(1, 2), F(1, 2), F(1, 2), "beta")
+
+
+@pytest.mark.parametrize("selector", RACAH_SELECTORS)
+def test_the_dual_of_the_dual_is_the_original(selector):
+    assert RACAH_SELECTORS == tuple(RACAH_CAPS) == ("alpha", "beta_delta", "gamma")
+    p = rand_racah(random.Random(selector), 6, selector)
+    dual = families._dual_family(p)
+    assert dual.minus_n == RACAH_CAPS[selector][1] and dual.N == p.N
+    assert families._dual_family(dual) == p
+
+
+# the exact messages of the ten per-point functions at N = 4
+INDEX_MESSAGES = {"eval": "degree n={} outside 0..4", "weight": "x={} outside 0..4",
+                  "norm": "n={} outside 0..4"}
+INDEX_PARAMS = {"hahn": HahnParams(F(1, 2), F(1, 3), 4),
+                "dual_hahn": DualHahnParams(F(1, 2), F(1, 3), 4),
+                "racah": RacahParams(F(-5), F(9, 2), F(1, 3), F(1, 5)),
+                "krawtchouk": KrawtchoukParams(F(1, 3), 4)}
+PER_POINT = [f"{family}_{kind}" for family in INDEX_PARAMS for kind in INDEX_MESSAGES
+             if family != "krawtchouk" or kind == "eval"]
+
+
+@pytest.mark.parametrize("name", PER_POINT)
+@pytest.mark.parametrize("index", [-1, 5])
+def test_per_point_functions_refuse_an_index_outside_0_to_N(name, index):
+    assert len(PER_POINT) == 10
+    family, kind = name.rsplit("_", 1)
+    fn, params = getattr(families, name), INDEX_PARAMS[family]
+    with pytest.raises(ValueError) as err:
+        fn(index, 1, params) if kind == "eval" else fn(index, params)
+    assert str(err.value) == INDEX_MESSAGES[kind].format(index)
 
 
 # (class, arguments with int spellings, the same with Fraction spellings,

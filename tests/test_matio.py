@@ -122,6 +122,28 @@ def test_float_tridiag_refuses_index_zero():
         mm_to_float_tridiag(3, [(0, 1, 7.0), (1, 0, 7.0)])
 
 
+@pytest.mark.parametrize("entries,message", [
+    ([(0, 1, 7.0), (1, 0, 7.0)], "entry (0,1) outside the 3 x 3 matrix"),
+    ([(1, 3, 7.0)], "entry (1,3) outside the tridiagonal band"),
+])
+def test_entries_handed_in_are_refused_without_a_line(entries, message):
+    # entries from a caller have no line of text to name
+    with pytest.raises(ParseError) as err:
+        mm_to_float_tridiag(3, entries)
+    assert str(err.value) == message and err.value.line is None
+
+
+@pytest.mark.parametrize("sup,sub", [(float("inf"), 1.0), (1e200, 1e200), (float("nan"), 1.0)])
+def test_float_tridiag_refuses_a_product_that_is_not_finite(sup, sub):
+    with pytest.raises(ParseError, match=r"^entries \(2,3\) and \(3,2\) have product "):
+        mm_to_float_tridiag(3, [(1, 2, 1.0), (2, 1, 1.0), (2, 3, sup), (3, 2, sub)])
+
+
+def test_a_zero_product_gives_a_positive_zero_entry():
+    tri = mm_to_float_tridiag(3, [(1, 2, -3.0), (2, 3, 0.0), (3, 2, -0.0)])
+    assert [str(v) for v in tri.offdiagonal] == ["0.0", "0.0"]
+
+
 def test_matrix_market_refuses_symmetric_header():
     # a symmetric file lists the lower triangle only; read as general it
     # would be the zero matrix
