@@ -9,9 +9,10 @@ values exactly).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -42,6 +43,10 @@ def rational_arg(text: str) -> Fraction:
     return Fraction(text)
 
 
+_POLY_PARAMS = {"hahn": HahnParams, "dual-hahn": DualHahnParams, "racah": RacahParams,
+                "krawtchouk": KrawtchoukParams}
+
+
 _PARAM_FLAGS = ("--alpha", "--beta", "--gamma", "--delta", "--p")
 
 
@@ -65,13 +70,8 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=rational_arg, help="dual Hahn/Racah delta")
 
 
-def _collect_params(args) -> Dict[str, Fraction]:
-    out = {}
-    for name in ("alpha", "beta", "gamma", "delta"):
-        v = getattr(args, name, None)
-        if v is not None:
-            out[name] = v
-    return out
+def _collect_params(args, names=("alpha", "beta", "gamma", "delta")) -> Dict[str, Fraction]:
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _invocation(args) -> str:
@@ -128,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--output", help="output file (default stdout)")
 
     p = sub.add_parser("poly", help="tabulate polynomial values exactly")
-    p.add_argument("family", choices=("hahn", "dual-hahn", "racah", "krawtchouk"))
+    p.add_argument("family", choices=tuple(_POLY_PARAMS))
     p.add_argument("-n", type=int, required=True, help="degree")
-    p.add_argument("-N", type=int, help="size parameter (not needed for racah)")
+    p.add_argument("-N", type=int, help="size parameter (racah takes none: its cap gives N)")
     _add_param_flags(p)
     p.add_argument("--p", type=rational_arg, help="Krawtchouk success parameter")
-    p.add_argument("--minus-n", default="alpha", choices=RACAH_SELECTORS,
-                   dest="minus_n", help="which Racah denominator parameter is -N")
+    p.add_argument("--minus-n", choices=RACAH_SELECTORS, dest="minus_n",
+                   help="which Racah denominator parameter is -N (default alpha)")
     p.add_argument("--x-from", type=int, default=0)
     p.add_argument("--x-to", type=int, default=None)
     p.add_argument("--weights", action="store_true", help="add weight and norm columns")
@@ -217,25 +217,28 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _flag(name: str) -> str:
+    return "-N" if name == "N" else "--" + name.replace("_", "-")
+
+
 def _poly_params(args):
-    need = lambda name: getattr(args, name) is not None
-    if args.family == "hahn":
-        if not (need("alpha") and need("beta") and need("N")):
-            raise ValueError("hahn needs --alpha, --beta and -N")
-        return HahnParams(args.alpha, args.beta, args.N)
-    if args.family == "dual-hahn":
-        if not (need("gamma") and need("delta") and need("N")):
-            raise ValueError("dual-hahn needs --gamma, --delta and -N")
-        return DualHahnParams(args.gamma, args.delta, args.N)
-    if args.family == "racah":
-        if not all(need(k) for k in ("alpha", "beta", "gamma", "delta")):
-            raise ValueError("racah needs --alpha, --beta, --gamma, --delta")
-        return RacahParams(args.alpha, args.beta, args.gamma, args.delta, args.minus_n)
-    if not (need("p") and need("N")):
-        raise ValueError("krawtchouk needs --p and -N")
-    if args.weights:
+    """The family's parameters from the flags its class has fields for: a
+    missing one, or a flag the family does not take, is an error."""
+    cls = _POLY_PARAMS[args.family]
+    takes = [f.name for f in fields(cls)]
+    given = _collect_params(args, ("alpha", "beta", "gamma", "delta", "p", "N", "minus_n"))
+    needed = [f.name for f in fields(cls) if f.default is MISSING]
+    if not all(name in given for name in needed):
+        raise ValueError(f"{args.family} needs "
+                         + ", ".join(_flag(name) for name in needed if name != "N")
+                         + " and -N" * ("N" in needed))
+    extra = next((name for name in given if name not in takes), None)
+    if extra is not None:
+        raise ValueError(f"{args.family} takes no {_flag(extra)} "
+                         f"(it takes: {', '.join(map(_flag, takes))})")
+    if args.weights and cls is KrawtchoukParams:
         raise ValueError("poly krawtchouk has no weight or norm column; drop --weights")
-    return KrawtchoukParams(args.p, args.N)
+    return cls(**given)
 
 
 def cmd_poly(args) -> int:
@@ -280,7 +283,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     # every input error exits 2; 1 is a failed verify
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout is met here, not at exit
+        return code
     except (DenominatorPole, NonTerminatingSeries) as exc:
         print(f"error: evaluation impossible: {exc}", file=sys.stderr)
         return 2
@@ -291,6 +296,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {_invocation(args)}: a value is too large for a float ({exc})",
               file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left: exit quietly, the interpreter's last flush going nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -331,52 +331,41 @@ def verify_requirements(
     return rows + [k4 - x4, k5 - x5, x6 - k6]
 
 
-def _at(position: tuple, residue: Callable, *args, **kwargs):
-    """(position, residue(*args, **kwargs)), a vanishing denominator raised
-    as the GridPole at position."""
+def _grid_residues(cs: CoefficientSextet, *kinds: str):
+    """Lazily, (position, residue) over the verification grid x = 0..N,
+    x outermost, of the kinds asked for: "relation" 1 for n = 0..N-1 and 2
+    for n+1 up to the hatted degree cap, then the "requirement" system for
+    n = 0..N-1.  A position is (kind, index, n, x); a coefficient's pole at
+    one raises GridPole there, with index None for the requirement system."""
+    N, position = cs.base.N, None
     try:
-        return position, residue(*args, **kwargs)
+        for x in range(N + 1):
+            if "relation" in kinds:
+                for n in range(N):
+                    position = ("relation", 1, n, x)
+                    yield position, pair_residue_forward(cs, n, x)
+                for n in range(min(N, cs.hatted.N)):
+                    position = ("relation", 2, n, x)
+                    yield position, pair_residue_backward(cs, n, x)
+            if "requirement" in kinds:
+                for n in range(N):
+                    position = ("requirement", None, n, x)
+                    for i, r in enumerate(verify_requirements(cs, n=n, x=x)):
+                        yield ("requirement", i, n, x), r
     except ZeroDivisionError as exc:
         raise GridPole(position) from exc
-
-
-def _relation_residues(cs: CoefficientSextet, x: int):
-    N = cs.base.N
-    for n in range(N):
-        yield _at(("relation", 1, n, x), pair_residue_forward, cs, n, x)
-    for n in range(min(N, cs.hatted.N)):
-        yield _at(("relation", 2, n, x), pair_residue_backward, cs, n, x)
-
-
-def _requirement_residues(cs: CoefficientSextet, x: int):
-    for n in range(cs.base.N):
-        _, residues = _at(("requirement", None, n, x), verify_requirements, cs, n=n, x=x)
-        for i, r in enumerate(residues):
-            yield ("requirement", i, n, x), r
-
-
-def _grid_residues(cs: CoefficientSextet, *walks):
-    """Lazily, (position, residue) over the verification grid x = 0..N,
-    x outermost: relation 1 for n = 0..N-1, relation 2 for n+1 up to the
-    hatted degree cap, the requirement system for n = 0..N-1.  A position
-    is (kind, index, n, x); a coefficient's pole at one raises GridPole."""
-    for x in range(cs.base.N + 1):
-        for walk in walks:
-            yield from walk(cs, x)
 
 
 def pair_grid_max_residue(cs: CoefficientSextet) -> Fraction:
     """Largest |residue| of both relations over the full verification grid;
     GridPole where a coefficient has a pole on it."""
-    return max((abs(r) for _, r in _grid_residues(cs, _relation_residues)),
-               default=Fraction(0))
+    return max((abs(r) for _, r in _grid_residues(cs, "relation")), default=Fraction(0))
 
 
 def requirements_grid_max_residue(cs: CoefficientSextet) -> Fraction:
     """Largest |residue| of the requirement system over the full grid;
     GridPole where a coefficient has a pole on it."""
-    return max((abs(r) for _, r in _grid_residues(cs, _requirement_residues)),
-               default=Fraction(0))
+    return max((abs(r) for _, r in _grid_residues(cs, "requirement")), default=Fraction(0))
 
 
 def locate_failure(cs: CoefficientSextet) -> str | None:
@@ -384,7 +373,7 @@ def locate_failure(cs: CoefficientSextet) -> str | None:
     residue, or of the first pole of a coefficient, on the verification
     grid; None when every residue is zero."""
     try:
-        for (kind, index, n, x), r in _grid_residues(cs, _relation_residues, _requirement_residues):
+        for (kind, index, n, x), r in _grid_residues(cs, "relation", "requirement"):
             if r != 0:
                 return f"{kind} {index} at n={n}, x={x}: residue {r}"
     except GridPole as pole:

@@ -418,11 +418,17 @@ _SELECTORS: Dict[str, _Selector] = {
 FAMILY_CHOICES = list(_SELECTORS)
 
 
+def _selector(name: str) -> _Selector:
+    if name not in _SELECTORS:
+        raise ValueError(f"unknown family {name!r}; choose from {', '.join(FAMILY_CHOICES)}")
+    return _SELECTORS[name]
+
+
 def _dim_to_n(selector: str, dim: int) -> int:
     """Map a requested matrix dimension to the family's size parameter."""
     if dim < 2:
         raise ValueError("dimension must be >= 2")
-    sel = _SELECTORS[selector]
+    sel = _selector(selector)
     if sel.case is None:
         return dim - 1
     even = sel.case.record.even_dim
@@ -438,9 +444,7 @@ def gallery_params(selector: str, n: int,
     its defaults, overridden by the given ones, and the Racah beta filled in
     from n when not given.  A parameter the selector does not take is an
     error."""
-    if selector not in _SELECTORS:
-        raise ValueError(f"unknown family {selector!r}; choose from {', '.join(FAMILY_CHOICES)}")
-    case = _SELECTORS[selector].case
+    case = _selector(selector).case
     merged = dict(case.record.defaults) if case else {}
     for name, value in (params or {}).items():
         if name not in merged:

@@ -16,8 +16,8 @@ y_0..y_N on a whole grid as integer numerators over one integer
 denominator per degree (fraction-free, each row divided by its content),
 and `family_weights` and `family_norms` give the weight and norm tables;
 the eigenvector matrices are built from them.  The pair, transform and
-orthogonality checks read `family_column`, the recurrence values at one
-point cached per (parameters, x), through `family_value`;
+orthogonality checks read every value as `family_column(params, x)[n]`,
+the recurrence values at one point cached per (parameters, x);
 `verify` cross-checks those columns against the series.  `linear_quotient`
 is the one evaluator of A(n), C(n) and the coefficients of the `doubles`
 sextets and of Lam(x), all products of linear factors, at integer or
@@ -220,11 +220,6 @@ def family_column(params: FamilyParams, x: RationalLike) -> FamilyColumn:
     except ZeroDivisionError:
         pass  # the degrees from here on are left to the series
     return FamilyColumn(params, Fraction(x), tuple(values))
-
-
-def family_value(params: FamilyParams, n: int, x: RationalLike) -> Fraction:
-    """y_n(x) read from the cached column at x; equal to family_eval."""
-    return family_column(params, x)[n]
 
 
 # ---------------------------------------------------------------------------

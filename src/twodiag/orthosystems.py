@@ -23,7 +23,7 @@ from typing import List, Tuple
 from .doubles import (SYSTEM_CASES, CoefficientSextet, DoubleCase, case_record, coefficients,
                       eig_squares)
 from .exact import ScaledRoot, over_lcm
-from .families import FamilyParams, family_norm, family_value, family_weight
+from .families import FamilyParams, family_column, family_norm, family_weight
 from .matrices import (
     InadmissibleParams,
     Spectrum,
@@ -92,10 +92,10 @@ class DoubledSystem:
         """
         half, sign = n // 2, (-1) ** (n // 2)
         if n % 2 == 0:
-            return ScaledRoot(sign * family_value(self.params, half, k), _HALF)
+            return ScaledRoot(sign * family_column(self.params, k)[half], _HALF)
         pair = self._pair
         pref = self.case.record.odd_prefactor(self.params, half)
-        core = family_value(pair.hatted, half, k + pair.xshift)
+        core = family_column(pair.hatted, k + pair.xshift)[half]
         return ScaledRoot(sign * pref.coef * core, pref.radicand)
 
 

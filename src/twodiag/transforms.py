@@ -21,7 +21,7 @@ from typing import Callable, List
 
 from .doubles import CoefficientSextet, DoubleCase, christoffel_nu, coefficients
 from .exact import RationalLike
-from .families import FamilyParams, family_column, family_value, recurrence_data
+from .families import FamilyParams, family_column, recurrence_data
 
 
 class ZeroAtNu(ZeroDivisionError):
@@ -115,7 +115,7 @@ def verify_roundtrip(params: FamilyParams, nu: RationalLike, n_max: int, xs) -> 
         for x in xs:
             if data.gap(x) == 0:
                 continue
-            out.append(data.reconstruct(n, x) - family_value(params, n, x))
+            out.append(data.reconstruct(n, x) - family_column(params, x)[n])
     return out
 
 
@@ -144,6 +144,6 @@ def verify_same_family(case: DoubleCase, params: FamilyParams) -> List[Fraction]
         if bn == 0:
             continue
         for x in clear:
-            rhs = (c / bn) * family_value(cs.hatted, n, Fraction(x) + cs.xshift)
+            rhs = (c / bn) * family_column(cs.hatted, Fraction(x) + cs.xshift)[n]
             res.append(data.kernel(n, x) - rhs)
     return res

@@ -310,6 +310,65 @@ def test_poly_missing_params(capsys):
     assert "--alpha" in _one_line_error(err)
 
 
+@pytest.mark.parametrize("family,line", [
+    ("hahn", "hahn needs --alpha, --beta and -N"),
+    ("dual-hahn", "dual-hahn needs --gamma, --delta and -N"),
+    ("racah", "racah needs --alpha, --beta, --gamma, --delta"),
+    ("krawtchouk", "krawtchouk needs --p and -N"),
+])
+def test_poly_missing_flags_are_named(capsys, family, line):
+    code, out, err = run(capsys, "poly", family, "-n", "1")
+    assert code == 2 and out == ""
+    assert _one_line_error(err) == f"error: {line}"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["dual-hahn", "--gamma", "0", "--delta", "0", "--alpha", "5", "-N", "2"],
+     "dual-hahn takes no --alpha (it takes: --gamma, --delta, -N)"),
+    # the cap alpha + 1 = -N gives N = 2 here, so -N 7 is not used
+    (["racah", "--alpha", "-3", "--beta", "1/2", "--gamma", "1/2", "--delta", "1/2", "-N", "7"],
+     "racah takes no -N (it takes: --alpha, --beta, --gamma, --delta, --minus-n)"),
+    (["hahn", "--alpha", "1/2", "--beta", "1/3", "-N", "2", "--minus-n", "gamma"],
+     "hahn takes no --minus-n (it takes: --alpha, --beta, -N)"),
+])
+def test_poly_refuses_a_flag_its_family_does_not_take(capsys, argv, line):
+    code, out, err = run(capsys, "poly", *argv, "-n", "1")
+    assert code == 2 and out == ""
+    assert _one_line_error(err) == f"error: {line}"
+
+
+def test_poly_racah_takes_an_explicit_alpha_cap(capsys):
+    flags = ["--alpha", "-3", "--beta", "1/2", "--gamma", "1/2", "--delta", "1/2", "-n", "1"]
+    _, default, _ = run(capsys, "poly", "racah", *flags)
+    code, explicit, err = run(capsys, "poly", "racah", *flags, "--minus-n", "alpha")
+    assert code == 0 and err == "" and explicit == default != ""
+
+
+@pytest.mark.parametrize("N,lines_read", [(20000, 1), (3, 0)])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(N, lines_read):
+    # N = 20000 writes far more than a pipe buffers, so the writes meet the
+    # pipe closed after one line; at N = 3 the pipe is closed before any
+    # write, and the whole table meets it when stdout is flushed
+    import os
+    import subprocess
+    import sys
+
+    import twodiag
+
+    root = str(Path(twodiag.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from twodiag.cli import main; sys.exit(main())",
+         "spectrum", "kac", "-N", str(N)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b"" and all(line.startswith(b"-1 ") for line in first)
+
+
 def test_poly_krawtchouk_weights_refused_before_output(capsys):
     code, out, err = run(capsys, "poly", "krawtchouk", "-n", "2", "-N", "4", "--p", "1/3",
                          "--weights")

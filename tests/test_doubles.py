@@ -434,6 +434,80 @@ def test_a_pole_is_reported_at_its_first_grid_point(case):
 
 
 # ---------------------------------------------------------------------------
+# the one grid generator against the earlier walk, one function per kind
+
+def _reference_at(position, residue, *args, **kwargs):
+    try:
+        return position, residue(*args, **kwargs)
+    except ZeroDivisionError as exc:
+        raise GridPole(position) from exc
+
+
+def _reference_relation_residues(cs, x):
+    from twodiag import doubles
+
+    N = cs.base.N
+    for n in range(N):
+        yield _reference_at(("relation", 1, n, x), doubles.pair_residue_forward, cs, n, x)
+    for n in range(min(N, cs.hatted.N)):
+        yield _reference_at(("relation", 2, n, x), doubles.pair_residue_backward, cs, n, x)
+
+
+def _reference_requirement_residues(cs, x):
+    from twodiag import doubles
+
+    for n in range(cs.base.N):
+        _, residues = _reference_at(("requirement", None, n, x), doubles.verify_requirements,
+                                    cs, n=n, x=x)
+        for i, r in enumerate(residues):
+            yield ("requirement", i, n, x), r
+
+
+_REFERENCE_WALKS = {"relation": _reference_relation_residues,
+                    "requirement": _reference_requirement_residues}
+
+
+def _reference_grid_residues(cs, *kinds):
+    for x in range(cs.base.N + 1):
+        for kind in kinds:
+            yield from _REFERENCE_WALKS[kind](cs, x)
+
+
+def _walked(residues):
+    """(every (position, residue) up to the first pole, the pole's position
+    and the message of its cause, or None)."""
+    out = []
+    try:
+        for item in residues:
+            out.append(item)
+    except GridPole as pole:
+        return out, (pole.position, str(pole.__cause__))
+    return out, None
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_grid_generator_walks_as_the_reference_walks(case, seed):
+    from twodiag.doubles import _grid_residues
+
+    params = draw(case, seed, max_n=5)
+    cs = coefficients(case, params)
+    x0 = params.N - 1
+    mutants = [cs] + [cs.flipped(which) for which in COEFFICIENTS] + [
+        replace(cs, d_hat=_with_pole(cs.d_hat, x0)),
+        replace(cs, d=_with_pole(cs.d, x0)),
+        replace(cs, b=_with_pole(cs.b, 1))]
+    nonzero = poles = 0
+    for i, mutant in enumerate(mutants):
+        for kinds in (("relation",), ("requirement",), ("relation", "requirement")):
+            expected = _walked(_reference_grid_residues(mutant, *kinds))
+            assert _walked(_grid_residues(mutant, *kinds)) == expected, (i, kinds)
+            nonzero += any(r != 0 for _, r in expected[0])
+            poles += expected[1] is not None
+    assert nonzero > 0 and poles > 0
+
+
+# ---------------------------------------------------------------------------
 # a pair residue reads a column entry only where its coefficient is nonzero
 
 class _Unread(Exception):

@@ -105,6 +105,16 @@ def test_benchmark_zero_reps_is_empty():
     assert benchmark("kac", [11], repetitions=0) == []
 
 
+def test_benchmark_refuses_an_unknown_selector_as_gallery_params_does():
+    with pytest.raises(ValueError) as expected:
+        eigsolve.gallery_params("bogus", 5)
+    assert str(expected.value) == f"unknown family 'bogus'; choose from {', '.join(FAMILY_CHOICES)}"
+    for call in (lambda: benchmark("bogus", [5]), lambda: _dim_to_n("bogus", 5)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(expected.value)
+
+
 def test_benchmark_reports():
     reps = benchmark("kac", [51, 101], repetitions=2)
     assert len(reps) == 4

@@ -25,7 +25,6 @@ from twodiag.families import (
     family_norm,
     family_norms,
     family_table,
-    family_value,
     family_weight,
     family_weights,
     hahn_eval,
@@ -442,11 +441,11 @@ def test_family_value_equals_series(seed):
         points.append((p, [christoffel_nu(case, p)]))
     for fam, xs in points:
         for x in list(xs) + [F(-2, 3)]:
-            got = [family_value(fam, n, x) for n in range(fam.N + 1)]
+            got = [family_column(fam, x)[n] for n in range(fam.N + 1)]
             assert got == [family_eval(fam, n, x) for n in range(fam.N + 1)], (fam, x)
             for n in (-1, fam.N + 1):
                 with pytest.raises(ValueError, match="outside"):
-                    family_value(fam, n, x)
+                    family_column(fam, x)[n]
 
 
 @pytest.mark.parametrize("params", SERIES_POLES + [
@@ -460,9 +459,9 @@ def test_column_past_the_recurrence_stop_reads_the_series(params):
             expected = _series(params, n, x)
             if isinstance(expected, type):
                 with pytest.raises(expected):
-                    family_value(params, n, x)
+                    family_column(params, x)[n]
             else:
-                assert family_value(params, n, x) == expected, (n, x)
+                assert family_column(params, x)[n] == expected, (n, x)
 
 
 def _clear_family_caches():

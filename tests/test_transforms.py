@@ -9,7 +9,7 @@ from twodiag.families import (
     DualHahnParams,
     HahnParams,
     dual_hahn_eval,
-    family_value,
+    family_column,
     recurrence_data,
 )
 from twodiag.sampling import rand_params_for_case
@@ -165,6 +165,6 @@ def test_kernel_memo_is_keyed_on_degree_and_point():
     rec = recurrence_data(p)
     grid = [(n, x) for x in (0, 3, F(1, 2), 5) for n in range(p.N)]
     for n, x in grid + grid[::-1]:
-        y = [family_value(p, j, x) for j in range(p.N + 1)]
+        y = [family_column(p, x)[j] for j in range(p.N + 1)]
         expected = (y[n + 1] - data.a_seq(n) * y[n]) / (rec.Lam(x) - rec.Lam(nu))
         assert data.kernel(n, x) == expected

@@ -103,7 +103,7 @@ def test_a_wrong_column_entry_fails_every_check_that_reads_columns(monkeypatch):
             return col
         return FamilyColumn(col.params, col.x, (col.table[0], col.table[1] + 1) + col.table[2:])
 
-    for module in (families, doubles, transforms, verify):
+    for module in (families, doubles, orthosystems, transforms, verify):
         monkeypatch.setattr(module, "family_column", perturbed)
     assert all(worst != 0 for worst in checks())
     failed = [o for o in verify.suite_orthogonality(random.Random(0), 3, 1) if not o.ok]
