@@ -301,7 +301,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except OSError as exc:
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # a failed open names its file, a failed write does not
+        where = exc.filename or getattr(args, "output", None) or "<stdout>"
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -14,12 +14,14 @@ pins the coefficient products to the recurrence data (the requirement
 system checked by verify_requirements).  Each of its seven rows is an
 n-part combined with an x-part (rows 0-3 have none); each sextet memoises
 the n-parts per n and the x-parts per x, and the pair relations' columns
-per x, so a grid walk evaluates them once per row and column of the grid,
-not once per point.  The same products, times one sign per case, are the
-offdiagonal squares of the case's symmetric matrix (matrix_squares), so
-the matrix is built from the verified sextet.  Its eigenvalue squares are
-the same sign times the gaps Lam(x) - Lam(nu) of the kernel transform
-onto the hatted family (eig_squares).
+and -d, -dhat per x, so a grid walk evaluates them once per row and column
+of the grid, not once per point.  Every residue is one Fraction, from
+integer terms: `exact.sum_of_products` combines the numerators and
+denominators of its products and reduces once.  The same products, times
+one sign per case, are the offdiagonal squares of the case's symmetric
+matrix (matrix_squares), so the matrix is built from the verified sextet.
+Its eigenvalue squares are the same sign times the gaps Lam(x) - Lam(nu)
+of the kernel transform onto the hatted family (eig_squares).
 
 Every per-case fact (sextet, Christoffel parameter, matrix, eigenvector
 layout, doubled system, algebra, gallery defaults) is written once, in
@@ -33,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .exact import RationalLike, ScaledRoot
+from .exact import RationalLike, ScaledRoot, sum_of_products
 from .families import (
     DualHahnParams,
     FamilyParams,
@@ -99,7 +101,8 @@ class CoefficientSextet:
 
     Each sextet also memoises what the grid walks read at one n or one x:
     the requirement system's n-parts per n and x-parts per x, and the pair
-    relations' columns per x.  `__post_init__` makes the memos and they are
+    relations' columns and -d, -dhat per x (the last two lazily: a pole
+    stores nothing).  `__post_init__` makes the memos and they are
     no fields, so `flipped` and `dataclasses.replace` start every copy with
     empty ones.
     """
@@ -116,7 +119,7 @@ class CoefficientSextet:
     d_hat: Callable[[Fraction], Fraction]
 
     def __post_init__(self):
-        for memo in ("_n_rows", "_x_rows", "_columns"):
+        for memo in ("_n_rows", "_x_rows", "_columns", "_minus_d", "_minus_d_hat"):
             object.__setattr__(self, memo, {})
 
     def flipped(self, which: str) -> "CoefficientSextet":
@@ -228,33 +231,46 @@ def christoffel_nu(case: DoubleCase, params: FamilyParams) -> Fraction:
 
 
 def _columns(cs: CoefficientSextet, x: RationalLike) -> tuple:
-    """(x, base column at x, hatted column at x + xshift), memoised per x
-    on the sextet, so a grid point hashes its Fraction x once."""
+    """(base column at x, hatted column at x + xshift), memoised per x on
+    the sextet, so a grid point hashes its Fraction x once."""
     point = cs._columns.get(x)
     if point is None:
         xf = Fraction(x)
         point = cs._columns[x] = (
-            xf, family_column(cs.base, xf), family_column(cs.hatted, xf + cs.xshift))
+            family_column(cs.base, xf), family_column(cs.hatted, xf + cs.xshift))
     return point
+
+
+def _minus(memo: dict, f: Callable[[Fraction], Fraction], x: RationalLike) -> Fraction:
+    """-f(x), memoised per grid point x in `memo`, one of the sextet's; a
+    pole raises and stores nothing, so it is met again where it is next read."""
+    value = memo.get(x)
+    if value is None:
+        value = memo[x] = -f(Fraction(x))
+    return value
+
+
+def _read_nonzero(terms) -> Fraction:
+    """The sum of c * column[k] over the (c, column, k) of `terms`, as one
+    Fraction; column[k] is read, in order, only where c is nonzero."""
+    return sum_of_products((c, column[k]) for c, column, k in terms if c)
 
 
 def pair_residue_forward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
     """Residue of relation 1; defined for n <= N-1 (and n <= Nhat).  A pole
     of a coefficient raises before any value is read, and a column entry is
     read only where its coefficient is nonzero."""
-    xf, y, yh = _columns(cs, x)
-    a, b, d_hat = cs.a(n), cs.b(n), cs.d_hat(xf)
-    return ((a * y[n] if a else 0) + (b * y[n + 1] if b else 0)
-            - (d_hat * yh[n] if d_hat else 0))
+    y, yh = _columns(cs, x)
+    a, b, minus_d_hat = cs.a(n), cs.b(n), _minus(cs._minus_d_hat, cs.d_hat, x)
+    return _read_nonzero(((a, y, n), (b, y, n + 1), (minus_d_hat, yh, n)))
 
 
 def pair_residue_backward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
     """Residue of relation 2; defined for n+1 <= Nhat (and n+1 <= N), read
     like relation 1."""
-    xf, y, yh = _columns(cs, x)
-    a_hat, b_hat, d = cs.a_hat(n), cs.b_hat(n), cs.d(xf)
-    return ((a_hat * yh[n] if a_hat else 0) + (b_hat * yh[n + 1] if b_hat else 0)
-            - (d * y[n + 1] if d else 0))
+    y, yh = _columns(cs, x)
+    a_hat, b_hat, minus_d = cs.a_hat(n), cs.b_hat(n), _minus(cs._minus_d, cs.d, x)
+    return _read_nonzero(((a_hat, yh, n), (b_hat, yh, n + 1), (minus_d, y, n + 1)))
 
 
 def verify_pair(
@@ -279,34 +295,41 @@ def verify_pair(
 def _requirement_n_part(cs: CoefficientSextet, n: int) -> tuple:
     """(rows 0-3, K4, K5, K6) of the requirement system at n, memoised per
     n on the sextet: rows 4-6 are K4 - (dd - Lamhat), K5 - (dd - Lam) and
-    (Lam - Lamhat) - K6 with dd = d*dhat, so their n-parts are the K's."""
+    (Lam - Lamhat) - K6 with dd = d*dhat, so their n-parts are the K's.
+    Each entry is one Fraction of its products' integer terms."""
     part = cs._n_rows.get(n)
     if part is None:
         rec, rech = recurrence_data(cs.base), recurrence_data(cs.hatted)
-        a, b, ah, bh = cs.a, cs.b, cs.a_hat, cs.b_hat
-        cross = a(n) * bh(n - 1)
+        a, b, ah, bh = cs.a(n), cs.b(n), cs.a_hat(n), cs.b_hat(n)
+        a1, b1, ah1, bh1 = cs.a(n - 1), cs.b(n - 1), cs.a_hat(n - 1), cs.b_hat(n - 1)
+        A, C, Ah, Ch = rec.A(n), rec.C(n), rech.A(n), rech.C(n)
         part = cs._n_rows[n] = (
-            [a(n) * ah(n - 1) - rech.C(n),
-             a(n - 1) * ah(n - 1) - rec.C(n),
-             b(n) * bh(n) - rech.A(n),
-             b(n) * bh(n - 1) - rec.A(n)],
-            cross + ah(n) * b(n) + rech.A(n) + rech.C(n),
-            cross + ah(n - 1) * b(n - 1) + rec.A(n) + rec.C(n),
-            ah(n - 1) * (a(n) - a(n - 1) - b(n - 1)) + b(n) * (ah(n) + bh(n) - bh(n - 1)),
+            [sum_of_products(((a, ah1), (-1, Ch))),
+             sum_of_products(((a1, ah1), (-1, C))),
+             sum_of_products(((b, bh), (-1, Ah))),
+             sum_of_products(((b, bh1), (-1, A)))],
+            sum_of_products(((a, bh1), (ah, b), (Ah,), (Ch,))),
+            sum_of_products(((a, bh1), (ah1, b1), (A,), (C,))),
+            # ah1 (a - a1 - b1) + b (ah + bh - bh1)
+            sum_of_products(((ah1, a), (-1, ah1, a1), (-1, ah1, b1),
+                             (b, ah), (b, bh), (-1, b, bh1))),
         )
     return part
 
 
 def _requirement_x_part(cs: CoefficientSextet, x: RationalLike) -> tuple:
     """(dd - Lamhat(xhat), dd - Lam(x), Lam(x) - Lamhat(xhat)) of rows 4-6,
-    memoised per x on the sextet."""
+    memoised per x on the sextet, with dd = (-d)(-dhat) read through the
+    pair relations' memos."""
     part = cs._x_rows.get(x)
     if part is None:
+        minus_d, minus_d_hat = _minus(cs._minus_d, cs.d, x), _minus(cs._minus_d_hat, cs.d_hat, x)
         xf = Fraction(x)
-        dd = cs.d(xf) * cs.d_hat(xf)
         lam = recurrence_data(cs.base).Lam(xf)
         lam_h = recurrence_data(cs.hatted).Lam(xf + cs.xshift)
-        part = cs._x_rows[x] = (dd - lam_h, dd - lam, lam - lam_h)
+        part = cs._x_rows[x] = (sum_of_products(((minus_d, minus_d_hat), (-1, lam_h))),
+                                sum_of_products(((minus_d, minus_d_hat), (-1, lam))),
+                                sum_of_products(((lam,), (-1, lam_h))))
     return part
 
 
@@ -323,12 +346,14 @@ def verify_requirements(
     both rearranged mixed conditions, and the Lam difference identity].
     Rows 0-3 depend on n alone and rows 4-6 split into an n-part and an
     x-part; the sextet memoises the n-parts per n and the x-parts per x, so
-    a grid point past the first row and column costs three subtractions.
+    a grid point past the first row and column costs three sums of two
+    terms.  Every residue is one Fraction, from integer terms.
     """
     cs = case if isinstance(case, CoefficientSextet) else coefficients(case, params)
     rows, k4, k5, k6 = _requirement_n_part(cs, n)
     x4, x5, x6 = _requirement_x_part(cs, x)
-    return rows + [k4 - x4, k5 - x5, x6 - k6]
+    return rows + [sum_of_products(((k4,), (-1, x4))), sum_of_products(((k5,), (-1, x5))),
+                   sum_of_products(((x6,), (-1, k6)))]
 
 
 def _grid_residues(cs: CoefficientSextet, *kinds: str):
@@ -359,13 +384,13 @@ def _grid_residues(cs: CoefficientSextet, *kinds: str):
 def pair_grid_max_residue(cs: CoefficientSextet) -> Fraction:
     """Largest |residue| of both relations over the full verification grid;
     GridPole where a coefficient has a pole on it."""
-    return max((abs(r) for _, r in _grid_residues(cs, "relation")), default=Fraction(0))
+    return max((abs(r) for _, r in _grid_residues(cs, "relation") if r), default=Fraction(0))
 
 
 def requirements_grid_max_residue(cs: CoefficientSextet) -> Fraction:
     """Largest |residue| of the requirement system over the full grid;
     GridPole where a coefficient has a pole on it."""
-    return max((abs(r) for _, r in _grid_residues(cs, "requirement")), default=Fraction(0))
+    return max((abs(r) for _, r in _grid_residues(cs, "requirement") if r), default=Fraction(0))
 
 
 def locate_failure(cs: CoefficientSextet) -> str | None:

@@ -1,5 +1,6 @@
 """Exact rational kernel: Pochhammer symbols, terminating hypergeometric
-series, common denominators, and scaled square roots of rationals.
+series, sums of products as one Fraction, common denominators, and scaled
+square roots of rationals.
 
 Everything here is pure and exact; no floats enter until a caller asks for
 a float rendering.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -95,6 +96,27 @@ def hyper_terminating(
             v *= d.numerator + k * d.denominator
         top, bot = bot * v + u * top, bot * v
     return Fraction(top, bot)
+
+
+def sum_of_products(terms: Iterable[Sequence[RationalLike]],
+                    over: RationalLike = 1) -> Fraction:
+    """The sum over `terms` of the product of each term's factors, divided
+    by `over`, as one Fraction: the factors' integer numerators and
+    denominators are combined over the running product of the terms'
+    denominators, and the only gcd is the one that reduces the result.
+    A zero `over` raises ZeroDivisionError."""
+    top, bottom = 0, 1
+    for factors in terms:
+        num = den = 1
+        for f in factors:
+            num *= f.numerator
+            den *= f.denominator
+        if den == bottom:
+            top += num
+        else:
+            top = top * den + num * bottom
+            bottom *= den
+    return Fraction(top * over.denominator, bottom * over.numerator)
 
 
 def over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:

@@ -10,6 +10,9 @@ kernel partner and its inverse are
 
 with a_n = y_{n+1}(nu)/y_n(nu) and b_n tied to the recurrence through
 b_n a_{n-1} = C(n) and A(n) a_n + b_n = A(n) + C(n) + Lam(nu).
+
+P_n(x), the reconstruction and every residue of the checks below are one
+Fraction per residue, from integer terms (`exact.sum_of_products`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, List
 
 from .doubles import CoefficientSextet, DoubleCase, christoffel_nu, coefficients
-from .exact import RationalLike
+from .exact import RationalLike, sum_of_products
 from .families import FamilyParams, family_column, recurrence_data
 
 
@@ -48,10 +51,14 @@ class ChristoffelData:
 
     def reconstruct(self, n: int, x: RationalLike) -> Fraction:
         """A(n) P_n(x) - b_n P_{n-1}(x); equals y_n(x) exactly."""
+        return sum_of_products(self._reconstruct_terms(n, x))
+
+    def _reconstruct_terms(self, n: int, x: RationalLike) -> tuple:
+        """The products A(n) P_n(x) and -b_n P_{n-1}(x) (the first alone at n = 0)."""
         rec = recurrence_data(self.params)
         if n == 0:
-            return rec.A(0) * self.kernel(0, x)
-        return rec.A(n) * self.kernel(n, x) - self.b_seq(n) * self.kernel(n - 1, x)
+            return ((rec.A(0), self.kernel(0, x)),)
+        return ((rec.A(n), self.kernel(n, x)), (-1, self.b_seq(n), self.kernel(n - 1, x)))
 
 
 def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
@@ -72,7 +79,8 @@ def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
     def b_seq(n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
-        return rec.A(n) + rec.C(n) + lam_nu - rec.A(n) * a_seq(n)
+        A = rec.A(n)
+        return sum_of_products(((A,), (rec.C(n),), (lam_nu,), (-1, A, a_seq(n))))
 
     @lru_cache(maxsize=None)
     def kernel(n: int, x: RationalLike) -> Fraction:
@@ -81,7 +89,7 @@ def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
         if denom == 0:
             raise SupportCollision(f"Lam({x}) = Lam({nu})")
         yx = family_column(params, x)
-        return (yx[n + 1] - a_seq(n) * yx[n]) / denom
+        return sum_of_products(((yx[n + 1],), (-1, a_seq(n), yx[n])), over=denom)
 
     return ChristoffelData(params, nu, gap, a_seq, b_seq, kernel)
 
@@ -104,18 +112,18 @@ def verify_recurrence_link(params: FamilyParams, nu: RationalLike, n_max: int) -
     """Residues of b_n a_{n-1} = C(n) for n = 1..n_max."""
     rec = recurrence_data(params)
     data = christoffel_data(params, nu)
-    return [data.b_seq(n) * data.a_seq(n - 1) - rec.C(n) for n in range(1, n_max + 1)]
+    return [sum_of_products(((data.b_seq(n), data.a_seq(n - 1)), (-1, rec.C(n))))
+            for n in range(1, n_max + 1)]
 
 
 def verify_roundtrip(params: FamilyParams, nu: RationalLike, n_max: int, xs) -> List[Fraction]:
     """Residues of the Geronimus reconstruction against direct evaluation."""
     data = christoffel_data(params, nu)
+    columns = [(x, family_column(params, x)) for x in xs if data.gap(x) != 0]
     out: List[Fraction] = []
     for n in range(n_max + 1):
-        for x in xs:
-            if data.gap(x) == 0:
-                continue
-            out.append(data.reconstruct(n, x) - family_column(params, x)[n])
+        for x, y in columns:
+            out.append(sum_of_products(data._reconstruct_terms(n, x) + ((-1, y[n]),)))
     return out
 
 
@@ -135,15 +143,19 @@ def verify_same_family(case: DoubleCase, params: FamilyParams) -> List[Fraction]
     if not clear:
         raise SupportCollision("no grid point clear of nu")
     c = cs.d_hat(Fraction(clear[0])) / data.gap(clear[0])
-    res = [cs.d_hat(Fraction(x)) - c * data.gap(x) for x in grid]
+    res = [sum_of_products(((cs.d_hat(Fraction(x)),), (-1, c, data.gap(x)))) for x in grid]
 
+    # a_n + a(n)/b(n) and P_n(x) - (c/b(n)) yhat_n(xhat), each over b(n)
     n_top = min(cs.base.N, cs.hatted.N + 1)
-    res += [data.a_seq(n) + cs.a(n) / cs.b(n) for n in range(n_top)]
+    for n in range(n_top):
+        an, a, b = data.a_seq(n), cs.a(n), cs.b(n)
+        res.append(sum_of_products(((an, b), (a,)), over=b))
+    hatted = [(x, family_column(cs.hatted, Fraction(x) + cs.xshift)) for x in clear]
     for n in range(n_top):
         bn = cs.b(n)
         if bn == 0:
             continue
-        for x in clear:
-            rhs = (c / bn) * family_column(cs.hatted, Fraction(x) + cs.xshift)[n]
-            res.append(data.kernel(n, x) - rhs)
+        for x, column in hatted:
+            yh = column[n]
+            res.append(sum_of_products(((data.kernel(n, x), bn), (-1, c, yh)), over=bn))
     return res

@@ -126,6 +126,16 @@ def test_verify_output_matches_golden_at_max_n12(capsys):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("suite,seed", [("christoffel", 5), ("pairs", 11), ("requirements", 11)])
+def test_quiet_verify_suites_match_golden(capsys, suite, seed):
+    # the three quiet suite runs of the CI entry-point step, at max-N 12
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-N", "12",
+                       "--seed", str(seed), "--draws", "4", "-q")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"verify_{suite}_max_n12_seed{seed}_draws4_q.txt"
+    assert out == golden.read_text()
+
+
 def test_gallery_output_matches_golden(capsys):
     # spectrum and gen --format json for every selector at N=3, recorded
     # before the Kac extensions were rebuilt as doubled dual Hahn forms
@@ -367,6 +377,40 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(N, lines_read):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b"" and all(line.startswith(b"-1 ") for line in first)
+
+
+_DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not _DEV_FULL.exists(), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", [["gen", "kac", "-N", "3"],
+                                     ["bench", "kac", "--dims", "5"]])
+def test_a_failed_write_to_the_output_file_names_it(capsys, command):
+    # the open succeeds, the write fails: the error carries no file name
+    code, out, err = run(capsys, *command, "-o", str(_DEV_FULL))
+    assert code == 2 and out == ""
+    assert _one_line_error(err) == "error: cannot write /dev/full: No space left on device"
+
+
+@needs_dev_full
+def test_a_failed_write_to_stdout_names_stdout():
+    import os
+    import subprocess
+    import sys
+
+    import twodiag
+
+    root = str(Path(twodiag.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    with open(_DEV_FULL, "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from twodiag.cli import main; sys.exit(main())",
+             "gen", "kac", "-N", "3"],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: cannot write <stdout>: No space left on device\n"
 
 
 def test_poly_krawtchouk_weights_refused_before_output(capsys):

@@ -394,15 +394,61 @@ def test_memoised_residues_equal_the_unmemoised_expressions_off_zero(case):
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_the_d_memos_are_read_at_each_grid_point(case):
+    # every case's d is constant in x; make d and dhat vary with x, so a
+    # memo read at the wrong point gives a wrong value
+    params = draw(case, 3)
+    whole = coefficients(case, params)
+    varying = dict(d=lambda t, d=whole.d: d(t) * (t + 1),
+                   d_hat=lambda t, d=whole.d_hat: d(t) * (t + 2))
+    reference = replace(whole, **varying)
+    nonzero = 0
+    for order, points in _grid_orders(params.N).items():
+        cs = replace(whole, **varying)
+        for n, x in points:
+            got = _memoised_pairs(cs, n, x)
+            assert got == _reference_pairs(reference, n, x), (order, n, x)
+            nonzero += sum(r not in (None, 0) for r in got)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_grid_maxima_equal_the_largest_absolute_residue(case, seed):
+    cs = coefficients(case, draw(case, seed, max_n=5))
+    for grid_max in (pair_grid_max_residue, requirements_grid_max_residue):
+        worst = grid_max(cs)
+        assert type(worst) is F and worst == 0
+    mutants = [cs.flipped(which) for which in COEFFICIENTS]
+    mutants.append(replace(cs, a=lambda t, a=cs.a: 2 * a(t) + F(1, 3)))
+    for i, mutant in enumerate(mutants):
+        for grid_max, kind in ((pair_grid_max_residue, "relation"),
+                               (requirements_grid_max_residue, "requirement")):
+            residues, pole = _walked(_reference_grid_residues(mutant, kind))
+            assert pole is None
+            expected = max((abs(r) for _, r in residues), default=F(0))
+            assert grid_max(mutant) == expected, (i, kind)
+
+
+SEXTET_MEMOS = ("_n_rows", "_x_rows", "_columns", "_minus_d", "_minus_d_hat")
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
 def test_copies_of_a_sextet_start_with_empty_memos(case):
     cs = coefficients(case, draw(case, 5, max_n=4))
     assert locate_failure(cs) is None  # fills every memo of the sextet
     mutants = [cs.flipped(which) for which in COEFFICIENTS]
     mutants.append(replace(cs, a=lambda t, a=cs.a: 2 * a(t)))
+    # the walk read -d and -dhat through the sextet's per-x memos
+    grid = set(range(cs.base.N + 1))
+    assert set(cs._minus_d) == set(cs._minus_d_hat) == grid
     for mutant in mutants:
+        assert all(getattr(mutant, memo) == {} for memo in SEXTET_MEMOS)
         assert pair_grid_max_residue(mutant) != 0
         assert requirements_grid_max_residue(mutant) != 0
         assert locate_failure(mutant) is not None
+        for memo, f in ((mutant._minus_d, mutant.d), (mutant._minus_d_hat, mutant.d_hat)):
+            assert all(value == -f(F(x)) for x, value in memo.items())
     assert locate_failure(cs) is None
 
 

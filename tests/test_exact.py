@@ -14,6 +14,7 @@ from twodiag.exact import (
     over_lcm,
     pochhammer,
     rbinom,
+    sum_of_products,
 )
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -254,3 +255,25 @@ def test_over_lcm_puts_the_values_over_their_least_common_denominator(values):
 
 def test_over_lcm_of_no_values():
     assert over_lcm([]) == ([], 1)
+
+
+def _sum_of_products_reference(terms, over):
+    return sum((math.prod(factors, start=F(1)) for factors in terms), F(0)) / over
+
+
+@given(st.lists(st.lists(parameters, max_size=4), max_size=5),
+       st.one_of(fractions, st.integers(min_value=-8, max_value=8)).filter(bool))
+def test_sum_of_products_is_the_sum_of_the_fraction_products(terms, over):
+    value = sum_of_products(terms, over)
+    assert type(value) is F and value == _sum_of_products_reference(terms, over)
+    assert value == sum_of_products(terms) / over
+
+
+def test_sum_of_products_keeps_every_denominator():
+    # one term's denominator equal to the running one, the next one not
+    terms = [(F(1, 6),), (F(5, 6),), (F(2, 3), F(3, 5)), (-1, F(7, 10))]
+    assert sum_of_products(terms) == F(1, 6) + F(5, 6) + F(2, 5) - F(7, 10) == F(7, 10)
+    assert sum_of_products(terms, over=F(-7, 3)) == F(-3, 10)
+    assert sum_of_products([]) == 0 and type(sum_of_products([])) is F
+    with pytest.raises(ZeroDivisionError):
+        sum_of_products(terms, over=F(0))

@@ -168,3 +168,169 @@ def test_kernel_memo_is_keyed_on_degree_and_point():
         y = [family_column(p, x)[j] for j in range(p.N + 1)]
         expected = (y[n + 1] - data.a_seq(n) * y[n]) / (rec.Lam(x) - rec.Lam(nu))
         assert data.kernel(n, x) == expected
+
+
+# ---------------------------------------------------------------------------
+# each value as one Fraction of integer terms, against the Fraction
+# expressions it replaced
+
+def _reference_kernel(data, n, x):
+    denom = data.gap(x)
+    if denom == 0:
+        raise SupportCollision(f"Lam({x}) = Lam({data.nu})")
+    yx = family_column(data.params, x)
+    return (yx[n + 1] - data.a_seq(n) * yx[n]) / denom
+
+
+def _reference_reconstruct(data, n, x):
+    rec = recurrence_data(data.params)
+    if n == 0:
+        return rec.A(0) * _reference_kernel(data, 0, x)
+    return (rec.A(n) * _reference_kernel(data, n, x)
+            - data.b_seq(n) * _reference_kernel(data, n - 1, x))
+
+
+def _reference_link(params, nu, n_max):
+    rec = recurrence_data(params)
+    data = christoffel_data(params, nu)
+    return [data.b_seq(n) * data.a_seq(n - 1) - rec.C(n) for n in range(1, n_max + 1)]
+
+
+def _reference_roundtrip(params, nu, n_max, xs):
+    data = christoffel_data(params, nu)
+    out = []
+    for n in range(n_max + 1):
+        for x in xs:
+            if data.gap(x) == 0:
+                continue
+            out.append(_reference_reconstruct(data, n, x) - family_column(params, x)[n])
+    return out
+
+
+def _reference_same_family(cs, nu):
+    data = christoffel_data(cs.base, nu)
+    grid = range(cs.base.N + 1)
+    clear = [x for x in grid if data.gap(x) != 0]
+    if not clear:
+        raise SupportCollision("no grid point clear of nu")
+    c = cs.d_hat(F(clear[0])) / data.gap(clear[0])
+    res = [cs.d_hat(F(x)) - c * data.gap(x) for x in grid]
+    n_top = min(cs.base.N, cs.hatted.N + 1)
+    res += [data.a_seq(n) + cs.a(n) / cs.b(n) for n in range(n_top)]
+    for n in range(n_top):
+        bn = cs.b(n)
+        if bn == 0:
+            continue
+        for x in clear:
+            rhs = (c / bn) * family_column(cs.hatted, F(x) + cs.xshift)[n]
+            res.append(_reference_kernel(data, n, x) - rhs)
+    return res
+
+
+def _outcome(f, *args):
+    """("value", [(v, type(v)) for each value]) or ("raises", the exception type)."""
+    try:
+        value = f(*args)
+    except ZeroDivisionError as exc:
+        return "raises", type(exc)
+    return "value", [(v, type(v)) for v in (value if isinstance(value, list) else [value])]
+
+
+def _nonzero(outcome) -> bool:
+    return outcome[0] == "value" and any(v != 0 for v, _ in outcome[1])
+
+
+def _same_family_with(monkeypatch, case, params, sextet=None, nu=None):
+    """verify_same_family(case, params) with the sextet or nu it reads replaced."""
+    import twodiag.transforms as transforms
+
+    if sextet is not None:
+        monkeypatch.setattr(transforms, "coefficients", lambda c, p: sextet)
+    if nu is not None:
+        monkeypatch.setattr(transforms, "christoffel_nu", lambda c, p: nu)
+    try:
+        return _outcome(verify_same_family, case, params)
+    finally:
+        monkeypatch.undo()
+
+
+def _kernel_grid(params, nu):
+    """(n, x, kernel outcome, reconstruct outcome) over the grid, each point
+    read on a fresh ChristoffelData and against the reference."""
+    N = params.N
+    for n in range(N):
+        for x in range(N + 1):
+            got = (_outcome(christoffel_kernel, params, nu, n, x),
+                   _outcome(geronimus_reconstruct, params, nu, n, x))
+            data = christoffel_data(params, nu)
+            expected = (_outcome(_reference_kernel, data, n, x),
+                        _outcome(_reference_reconstruct, data, n, x))
+            yield (n, x), got, expected
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_integer_terms_equal_the_fraction_expressions(case, seed, monkeypatch):
+    from twodiag.doubles import coefficients
+
+    params = rand_params_for_case(case, random.Random(seed), 6, seed)
+    nu = christoffel_nu(case, params)
+    cs = coefficients(case, params)
+    assert _same_family_with(monkeypatch, case, params) == \
+        _outcome(_reference_same_family, cs, nu)
+    n_max = params.N - 1
+    assert _outcome(verify_recurrence_link, params, nu, n_max) == \
+        _outcome(_reference_link, params, nu, n_max)
+    xs = range(params.N + 1)
+    assert _outcome(verify_roundtrip, params, nu, n_max, xs) == \
+        _outcome(_reference_roundtrip, params, nu, n_max, xs)
+    for point, got, expected in _kernel_grid(params, nu):
+        assert got == expected, point
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_integer_terms_equal_the_fraction_expressions_off_zero(case, monkeypatch):
+    # at a wrong nu and on each sign-flipped sextet the residues are
+    # nonzero, so equal lists compare values, not just zeros
+    from twodiag.doubles import coefficients
+
+    params = rand_params_for_case(case, random.Random(7), 6, 1)
+    cs = coefficients(case, params)
+    right = christoffel_nu(case, params)
+    link, grid = (params.N - 1,), range(params.N + 1)
+    nonzero = 0
+    for nu in (right + F(1, 3), right - F(2, 7)):
+        checks = [(_same_family_with(monkeypatch, case, params, nu=nu),
+                   _outcome(_reference_same_family, cs, nu)),
+                  (_outcome(verify_recurrence_link, params, nu, *link),
+                   _outcome(_reference_link, params, nu, *link)),
+                  (_outcome(verify_roundtrip, params, nu, *link, grid),
+                   _outcome(_reference_roundtrip, params, nu, *link, grid))]
+        for got, expected in checks:
+            assert got == expected, nu
+            nonzero += _nonzero(expected)
+        for point, got, expected in _kernel_grid(params, nu):
+            assert got == expected, (nu, point)
+    for which in ("a", "b", "a_hat", "b_hat", "d", "d_hat"):
+        flipped = cs.flipped(which)
+        expected = _outcome(_reference_same_family, flipped, right)
+        assert _same_family_with(monkeypatch, case, params, sextet=flipped) == expected, which
+        nonzero += _nonzero(expected)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("params,nu,error", [
+    (HahnParams(0, 0, 2), F(1), ZeroAtNu),  # y_1(1) = 0
+    (DualHahnParams(F(1, 2), F(1, 3), 4), F(0), SupportCollision),  # Lam(0) = Lam(nu)
+    (DualHahnParams(F(1, 2), F(1, 3), 4), F(4), SupportCollision),
+    (HahnParams(F(1, 3), F(2, 7), 4), F(2), SupportCollision),
+])
+def test_zero_at_nu_and_collisions_are_raised_where_they_were(params, nu, error):
+    raised = set()
+    for point, got, expected in _kernel_grid(params, nu):
+        assert got == expected, point
+        raised.update(value for kind, value in got if kind == "raises")
+    assert error in raised
+    link, grid = (params, nu, params.N - 1), range(params.N + 1)
+    assert _outcome(verify_recurrence_link, *link) == _outcome(_reference_link, *link)
+    assert _outcome(verify_roundtrip, *link, grid) == _outcome(_reference_roundtrip, *link, grid)
