@@ -13,9 +13,10 @@ Eliminating yhat reproduces the base family's three-term recurrence, which
 pins the coefficient products to the recurrence data (the requirement
 system checked by verify_requirements).  Each of its seven rows is an
 n-part combined with an x-part (rows 0-3 have none); each sextet memoises
-the n-parts per n and the x-parts per x, and the pair relations' columns
-and -d, -dhat per x, so a grid walk evaluates them once per row and column
-of the grid, not once per point.  Every residue is one Fraction, from
+the n-parts per n and the x-parts per x, so a grid walk evaluates them once
+per row and column of the grid, not once per point.  The pair relations
+read columns, d and dhat at the grid's int x from the module caches of
+`family_column` and of each quotient.  Every residue is one Fraction, from
 integer terms: `exact.sum_of_products` combines the numerators and
 denominators of its products and reduces once.  The same products, times
 one sign per case, are the offdiagonal squares of the case's symmetric
@@ -99,11 +100,10 @@ class CoefficientSextet:
     unit proportionality (a*ahat shifted = C-hat, b*bhat = A-hat, ...);
     rescaling relation 1 or relation 2 by a constant is the only freedom.
 
-    Each sextet also memoises what the grid walks read at one n or one x:
-    the requirement system's n-parts per n and x-parts per x, and the pair
-    relations' columns and -d, -dhat per x (the last two lazily: a pole
-    stores nothing).  `__post_init__` makes the memos and they are
-    no fields, so `flipped` and `dataclasses.replace` start every copy with
+    Each sextet also memoises the requirement system's n-parts per n and
+    x-parts per x; columns, d and dhat come from the module caches at the
+    grid's int x.  `__post_init__` makes the two memos and they are no
+    fields, so `flipped` and `dataclasses.replace` start every copy with
     empty ones.
     """
 
@@ -119,7 +119,7 @@ class CoefficientSextet:
     d_hat: Callable[[Fraction], Fraction]
 
     def __post_init__(self):
-        for memo in ("_n_rows", "_x_rows", "_columns", "_minus_d", "_minus_d_hat"):
+        for memo in ("_n_rows", "_x_rows"):
             object.__setattr__(self, memo, {})
 
     def flipped(self, which: str) -> "CoefficientSextet":
@@ -230,26 +230,6 @@ def christoffel_nu(case: DoubleCase, params: FamilyParams) -> Fraction:
     return case_record(case, params).nu(params)
 
 
-def _columns(cs: CoefficientSextet, x: RationalLike) -> tuple:
-    """(base column at x, hatted column at x + xshift), memoised per x on
-    the sextet, so a grid point hashes its Fraction x once."""
-    point = cs._columns.get(x)
-    if point is None:
-        xf = Fraction(x)
-        point = cs._columns[x] = (
-            family_column(cs.base, xf), family_column(cs.hatted, xf + cs.xshift))
-    return point
-
-
-def _minus(memo: dict, f: Callable[[Fraction], Fraction], x: RationalLike) -> Fraction:
-    """-f(x), memoised per grid point x in `memo`, one of the sextet's; a
-    pole raises and stores nothing, so it is met again where it is next read."""
-    value = memo.get(x)
-    if value is None:
-        value = memo[x] = -f(Fraction(x))
-    return value
-
-
 def _read_nonzero(terms) -> Fraction:
     """The sum of c * column[k] over the (c, column, k) of `terms`, as one
     Fraction; column[k] is read, in order, only where c is nonzero."""
@@ -260,16 +240,16 @@ def pair_residue_forward(cs: CoefficientSextet, n: int, x: RationalLike) -> Frac
     """Residue of relation 1; defined for n <= N-1 (and n <= Nhat).  A pole
     of a coefficient raises before any value is read, and a column entry is
     read only where its coefficient is nonzero."""
-    y, yh = _columns(cs, x)
-    a, b, minus_d_hat = cs.a(n), cs.b(n), _minus(cs._minus_d_hat, cs.d_hat, x)
+    y, yh = family_column(cs.base, x), family_column(cs.hatted, x + cs.xshift)
+    a, b, minus_d_hat = cs.a(n), cs.b(n), -cs.d_hat(x)
     return _read_nonzero(((a, y, n), (b, y, n + 1), (minus_d_hat, yh, n)))
 
 
 def pair_residue_backward(cs: CoefficientSextet, n: int, x: RationalLike) -> Fraction:
     """Residue of relation 2; defined for n+1 <= Nhat (and n+1 <= N), read
     like relation 1."""
-    y, yh = _columns(cs, x)
-    a_hat, b_hat, minus_d = cs.a_hat(n), cs.b_hat(n), _minus(cs._minus_d, cs.d, x)
+    y, yh = family_column(cs.base, x), family_column(cs.hatted, x + cs.xshift)
+    a_hat, b_hat, minus_d = cs.a_hat(n), cs.b_hat(n), -cs.d(x)
     return _read_nonzero(((a_hat, yh, n), (b_hat, yh, n + 1), (minus_d, y, n + 1)))
 
 
@@ -319,16 +299,14 @@ def _requirement_n_part(cs: CoefficientSextet, n: int) -> tuple:
 
 def _requirement_x_part(cs: CoefficientSextet, x: RationalLike) -> tuple:
     """(dd - Lamhat(xhat), dd - Lam(x), Lam(x) - Lamhat(xhat)) of rows 4-6,
-    memoised per x on the sextet, with dd = (-d)(-dhat) read through the
-    pair relations' memos."""
+    memoised per x on the sextet, with dd = d*dhat."""
     part = cs._x_rows.get(x)
     if part is None:
-        minus_d, minus_d_hat = _minus(cs._minus_d, cs.d, x), _minus(cs._minus_d_hat, cs.d_hat, x)
-        xf = Fraction(x)
-        lam = recurrence_data(cs.base).Lam(xf)
-        lam_h = recurrence_data(cs.hatted).Lam(xf + cs.xshift)
-        part = cs._x_rows[x] = (sum_of_products(((minus_d, minus_d_hat), (-1, lam_h))),
-                                sum_of_products(((minus_d, minus_d_hat), (-1, lam))),
+        d, d_hat = cs.d(x), cs.d_hat(x)
+        lam = recurrence_data(cs.base).Lam(x)
+        lam_h = recurrence_data(cs.hatted).Lam(x + cs.xshift)
+        part = cs._x_rows[x] = (sum_of_products(((d, d_hat), (-1, lam_h))),
+                                sum_of_products(((d, d_hat), (-1, lam))),
                                 sum_of_products(((lam,), (-1, lam_h))))
     return part
 

@@ -39,8 +39,9 @@ class SupportCollision(ZeroDivisionError):
 class ChristoffelData:
     """The kernel transform of one family at one nu.  a_n and b_n are
     memoised per n, gap(x) = Lam(x) - Lam(nu) per x and the kernel partner
-    P_n(x) per (n, x), for the life of the object, so a check that builds
-    one computes each of them once."""
+    P_n(x) per (n, x), for the life of the object.  `christoffel_data`
+    holds one per (family, nu) in a module-level cache, so every check and
+    point function at that nu computes each of them once."""
 
     params: FamilyParams
     nu: Fraction
@@ -61,7 +62,9 @@ class ChristoffelData:
         return ((rec.A(n), self.kernel(n, x)), (-1, self.b_seq(n), self.kernel(n - 1, x)))
 
 
+@lru_cache(maxsize=1024)
 def christoffel_data(params: FamilyParams, nu: RationalLike) -> ChristoffelData:
+    """The kernel transform of `params` at nu, one per (params, nu)."""
     nu = Fraction(nu)
     rec = recurrence_data(params)
     lam_nu = rec.Lam(nu)
@@ -142,15 +145,15 @@ def verify_same_family(case: DoubleCase, params: FamilyParams) -> List[Fraction]
     clear = [x for x in grid if data.gap(x) != 0]
     if not clear:
         raise SupportCollision("no grid point clear of nu")
-    c = cs.d_hat(Fraction(clear[0])) / data.gap(clear[0])
-    res = [sum_of_products(((cs.d_hat(Fraction(x)),), (-1, c, data.gap(x)))) for x in grid]
+    c = cs.d_hat(clear[0]) / data.gap(clear[0])
+    res = [sum_of_products(((cs.d_hat(x),), (-1, c, data.gap(x)))) for x in grid]
 
     # a_n + a(n)/b(n) and P_n(x) - (c/b(n)) yhat_n(xhat), each over b(n)
     n_top = min(cs.base.N, cs.hatted.N + 1)
     for n in range(n_top):
         an, a, b = data.a_seq(n), cs.a(n), cs.b(n)
         res.append(sum_of_products(((an, b), (a,)), over=b))
-    hatted = [(x, family_column(cs.hatted, Fraction(x) + cs.xshift)) for x in clear]
+    hatted = [(x, family_column(cs.hatted, x + cs.xshift)) for x in clear]
     for n in range(n_top):
         bn = cs.b(n)
         if bn == 0:

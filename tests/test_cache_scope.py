@@ -1,7 +1,10 @@
-"""Every `functools` cache in twodiag is module-level or lives on a
-per-call object (a closure such as `ChristoffelData.kernel`).  A cache
-on a class outlives every call and holds its instances, and a benchmark
-that empties the module-level caches between operations cannot reach it."""
+"""Every `functools` cache in twodiag is module-level or lives on an
+object a module-level cache holds (a closure such as
+`ChristoffelData.kernel`: one transform per (family, nu), held by the
+cache of `christoffel_data`, which the benchmark empties before each
+operation).  A cache on a class outlives every call and holds its
+instances, and a benchmark that empties the module-level caches between
+operations cannot reach it."""
 
 import importlib
 import pkgutil

@@ -396,7 +396,7 @@ def test_memoised_residues_equal_the_unmemoised_expressions_off_zero(case):
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
 def test_the_d_memos_are_read_at_each_grid_point(case):
     # every case's d is constant in x; make d and dhat vary with x, so a
-    # memo read at the wrong point gives a wrong value
+    # read at the wrong point gives a wrong value
     params = draw(case, 3)
     whole = coefficients(case, params)
     varying = dict(d=lambda t, d=whole.d: d(t) * (t + 1),
@@ -430,26 +430,44 @@ def test_the_grid_maxima_equal_the_largest_absolute_residue(case, seed):
             assert grid_max(mutant) == expected, (i, kind)
 
 
-SEXTET_MEMOS = ("_n_rows", "_x_rows", "_columns", "_minus_d", "_minus_d_hat")
+SEXTET_MEMOS = ("_n_rows", "_x_rows")
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
 def test_copies_of_a_sextet_start_with_empty_memos(case):
     cs = coefficients(case, draw(case, 5, max_n=4))
     assert locate_failure(cs) is None  # fills every memo of the sextet
+    assert set(cs._n_rows) == set(range(cs.base.N))
+    assert set(cs._x_rows) == set(range(cs.base.N + 1))
     mutants = [cs.flipped(which) for which in COEFFICIENTS]
     mutants.append(replace(cs, a=lambda t, a=cs.a: 2 * a(t)))
-    # the walk read -d and -dhat through the sextet's per-x memos
-    grid = set(range(cs.base.N + 1))
-    assert set(cs._minus_d) == set(cs._minus_d_hat) == grid
     for mutant in mutants:
         assert all(getattr(mutant, memo) == {} for memo in SEXTET_MEMOS)
         assert pair_grid_max_residue(mutant) != 0
         assert requirements_grid_max_residue(mutant) != 0
         assert locate_failure(mutant) is not None
-        for memo, f in ((mutant._minus_d, mutant.d), (mutant._minus_d_hat, mutant.d_hat)):
-            assert all(value == -f(F(x)) for x, value in memo.items())
     assert locate_failure(cs) is None
+
+
+def test_a_column_at_an_int_x_is_the_column_at_its_fraction():
+    # the pair relations read columns at the grid's int x; the cache of
+    # family_column keys an int and its Fraction as one entry
+    p = draw(DoubleCase.HAHN_I, 0)
+    assert family_column(p, 1) is family_column(p, F(1))
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_a_pair_residue_at_an_int_x_equals_the_residue_at_its_fraction(case):
+    # a sign-flipped b_hat makes both relations' residues nonzero
+    cs = coefficients(case, draw(case, 2, max_n=4)).flipped("b_hat")
+    nonzero = 0
+    for residue, top in ((pair_residue_forward, cs.base.N),
+                         (pair_residue_backward, min(cs.base.N, cs.hatted.N))):
+        for n, x in itertools.product(range(top), range(cs.base.N + 1)):
+            at_int, at_fraction = residue(cs, n, x), residue(cs, n, F(x))
+            assert at_int == at_fraction and type(at_int) is type(at_fraction) is F, (n, x)
+            nonzero += at_int != 0
+    assert nonzero > 0
 
 
 def _with_pole(f, at):

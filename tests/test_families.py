@@ -465,7 +465,7 @@ def test_column_past_the_recurrence_stop_reads_the_series(params):
 
 
 def _clear_family_caches():
-    for fn in (family_column, family_weights, family_norms):
+    for fn in (family_column, family_weights, family_norms, transforms.christoffel_data):
         fn.cache_clear()
 
 

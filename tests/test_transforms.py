@@ -256,7 +256,7 @@ def _same_family_with(monkeypatch, case, params, sextet=None, nu=None):
 
 def _kernel_grid(params, nu):
     """(n, x, kernel outcome, reconstruct outcome) over the grid, each point
-    read on a fresh ChristoffelData and against the reference."""
+    read through the point functions and against the reference."""
     N = params.N
     for n in range(N):
         for x in range(N + 1):
@@ -334,3 +334,38 @@ def test_zero_at_nu_and_collisions_are_raised_where_they_were(params, nu, error)
     link, grid = (params, nu, params.N - 1), range(params.N + 1)
     assert _outcome(verify_recurrence_link, *link) == _outcome(_reference_link, *link)
     assert _outcome(verify_roundtrip, *link, grid) == _outcome(_reference_roundtrip, *link, grid)
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.value)
+def test_one_transform_serves_every_check_at_its_nu(case):
+    params = rand_params_for_case(case, random.Random(5), 6, 5)
+    nu, N = christoffel_nu(case, params), params.N
+    christoffel_data.cache_clear()
+    res = verify_same_family(case, params)
+    res += verify_recurrence_link(params, nu, N - 1)
+    res += verify_roundtrip(params, nu, N - 1, range(N + 1))
+    assert all(r == 0 for r in res)
+    data = christoffel_data(params, nu)
+    assert christoffel_data(params, F(nu)) is data
+    assert christoffel_data.cache_info().currsize == 1
+    # the three checks read P_n(x) for n < N at each grid x clear of nu,
+    # and computed each of them once
+    clear = [x for x in range(N + 1) if data.gap(x) != 0]
+    points = [(n, x) for n in range(N) for x in clear]
+    assert data.kernel.cache_info().misses == len(points) == N * len(clear)
+    # the point functions read the same transform, through its memos: one
+    # kernel read per point, two per reconstruction but one at n = 0
+    hits = data.kernel.cache_info().hits
+    kernel = {(n, x): christoffel_kernel(params, nu, n, x) for n, x in points}
+    rebuilt = {(n, x): geronimus_reconstruct(params, nu, n, x) for n, x in points}
+    info = data.kernel.cache_info()
+    assert info.misses == len(points) and info.hits == hits + 3 * len(points) - len(clear)
+    # a fresh transform starts with empty memos and gives the same values
+    christoffel_data.cache_clear()
+    fresh = christoffel_data(params, nu)
+    assert fresh is not data and fresh.kernel.cache_info().currsize == 0
+    for (n, x), value in kernel.items():
+        got = (fresh.kernel(n, x), fresh.reconstruct(n, x))
+        assert got == (value, rebuilt[n, x]) and all(type(v) is F for v in got), (n, x)
+    assert [fresh.a_seq(n) for n in range(N)] == [data.a_seq(n) for n in range(N)]
+    assert [fresh.b_seq(n) for n in range(N)] == [data.b_seq(n) for n in range(N)]

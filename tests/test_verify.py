@@ -95,6 +95,8 @@ def test_a_wrong_column_entry_fails_every_check_that_reads_columns(monkeypatch):
                 max(abs(r) for r in orthosystems.verify_discrete_orthogonality(system)))
 
     assert checks() == (0, 0, 0)
+    nu = doubles.christoffel_nu(case, params)
+    kernel = transforms.christoffel_kernel(params, nu, 0, 1)
     real = families.family_column
 
     def perturbed(p, x):
@@ -105,10 +107,19 @@ def test_a_wrong_column_entry_fails_every_check_that_reads_columns(monkeypatch):
 
     for module in (families, doubles, orthosystems, transforms, verify):
         monkeypatch.setattr(module, "family_column", perturbed)
-    assert all(worst != 0 for worst in checks())
-    failed = [o for o in verify.suite_orthogonality(random.Random(0), 3, 1) if not o.ok]
-    assert [o.label.split()[1] for o in failed] == ["hahn", "dual-hahn", "racah"] + ["doubled"] * 3
-    assert all(o.detail.startswith("table value y_1(1) = ") for o in failed[:3])
+    # the unpatched checks() cached the transform at nu, with its kernel
+    # values; drop it, so the checks read the perturbed columns, and drop
+    # the perturbed one again at the end
+    transforms.christoffel_data.cache_clear()
+    try:
+        assert all(worst != 0 for worst in checks())
+        assert transforms.christoffel_kernel(params, nu, 0, 1) != kernel
+        assert any(transforms.verify_roundtrip(params, nu, params.N - 1, range(params.N + 1)))
+        failed = [o for o in verify.suite_orthogonality(random.Random(0), 3, 1) if not o.ok]
+        assert [o.label.split()[1] for o in failed] == ["hahn", "dual-hahn", "racah"] + ["doubled"] * 3
+        assert all(o.detail.startswith("table value y_1(1) = ") for o in failed[:3])
+    finally:
+        transforms.christoffel_data.cache_clear()
 
 
 def test_doubled_values_moved_past_the_grid_fail_the_degree_check(monkeypatch):
