@@ -126,7 +126,7 @@ def over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _sqrt_exact(r: Fraction) -> Fraction | None:
+def sqrt_exact(r: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if r < 0:
         return None
@@ -186,9 +186,11 @@ class ScaledRoot:
 
     @property
     def sign(self) -> int:
-        if not self.radicand:
+        """-1, 0 or 1, read off the int numerators of coef and radicand."""
+        if not self.radicand.numerator:
             return 0
-        return (self.coef > 0) - (self.coef < 0)
+        c = self.coef.numerator
+        return (c > 0) - (c < 0)
 
     def signed_square(self) -> Fraction:
         """sign * square, a strictly increasing function of the value."""
@@ -197,7 +199,7 @@ class ScaledRoot:
 
     def exact_rational(self) -> Fraction | None:
         """The value as a rational when the radicand is a perfect square."""
-        root = _sqrt_exact(self.radicand)
+        root = sqrt_exact(self.radicand)
         return None if root is None else self.coef * root
 
     def __neg__(self) -> "ScaledRoot":

@@ -20,9 +20,9 @@ coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -147,9 +147,11 @@ class Spectrum:
         return [float(e) for e in self.entries]
 
     def is_negation_closed(self) -> bool:
-        pos = sorted(self.positive_squares())
-        neg = sorted(e.radicand for e in self.entries if e.sign < 0)
-        return pos == neg
+        """The entries, ascending, read backwards are their negations: each
+        is -1, 0 or 1 times a root, so the value pairs off by sign and
+        radicand, and a zero by sign alone."""
+        return all(a.sign == -b.sign and (not a.sign or a.radicand == b.radicand)
+                   for a, b in zip(self.entries, reversed(self.entries)))
 
 
 @dataclass(frozen=True)
@@ -339,28 +341,91 @@ def nonsymmetric_form(case: DoubleCase, params: DualHahnParams) -> MatrixWithSpe
 # eigenvector matrices
 
 @dataclass(frozen=True)
-class EigvecMatrix:
-    """Dense orthogonal eigenvector matrix of a doubling case, exact entries.
+class EigvecTables:
+    """A doubling case's eigenvector matrix U as integers and two root scales.
 
-    Entries are coef * sqrt(radicand); rows are orthonormal and columns are
-    eigenvectors of the case's matrix: M U = U D with D = diag(eigencolumn).
-    `floats` is U in floating point, bit for bit the entries converted one
-    by one (float(ScaledRoot)); code that fills it alongside the entries
-    passes it in, and without it (as after dataclasses.replace) the
-    entries are converted here, so the two never disagree.
+    Entry (r, c) is sign * P/Q * sqrt(rho * kappa) (Golub & Welsch, Math.
+    Comp. 23 (1969): orthonormal polynomial values times the roots of the
+    weights).  Row r holds one integer row (Q, P at the grid points k = 0..N)
+    of `families.family_table`, the even-row family's row n at r = 2n and
+    the hatted family's at r = 2n + 1, with Q carrying the row's sign;
+    rho = 1/h_n is its row scale.  Column c reads grid point `grid[c]` and
+    the column scale kappa = w(x)/2 there (w(x) in the lone column of odd
+    dimension), of the even-row family on even rows and of the hatted
+    family on odd rows; the hatted rows hold P = 0 and kappa = 0 at the
+    lone grid point, where U is zero.  The two columns of a grid point
+    differ only in `parity`, the sign of their odd rows.
+    """
+
+    q: Tuple[int, ...]
+    p: Tuple[Tuple[int, ...], ...]
+    rho: Tuple[Fraction, ...]
+    kappa: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
+    grid: Tuple[int, ...]
+    parity: Tuple[int, ...]
+
+    def to_float(self) -> np.ndarray:
+        """U in floating point, bit for bit each exact entry converted
+        (float(ScaledRoot)): P/Q and rho * kappa are int true divisions, so
+        each is the correctly rounded value of the reduced fraction, the
+        root is correctly rounded, and an exact zero ends +0.0."""
+        scales = [[(k.numerator, k.denominator) for k in kappa] for kappa in self.kappa]
+        vals, rads = [], []
+        for r, (q, ps, rho) in enumerate(zip(self.q, self.p, self.rho)):
+            a, b = rho.numerator, rho.denominator
+            vals.append([p / q for p in ps])
+            rads.append([(kn * a) / (kd * b) for kn, kd in scales[r % 2]])
+        u = np.take(np.array(vals) * np.sqrt(rads), self.grid, axis=1)
+        u[1::2] *= self.parity
+        return u + 0.0
+
+    def entries(self) -> Tuple[Tuple[ScaledRoot, ...], ...]:
+        """The exact entries, one ScaledRoot each."""
+        rows = []
+        for r, (q, ps, rho) in enumerate(zip(self.q, self.p, self.rho)):
+            vals = [ScaledRoot(Fraction(p, q), k * rho) for p, k in zip(ps, self.kappa[r % 2])]
+            row = [vals[k] for k in self.grid]
+            if r % 2:
+                row = [e if s > 0 else -e for e, s in zip(row, self.parity)]
+            rows.append(tuple(row))
+        return tuple(rows)
+
+
+@dataclass(frozen=True, init=False)
+class EigvecMatrix:
+    """Orthogonal eigenvector matrix of a doubling case: rows orthonormal,
+    columns eigenvectors of the case's matrix, M U = U D with
+    D = diag(eigencolumn).
+
+    U is held as `tables` (EigvecTables), and `to_float` is built from them
+    straight away.  `entries`, the exact entries coef * sqrt(radicand), is
+    built from the tables on first read.  Entries passed in (as by
+    dataclasses.replace(u, entries=rows)) take the place of the tables: the
+    copy has none, and its float U is those entries converted one by one.
     """
 
     case: DoubleCase
     dim: int
-    entries: Tuple[Tuple[ScaledRoot, ...], ...]
     eigencolumn: Tuple[ScaledRoot, ...]
-    floats: InitVar[np.ndarray | None] = None
+    tables: EigvecTables | None
 
-    def __post_init__(self, floats: np.ndarray | None):
-        if floats is None:
-            floats = np.array([[float(e) for e in row] for row in self.entries])
+    def __init__(self, case: DoubleCase, dim: int, eigencolumn: Tuple[ScaledRoot, ...],
+                 tables: EigvecTables | None,
+                 entries: Tuple[Tuple[ScaledRoot, ...], ...] | None = None):
+        if entries is None:
+            floats = tables.to_float()
+        else:
+            tables = None
+            self.__dict__["entries"] = entries
+            floats = np.array([[float(e) for e in row] for row in entries])
         floats.flags.writeable = False
-        object.__setattr__(self, "_floats", floats)
+        for name, value in (("case", case), ("dim", dim), ("eigencolumn", eigencolumn),
+                            ("tables", tables), ("_floats", floats)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[ScaledRoot, ...], ...]:
+        return self.tables.entries()
 
     def to_float(self) -> np.ndarray:
         """U in floating point; read-only."""
@@ -379,41 +444,6 @@ def _positive_tables(fam: FamilyParams) -> Tuple[Tuple[Fraction, ...], Tuple[Fra
     return w, h
 
 
-def _fill_rows(rows: List[list], floats: List[List[float]], first: int,
-               table: Iterable[Tuple[int, List[int]]], norms: Sequence[Fraction],
-               weights: Sequence[Fraction], cols: Sequence[Tuple[int, int]],
-               alternate: bool, negate: bool) -> None:
-    """Rows first, first + 2, ... of U from a family's integer value table
-    (`families.family_table`): entry (-1)^n y_n(x) sqrt(w(x)/h_n) in both
-    columns of x, the (-1)^n only when `alternate`, the negative column
-    negated when `negate`.
-
-    The sign goes into Q_n, so each value costs one Fraction(P, Q_n).  The
-    radicands w(x)/h_n run down the columns as w(x)/h_{n-1} times the small
-    ratio h_{n-1}/h_n, cheaper than dividing the large w(x) and h_n afresh.
-    A float entry is (P/Q_n) sqrt(float(r)), which is what float(ScaledRoot)
-    computes: the correctly rounded quotient is the same for P/Q_n as for
-    the reduced fraction, and an exact zero stays +0.0."""
-    rads = [w / norms[0] for w in weights]
-    for n, (q, ps) in enumerate(table):
-        if n:
-            ratio = norms[n - 1] / norms[n]
-            rads = [r * ratio for r in rads]
-        if alternate and n % 2:
-            q = -q
-        row, frow = rows[first + 2 * n], floats[first + 2 * n]
-        for p, r, (neg, pos) in zip(ps, rads, cols):
-            coef = Fraction(p, q)
-            f = p / q * math.sqrt(float(r)) if p else 0.0
-            row[pos] = e = ScaledRoot(coef, r)
-            frow[pos] = f
-            if negate:
-                row[neg] = ScaledRoot(-coef, r)
-                frow[neg] = -f if p else 0.0
-            else:
-                row[neg], frow[neg] = e, f
-
-
 @lru_cache(maxsize=4)
 def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     """The orthogonal eigenvector matrix U of a doubling case, as displayed
@@ -428,43 +458,49 @@ def eigvec_matrix(case: DoubleCase, params: FamilyParams) -> EigvecMatrix:
     Odd dimension with xshift 0 (second dual Hahn case) runs the grid
     backwards, x = N - k, without the (-1)^n.
 
-    Values come from the fraction-free integer tables of the three-term
-    recurrence over the whole grid, weights and norms from their ratio
-    recurrences (`families.family_table`, `family_weights`,
-    `family_norms`); the float copy of U is filled alongside.  The result
-    is immutable and cached, so a caller that rebuilds U for the same case
-    and parameters gets the same object back.
+    U is kept as `EigvecTables`: the fraction-free integer rows of the
+    three-term recurrence over the whole grid (`families.family_table`),
+    the row scales 1/h_n and the column scales w(x)/2 from the norm and
+    weight tables (`family_norms`, `family_weights`), the column map and
+    the parity signs.  The float U is built from them, with no Fraction or
+    ScaledRoot per entry; only the eigencolumn is made of ScaledRoots until
+    `entries` is read.  The result is immutable and cached, so a caller
+    that rebuilds U for the same case and parameters gets the same object
+    back.
     """
     rec = case_record(case, params)
     if rec.u_delta_shift is None:
         raise UnsupportedCase(f"{case.value}: no displayed eigenvector matrix")
     _require_alpha_cap(case, params)
     if rec.dim(params.N) == 1:  # N = 0 of an odd case: no hatted family
-        return EigvecMatrix(case, 1, ((ScaledRoot.of(1),),), (ScaledRoot.zero(),), np.ones((1, 1)))
+        one = EigvecTables((1,), ((1,),), (Fraction(1),), ((Fraction(1),), ()), (0,), (1,))
+        return EigvecMatrix(case, 1, (ScaledRoot.zero(),), one)
     fam_even = even_row_params(case, params)
     pair = coefficients(case, fam_even)
     fam_odd, xshift = pair.hatted, pair.xshift
     N, dim = params.N, rec.dim(params.N)
     right = 1 if rec.even_dim else 0
     edge = not rec.even_dim and xshift == 0
+    lone = 1 - right  # odd dimension: grid point 0 owns the single column N
     w_even, h_even = _positive_tables(fam_even)
     w_odd, h_odd = _positive_tables(fam_odd)
-    rows = [[ScaledRoot.zero()] * dim for _ in range(dim)]
-    floats = [[0.0] * dim for _ in range(dim)]
     xs = [N - k if edge else k for k in range(N + 1)]
-    cols = [(N - k, N + k + right) for k in range(N + 1)]
-    lone = 1 - right  # odd dimension: column N (k = 0) has no partner
-    ws = [w_even[x] if k < lone else w_even[x] / 2 for k, x in enumerate(xs)]
-    _fill_rows(rows, floats, 0, family_table(fam_even, xs), h_even, ws, cols,
-               alternate=not edge, negate=False)
-    dcol = [ScaledRoot.zero()] * dim
-    for (neg, pos), s in zip(cols[lone:], eig_squares(case, params, xs[lone:])):
-        root = ScaledRoot.sqrt(s)
-        dcol[neg], dcol[pos] = -root, root
-    xs = [x + xshift for x in xs[lone:]]
-    _fill_rows(rows, floats, 1, family_table(fam_odd, xs), h_odd,
-               [w_odd[x] / 2 for x in xs], cols[lone:], alternate=not edge, negate=True)
-    return EigvecMatrix(case, dim, tuple(tuple(r) for r in rows), tuple(dcol), np.array(floats))
+    hxs = [x + xshift for x in xs[lone:]]
+    kappa = (tuple(w_even[x] if k < lone else w_even[x] / 2 for k, x in enumerate(xs)),
+             (Fraction(0),) * lone + tuple(w_odd[x] / 2 for x in hxs))
+    q, p, rho = [0] * dim, [()] * dim, [Fraction(0)] * dim
+    for first, fam, points, norms in ((0, fam_even, xs, h_even), (1, fam_odd, hxs, h_odd)):
+        pad = (0,) * (lone * first)
+        for n, (qn, ps) in enumerate(family_table(fam, points)):
+            r = first + 2 * n
+            q[r] = -qn if n % 2 and not edge else qn
+            p[r], rho[r] = pad + tuple(ps), 1 / norms[n]
+    grid = tuple(range(N, -1, -1)) + tuple(range(lone, N + 1))
+    parity = (-1,) * (N + right) + (1,) * (N + 1)
+    roots = [ScaledRoot.sqrt(s) for s in eig_squares(case, params, xs[lone:])]
+    dcol = (*(-r for r in reversed(roots)), *([ScaledRoot.zero()] if lone else []), *roots)
+    tables = EigvecTables(tuple(q), tuple(p), tuple(rho), kappa, grid, parity)
+    return EigvecMatrix(case, dim, dcol, tables)
 
 
 def orthogonality_residual(u: EigvecMatrix) -> float:

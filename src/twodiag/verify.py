@@ -25,9 +25,11 @@ from .doubles import (
     coefficients,
     eig_squares,
     locate_failure,
+    matrix_squares,
     pair_grid_max_residue,
     requirements_grid_max_residue,
 )
+from .exact import over_lcm, sqrt_exact
 from .families import (
     RACAH_SELECTORS,
     DualHahnParams,
@@ -37,6 +39,8 @@ from .families import (
     family_weight,
 )
 from .matrices import (
+    EigvecMatrix,
+    EigvecTables,
     InadmissibleParams,
     double_matrix,
     eigen_residual,
@@ -140,6 +144,77 @@ def _orthogonality_sum_check(params) -> tuple[bool, str]:
     return True, f"{(N + 1) ** 2} table values match the series"
 
 
+def _u_exact_failure(u: EigvecMatrix, squares: List[Fraction]) -> str | None:
+    """Where U U^T = I or M U = U D fails exactly, read from U's integer
+    tables and root scales (`matrices.EigvecTables`) and from the matrix
+    squares M_i^2; None when both hold.
+
+    Entry (r, c) of U is A_rc/Q_r sqrt(rho_r kappa_r(k)) at grid point
+    k = grid[c], with A_rc the table value P_r(k) times the column's parity
+    sign on odd rows.  Two rows of one parity share kappa, so their inner
+    product is the kappa-weighted integer dot product sum_c A_rc A_sc t(k),
+    kappa = t/K over one denominator, which must be [r = s] K Q_r^2 / rho_r.
+    An even and an odd row meet two columns at each grid point whose parity
+    signs are opposite, so their products must cancel point by point.  M U
+    = U D at entry (i, c) is M_{i-1} U_{i-1,c} + M_i U_{i+1,c} - d_c U_ic = 0,
+    three terms a sqrt(R) with rational a and R: it holds iff the R of the
+    nonzero terms are rational squares times the first one's and the a,
+    times those roots, sum to zero.  Only those sums depend on the column's
+    signs, so the roots are found once per row, grid point and d_c^2.
+    """
+    t, dim = u.tables, u.dim
+    signed = [[(e if r % 2 else 1) * ps[k] for e, k in zip(t.parity, t.grid)]
+              for r, ps in enumerate(t.p)]
+    weights = [over_lcm([kappa[k] for k in t.grid]) for kappa in t.kappa]
+    points = len(t.kappa[0])
+    for r in range(dim):
+        ints, den = weights[r % 2]
+        weighted = [a * w for a, w in zip(signed[r], ints)]
+        rho = t.rho[r]
+        for s in range(r, dim):
+            if (s - r) % 2:
+                per_point = [0] * points
+                for c, k in enumerate(t.grid):
+                    per_point[k] += signed[r][c] * signed[s][c]
+                ok = not any(per_point)
+            else:
+                dot = sum(a * b for a, b in zip(weighted, signed[s]))
+                ok = (dot * rho.numerator == den * t.q[r] ** 2 * rho.denominator if r == s
+                      else dot == 0)
+            if not ok:
+                return f"U U^T != I at rows ({r}, {s})"
+
+    for i in range(dim):
+        near = [(j, squares[min(i, j)] * t.rho[j]) for j in (i - 1, i + 1) if 0 <= j < dim]
+        roots = {}
+        for c, (k, d) in enumerate(zip(t.grid, u.eigencolumn)):
+            key = (k, d.square)
+            if key not in roots:
+                roots[key] = _rational_terms(t, k, near + [(i, d.square * t.rho[i])])
+            sign = {j: t.parity[c] if j % 2 else 1 for j in (i - 1, i, i + 1)}
+            sign[i] *= -d.sign
+            if roots[key] is None or sum(sign[j] * x for j, x in roots[key]):
+                return f"M U != U D at ({i}, {c})"
+    return None
+
+
+def _rational_terms(t: EigvecTables, k: int, rows) -> list | None:
+    """The nonzero terms a sqrt(R) of the rows j, with a = P_j(k)/Q_j and
+    R = m rho_j kappa_j(k) for the m rho_j given with j, as pairs
+    (j, a sqrt(R/R_0)) over the first one's R_0; None when some R/R_0 is
+    not a rational square."""
+    out, first = [], None
+    for j, m_rho in rows:
+        a, rad = Fraction(t.p[j][k], t.q[j]), m_rho * t.kappa[j % 2][k]
+        if a and rad:
+            first = first or rad
+            root = sqrt_exact(rad / first)
+            if root is None:
+                return None
+            out.append((j, a * root))
+    return out
+
+
 def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[CheckOutcome]:
     out = []
     for i in range(draws):
@@ -163,9 +238,13 @@ def suite_orthogonality(rng: random.Random, max_n: int, draws: int) -> List[Chec
     for case in EIGVEC_CASES:
         params = rand_params_for_case(case, rng, max_n, 0)
         with _check(out, f"orthogonality U {case.value} [{_params_label(params)}]") as c:
-            r1 = orthogonality_residual(eigvec_matrix(case, params))
+            u = eigvec_matrix(case, params)
+            r1 = orthogonality_residual(u)
             r2 = eigen_residual(case, params)
             c.ok, c.detail = r1 <= 1e-12 and r2 <= 1e-12, f"UtU-I {r1:.2e}, MU-UD {r2:.2e}"
+            failure = _u_exact_failure(u, matrix_squares(case, params)) if params.N <= 12 else None
+            if failure:
+                c.ok, c.detail = False, f"{c.detail}; exact: {failure}"
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -109,6 +110,20 @@ def test_scaled_root_constructors():
     assert -ScaledRoot.sqrt(2) == ScaledRoot(F(-1), F(2))
     assert [ScaledRoot.of(v).sign for v in (-2, 0, 5)] == [-1, 0, 1]
     assert ScaledRoot(F(3), F(0)).sign == 0
+
+
+def test_sign_reads_the_numerators_as_the_fraction_comparisons_did():
+    def old_sign(e):
+        if not e.radicand:
+            return 0
+        return (e.coef > 0) - (e.coef < 0)
+
+    coefs = [0, 3, -3, F(0), F(2, 5), F(-2, 5), F(7), F(-7)]
+    radicands = [0, F(0), 5, F(9, 4)]
+    for coef, radicand in itertools.product(coefs, radicands):
+        e = ScaledRoot(coef, radicand)
+        assert e.sign == old_sign(e) and type(e.sign) is int, (coef, radicand)
+    assert sorted({ScaledRoot(c, 1).sign for c in coefs}) == [-1, 0, 1]
 
 
 def test_scaled_root_equality_by_value():

@@ -492,6 +492,14 @@ def test_spectrum_properties():
     assert [e.radicand for e in s.entries if e.sign > 0] == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("entries, closed", [
+    ((-2, 0, 2), True), ((-2, -1, 1, 2), True), ((-1, -1, 1, 1), True), ((0, 0), True),
+    ((-2, 1, 2), False), ((-2, -1, 2), False), ((-2, 0, 0, 2, 3), False), ((-1, 1, 1), False),
+])
+def test_negation_closed_pairs_each_entry_with_its_mirror(entries, closed):
+    assert Spectrum(tuple(ScaledRoot.of(v) for v in entries)).is_negation_closed() is closed
+
+
 def _series_u(case, params):
     """U entry by entry from the series values and the per-point closed-form
     weights and norms, in the layout `eigvec_matrix` documents."""
@@ -575,6 +583,28 @@ def test_eigvec_floats_are_the_entries_converted(case):
     rows[0][0] = -rows[0][0]
     flipped = replace(u, entries=tuple(tuple(r) for r in rows))
     assert flipped.to_float()[0, 0] == -u.to_float()[0, 0] != 0
+
+
+@pytest.mark.parametrize("case", EIGVEC_CASES, ids=lambda c: c.value)
+def test_eigvec_matrix_builds_no_entry_until_entries_is_read(case, monkeypatch):
+    # the float U comes straight from the integer tables; the eigencolumn's
+    # dim roots are the only ScaledRoots made until `entries` is read
+    made = []
+    check = ScaledRoot.__post_init__
+    monkeypatch.setattr(ScaledRoot, "__post_init__", lambda self: (made.append(self), check(self)))
+    p = _small_params(case, 12)
+    eigvec_matrix.cache_clear()
+    u = eigvec_matrix(case, p)
+    # C order, like an array built row by row: BLAS products of U (the
+    # residuals) may round differently in another layout
+    assert u.to_float().flags.c_contiguous
+    assert len(made) == u.dim and u.tables is not None
+    assert "entries" not in vars(u)
+    entries = u.entries
+    read = len(made)
+    assert read > u.dim and u.entries is entries and len(made) == read
+    eigvec_matrix.cache_clear()
+    assert _parts(entries) == _series_u(case, p)
 
 
 def _real_eigenvalues(case, p):

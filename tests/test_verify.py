@@ -4,6 +4,7 @@ fact they check is broken."""
 import itertools
 import random
 from dataclasses import replace
+from fractions import Fraction as F
 
 import pytest
 
@@ -172,3 +173,98 @@ def test_a_pole_on_the_grid_fails_the_grid_suites_under_their_labels(case, monke
         failed = [o for o in outcomes if not o.ok]
         assert [o.label.split()[:2] for o in failed] == [[word, case.value]] * 2
         assert all(o.detail == f"{where} at n=0, x=0: a coefficient has a pole" for o in failed)
+
+
+# the exact check of U: U U^T = I and M U = U D from U's integer tables
+
+_U_CASE, _U_PARAMS = DoubleCase.DUAL_HAHN_I, families.DualHahnParams(F(1, 2), F(1, 3), 6)
+
+
+@pytest.fixture
+def fresh_u():
+    """A U built under a test's monkeypatches leaves the builder's cache."""
+    matrices.eigvec_matrix.cache_clear()
+    yield
+    matrices.eigvec_matrix.cache_clear()
+
+
+def _u_checks(case=_U_CASE, params=_U_PARAMS):
+    """(the 1e-12 float residuals pass, where the exact check fails) for U
+    as the builder makes it now."""
+    matrices.eigvec_matrix.cache_clear()
+    u = matrices.eigvec_matrix(case, params)
+    residual = max(matrices.orthogonality_residual(u), matrices.eigen_residual(case, params))
+    return residual <= 1e-12, verify._u_exact_failure(u, doubles.matrix_squares(case, params))
+
+
+@pytest.mark.parametrize("case", doubles.EIGVEC_CASES, ids=lambda c: c.value)
+def test_the_exact_u_check_passes_every_eigvec_case(case, fresh_u):
+    rng = random.Random(case.value)
+    for max_n in (0, 1, 2, 5, 12):
+        params = rand_params_for_case(case, rng, max_n)
+        assert _u_checks(case, params) == (True, None), params
+
+
+def _mutate_norms(monkeypatch, change):
+    """The even-row family's norm table with h_1 replaced by change(h)."""
+    even = doubles.even_row_params(_U_CASE, _U_PARAMS)
+    real = matrices.family_norms
+    monkeypatch.setattr(matrices, "family_norms", lambda fam: (
+        real(fam)[:1] + (change(real(fam)),) + real(fam)[2:] if fam == even else real(fam)))
+
+
+def test_a_row_scale_from_the_next_norm_fails_the_exact_u_check(monkeypatch, fresh_u):
+    _mutate_norms(monkeypatch, lambda h: h[2])
+    assert _u_checks() == (False, "U U^T != I at rows (2, 2)")
+
+
+def test_a_flipped_column_parity_fails_the_exact_u_check(monkeypatch, fresh_u):
+    real = matrices.EigvecTables
+
+    def flipped(q, p, rho, kappa, grid, parity):
+        return real(q, p, rho, kappa, grid, (parity[0], -parity[1]) + parity[2:])
+
+    monkeypatch.setattr(matrices, "EigvecTables", flipped)
+    assert _u_checks() == (False, "U U^T != I at rows (0, 1)")
+
+
+def test_the_hatted_table_read_at_x_fails_the_exact_u_check(monkeypatch, fresh_u):
+    pair = doubles.coefficients(_U_CASE, doubles.even_row_params(_U_CASE, _U_PARAMS))
+    assert pair.xshift != 0
+    real = matrices.family_table
+    monkeypatch.setattr(matrices, "family_table", lambda fam, xs: real(
+        fam, [x - pair.xshift for x in xs] if fam == pair.hatted else xs))
+    assert _u_checks() == (False, "U U^T != I at rows (1, 3)")
+
+
+def test_a_row_scale_off_below_rounding_fails_only_the_exact_u_check(monkeypatch, fresh_u):
+    _mutate_norms(monkeypatch, lambda h: h[1] * (1 + F(1, 10**20)))
+    assert _u_checks() == (True, "U U^T != I at rows (2, 2)")
+
+
+# a factor that is no rational square leaves the terms of M U = U D in two
+# root classes; a square one keeps one class, and the sum is what fails
+@pytest.mark.parametrize("factor", [1 + F(1, 10**20), (1 + F(1, 10**20)) ** 2])
+def test_an_eigenvalue_off_below_rounding_fails_only_the_exact_u_check(factor, monkeypatch,
+                                                                         fresh_u):
+    real = matrices.eig_squares
+
+    def moved(case, params, xs=None):
+        squares = real(case, params, xs)
+        return [squares[0] * factor] + squares[1:]
+
+    monkeypatch.setattr(matrices, "eig_squares", moved)
+    assert _u_checks() == (True, "M U != U D at (0, 5)")
+
+
+def test_the_orthogonality_suite_reports_where_the_exact_u_check_fails(monkeypatch, fresh_u):
+    before = [o for o in verify.suite_orthogonality(random.Random(0), 6, 1)
+              if o.label.startswith("orthogonality U ")]
+    assert all(o.ok and "exact" not in o.detail for o in before)
+    _mutate_norms(monkeypatch, lambda h: h[2])
+    monkeypatch.setattr(verify, "rand_params_for_case", lambda case, rng, max_n, i=0: (
+        _U_PARAMS if case is _U_CASE else rand_params_for_case(case, rng, max_n, i)))
+    after = {o.label: o for o in verify.suite_orthogonality(random.Random(0), 6, 1)}
+    failed = [o for o in after.values() if not o.ok]
+    assert [o.label for o in failed] == ["orthogonality U DualHahnI [g=1/2,d=1/3,N=6]"]
+    assert failed[0].detail.endswith("; exact: U U^T != I at rows (2, 2)")
