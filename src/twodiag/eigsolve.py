@@ -126,17 +126,20 @@ def _count_below(q: np.ndarray, e: np.ndarray, tau: np.ndarray,
     s = -tau
     block = np.empty((min(_COUNT_ROWS, len(q)), len(tau)))
     count = np.zeros(tau.shape, dtype=np.intp)
+    # the ufuncs bound locally and `out` passed positionally: the row loop
+    # is call overhead
+    add, divide, multiply, subtract = np.add, np.divide, np.multiply, np.subtract
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, len(q), _COUNT_ROWS):
             d = block[:len(q) - start]
             for di, qi, ei in zip(d, q[start:start + _COUNT_ROWS].tolist(),
                                   e[start:start + _COUNT_ROWS].tolist()):
-                np.add(s, qi, out=di)
+                add(s, qi, di)
                 if pivmin is not None:
                     np.copyto(di, -pivmin, where=np.abs(di) < pivmin)
-                np.divide(s, di, out=s)
-                np.multiply(s, ei, out=s)
-                np.subtract(s, tau, out=s)
+                divide(s, di, s)
+                multiply(s, ei, s)
+                subtract(s, tau, s)
             # a bytewise sum, exact below 256 rows, is the fast reduction
             count += (d < 0).view(np.uint8).sum(axis=0, dtype=np.uint8)
     if pivmin is None:

@@ -10,11 +10,15 @@ case's verified sextet, `doubles.matrix_squares`) and `nonsymmetric_form`
 spectrum from `case_spectrum`, its squares the gaps Lam(x) - Lam(nu) of
 the case's kernel transform (`doubles.eig_squares`), and
 `SymTridiag.from_squares` is the one place exact squares become real
-symmetric entries.  Spectra are certified exactly: the characteristic
+symmetric entries.  A `Spectrum` is held as its zero count and its
+ascending positive squares s, the eigenvalues +-sqrt(s); the builders hand
+those over directly, and the `ScaledRoot` entries are made only when read.
+Spectra are certified exactly and in integers: the characteristic
 polynomial of a zero-diagonal tridiagonal matrix depends only on its
-superdiagonal-subdiagonal products, a fraction-free integer minor
-recurrence expands it, and it must equal lambda^z prod(lambda^2 - eps_k^2)
-coefficient by coefficient.
+superdiagonal-subdiagonal products, a fraction-free minor recurrence
+expands it as D P(mu) in mu = lambda^2, the squares a_k/b_k expand as
+prod(b_k mu - a_k), and the two integer polynomials must agree once each
+is multiplied by the other's leading coefficient.
 """
 
 from __future__ import annotations
@@ -123,35 +127,58 @@ class SymTridiag:
         return sqrt_floats(self.products())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrum:
-    """Closed-form eigenvalue list, sorted ascending, closed under negation."""
+    """Closed-form eigenvalue list closed under negation: `zeros` zero
+    eigenvalues and +-sqrt(s) for each of the ascending positive `squares`.
 
-    entries: Tuple[ScaledRoot, ...]
+    `Spectrum(entries)` takes ScaledRoots in any order, reads the zero count
+    and the squares off them once and raises ValueError unless the negative
+    entries mirror the positive ones.  The builders hand the count and the
+    squares over directly (`of_squares`).  `entries`, the ScaledRoots in
+    ascending order, is built on first read.
+    """
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.entries, key=ScaledRoot.signed_square))
-        object.__setattr__(self, "entries", ordered)
+    zeros: int
+    squares: Tuple[Fraction, ...]
+
+    def __init__(self, entries: Iterable[ScaledRoot]):
+        zeros, plus, minus = 0, [], []
+        for e in entries:
+            sign = e.sign
+            if sign:
+                (plus if sign > 0 else minus).append(e.square)
+            else:
+                zeros += 1
+        plus.sort()
+        if plus != sorted(minus):
+            raise ValueError("spectrum entries are not closed under negation")
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "squares", tuple(plus))
+
+    @classmethod
+    def of_squares(cls, zeros: int, squares: Iterable[Fraction]) -> "Spectrum":
+        """`zeros` zeros and +-sqrt(s) for s in `squares`, which the caller
+        gives positive and ascending."""
+        spectrum = cls.__new__(cls)
+        object.__setattr__(spectrum, "zeros", zeros)
+        object.__setattr__(spectrum, "squares", tuple(squares))
+        return spectrum
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.zeros + 2 * len(self.squares)
 
-    def zero_count(self) -> int:
-        return sum(1 for e in self.entries if e.sign == 0)
-
-    def positive_squares(self) -> List[Fraction]:
-        return [e.radicand for e in self.entries if e.sign > 0]
+    @cached_property
+    def entries(self) -> Tuple[ScaledRoot, ...]:
+        roots = [ScaledRoot.sqrt(s) for s in self.squares]
+        return (*(-r for r in reversed(roots)), *[ScaledRoot.zero()] * self.zeros, *roots)
 
     def floats(self) -> List[float]:
-        return [float(e) for e in self.entries]
-
-    def is_negation_closed(self) -> bool:
-        """The entries, ascending, read backwards are their negations: each
-        is -1, 0 or 1 times a root, so the value pairs off by sign and
-        radicand, and a zero by sign alone."""
-        return all(a.sign == -b.sign and (not a.sign or a.radicand == b.radicand)
-                   for a, b in zip(self.entries, reversed(self.entries)))
+        """The entries in floating point, bit for bit float(ScaledRoot):
+        -+sqrt(float(s)), and +0.0 for a zero."""
+        roots = [math.sqrt(float(s)) for s in self.squares]
+        return [-r for r in reversed(roots)] + [0.0] * self.zeros + roots
 
 
 @dataclass(frozen=True)
@@ -164,9 +191,10 @@ class MatrixWithSpectrum:
 # ---------------------------------------------------------------------------
 # characteristic polynomial machinery
 
-def charpoly_from_products(products: Sequence[RationalLike]) -> List[Fraction]:
-    """Ascending coefficients of det(lambda I - A) for a zero-diagonal
-    tridiagonal A with offdiagonal products q_0, q_1, ...
+def _minor_recurrence(products: Sequence[RationalLike]) -> Tuple[List[int], int]:
+    """Integer coefficients, ascending in mu = lambda^2, of D P(mu) and the
+    leading one D, where det(lambda I - A) = lambda^(dim mod 2) P(lambda^2)
+    for a zero-diagonal tridiagonal A with offdiagonal products q_0, q_1, ...
 
     The principal minors are p_k = lambda^(k mod 2) P_k(lambda^2), so the
     minor recurrence p_k = lambda p_{k-1} - q_{k-2} p_{k-2} becomes
@@ -175,23 +203,43 @@ def charpoly_from_products(products: Sequence[RationalLike]) -> List[Fraction]:
     terms, D_0 = D_1 = 1 and D_k = lcm(D_{k-1}, b_{k-2} D_{k-2}), the
     integer polynomials Q_k = D_k P_k obey
     Q_k = (D_k/D_{k-1}) mu^[k even] Q_{k-1} - a_{k-2} (D_k/(b_{k-2} D_{k-2})) Q_{k-2},
-    so only the denominators meet a gcd in the loop; P is monic, so one
-    division by the leading coefficient D of the last Q recovers it
-    exactly."""
+    so only the denominators meet a gcd in the loop; P is monic, so D is
+    the last Q's leading coefficient."""
     prev, cur = [1], [1]  # Q_{k-2}, Q_{k-1}
     d_prev = d_cur = 1  # D_{k-2}, D_{k-1}
-    for k, q in enumerate(map(Fraction, products), start=2):
+    for k, q in enumerate(products, start=2):
         a, b = q.numerator, q.denominator
         d_back = b * d_prev
         d_next = math.lcm(d_cur, d_back)
         up = d_next // d_cur
-        nxt = [0] * (1 - k % 2) + [up * c for c in cur]
         ab = a * (d_next // d_back)
-        for i, c in enumerate(prev if a else ()):
-            nxt[i] -= ab * c
+        # Q_{k-2} is one shorter than mu^[k even] Q_{k-1}, whose top term
+        # stands alone
+        high = [0, *cur] if k % 2 == 0 else cur
+        nxt = [up * h - ab * low for h, low in zip(high, prev)]
+        nxt.append(up * cur[-1])
         prev, cur, d_prev, d_cur = cur, nxt, d_cur, d_next
+    return cur, d_cur
+
+
+def _linear_factors(squares: Sequence[RationalLike]) -> Tuple[List[int], int]:
+    """Integer coefficients, ascending in mu, of prod(b_k mu - a_k) over the
+    squares a_k/b_k in lowest terms, and the leading one prod b_k."""
+    poly, lead = [1], 1
+    for s in squares:
+        a, b = s.numerator, s.denominator
+        poly = [b * high - a * low for low, high in zip([*poly, 0], [0, *poly])]
+        lead *= b
+    return poly, lead
+
+
+def charpoly_from_products(products: Sequence[RationalLike]) -> List[Fraction]:
+    """Ascending coefficients of det(lambda I - A) for a zero-diagonal
+    tridiagonal A with offdiagonal products q_0, q_1, ...: those of
+    `_minor_recurrence`, each divided by the leading one."""
+    coeffs, lead = _minor_recurrence(products)
     out = [Fraction(0)] * (len(products) + 2)
-    out[(len(products) + 1) % 2::2] = [Fraction(c, d_cur) for c in cur]
+    out[(len(products) + 1) % 2::2] = [Fraction(c, lead) for c in coeffs]
     return out
 
 
@@ -200,26 +248,38 @@ def charpoly(m: TwoDiagonal | SymTridiag) -> List[Fraction]:
 
 
 def spectrum_poly(zeros: int, squares: Sequence[RationalLike]) -> List[Fraction]:
-    """Ascending coefficients of lambda^zeros prod(lambda^2 - s).  The
-    products 0, s_0, 0, s_1, ... make a block diagonal of a 1x1 zero and
-    2x2 blocks with charpoly lambda^2 - s_k, so the charpoly kernel forms
-    the product times lambda."""
-    gapped = [x for s in squares for x in (0, s)]
-    return [Fraction(0)] * zeros + charpoly_from_products(gapped)[1:]
+    """Ascending coefficients of lambda^zeros prod(lambda^2 - s): those of
+    `_linear_factors`, each divided by the leading one."""
+    coeffs, lead = _linear_factors(squares)
+    out = [Fraction(0)] * (zeros + 2 * len(squares) + 1)
+    out[zeros::2] = [Fraction(c, lead) for c in coeffs]
+    return out
 
 
 def verify_spectrum_exact(m: TwoDiagonal | SymTridiag, s: Spectrum) -> bool:
-    """True iff charpoly(m) equals lambda^z prod(lambda^2 - eps_k^2) exactly."""
-    if m.dim != s.dim or not s.is_negation_closed():
-        return False
-    return charpoly(m) == spectrum_poly(s.zero_count(), s.positive_squares())
+    """True iff charpoly(m) equals lambda^z prod(lambda^2 - s_k) exactly,
+    for the zero count z and the squares s_k of the spectrum."""
+    return verify_squares_exact(m.products(), s.zeros, s.squares)
 
 
 def verify_squares_exact(products: Sequence[RationalLike], zeros: int,
                          squares: Sequence[RationalLike]) -> bool:
-    """Charpoly certificate from raw data; works even when squares are
-    negative rationals (imaginary-eigenvalue parameter ranges)."""
-    return charpoly_from_products(products) == spectrum_poly(zeros, squares)
+    """Charpoly certificate from raw data, in integers; works even when
+    squares are negative rationals (imaginary-eigenvalue parameter ranges).
+
+    The dimensions must agree, len(products) + 1 = zeros + 2 len(squares),
+    which fixes the parity of the zero count; the zero left over by an odd
+    count is the factor lambda^(dim mod 2) of both sides, and each further
+    pair a factor mu = lambda^2, a shift of the coefficients in mu.  Then
+    D P(mu) from `_minor_recurrence` and mu^(zeros // 2) prod(b_k mu - a_k)
+    from `_linear_factors`, each times the other's leading coefficient,
+    must agree coefficient by coefficient."""
+    if zeros < 0 or len(products) + 1 != zeros + 2 * len(squares):
+        return False
+    q, d = _minor_recurrence(products)
+    r, b = _linear_factors(squares)
+    shift = zeros // 2
+    return not any(q[:shift]) and all(x * b == y * d for x, y in zip(q[shift:], r))
 
 
 def symmetrize(m: TwoDiagonal) -> SymTridiag:
@@ -248,8 +308,8 @@ def sylvester_kac(N: int) -> MatrixWithSpectrum:
         raise ValueError("N must be >= 1")
     mat = TwoDiagonal(tuple(Fraction(k) for k in range(1, N + 1)),
                       tuple(Fraction(k) for k in range(N, 0, -1)))
-    entries = tuple(ScaledRoot.of(-N + 2 * k) for k in range(N + 1))
-    return MatrixWithSpectrum(f"kac(N={N})", mat, Spectrum(entries))
+    squares = (Fraction(v * v) for v in range(2 - N % 2, N + 1, 2))
+    return MatrixWithSpectrum(f"kac(N={N})", mat, Spectrum.of_squares(1 - N % 2, squares))
 
 
 def extended_kac_odd(N: int, gamma: RationalLike, delta: RationalLike) -> MatrixWithSpectrum:
@@ -286,17 +346,16 @@ def _require_alpha_cap(case: DoubleCase, params: FamilyParams) -> None:
 def case_spectrum(case: DoubleCase, params: FamilyParams, scale: int = 1) -> Spectrum:
     """The case's closed-form spectrum times `scale`: +-scale sqrt(s) for each
     s in `doubles.eig_squares` and the zero of odd dimension; the first s <= 0
-    in x order raises.  The squares run up or down in x; sorted once, they
-    give the entries in ascending order."""
+    in x order raises.  The squares run up or down in x and are sorted
+    once."""
     squares = eig_squares(case, params)
     if scale != 1:
         squares = [scale * scale * s for s in squares]
     for s in squares:
-        if s <= 0:
+        if s.numerator <= 0:  # the sign of an int or Fraction
             raise InadmissibleParams(f"eigenvalue square {s} is not positive")
-    roots = [ScaledRoot.sqrt(s) for s in sorted(squares)]
-    zeros = [ScaledRoot.zero()] * (case_record(case, params).dim(params.N) - 2 * len(roots))
-    return Spectrum((*(-r for r in reversed(roots)), *zeros, *roots))
+    zeros = case_record(case, params).dim(params.N) - 2 * len(squares)
+    return Spectrum.of_squares(zeros, sorted(squares))
 
 
 def double_matrix(case: DoubleCase, params: FamilyParams) -> MatrixWithSpectrum:

@@ -127,9 +127,9 @@ def test_verify_output_matches_golden_at_max_n12(capsys):
 
 
 @pytest.mark.parametrize("suite,seed", [("christoffel", 5), ("pairs", 11), ("requirements", 11),
-                                       ("orthogonality", 5)])
+                                       ("orthogonality", 5), ("spectra", 5)])
 def test_quiet_verify_suites_match_golden(capsys, suite, seed):
-    # the four quiet suite runs of the CI entry-point step, at max-N 12
+    # the five quiet suite runs of the CI entry-point step, at max-N 12
     code, out, _ = run(capsys, "verify", "--suite", suite, "--max-N", "12",
                        "--seed", str(seed), "--draws", "4", "-q")
     assert code == 0

@@ -162,8 +162,8 @@ def test_extended_kac_match_literal_forms_and_raise_where_they_do():
                         continue
                     m = build(N, g, d)
                     assert (list(m.matrix.sup), list(m.matrix.sub)) == (sup, sub)
-                    assert sorted(m.spectrum.positive_squares()) == sorted(squares)
-                    assert m.spectrum.zero_count() == (1 if odd else 0)
+                    assert list(m.spectrum.squares) == sorted(squares)
+                    assert m.spectrum.zeros == (1 if odd else 0)
 
 
 def test_odd_dimension_omits_only_the_zero_gap_at_nu():
@@ -226,20 +226,23 @@ def _reference_spectrum(case, params, scale):
 
 @pytest.mark.parametrize("scale", [1, 2])
 def test_case_spectrum_arrives_sorted_as_the_signed_square_sort(scale, monkeypatch):
-    # case_spectrum lays the entries out in order, whichever way the squares
-    # run in x; Spectrum's own sort must then find them in place
+    # case_spectrum hands Spectrum its squares ascending, whichever way they
+    # run in x, and the entries read back are the signed-square sort
     for case, params in DESCENDING_DRAWS:
         squares = eig_squares(case, params)
         assert squares == sorted(squares, reverse=True) and len(set(squares)) > 1, case
     given = []
-    monkeypatch.setattr(matrices, "Spectrum",
-                        lambda entries: given.append(entries) or Spectrum(entries))
+    of_squares = Spectrum.of_squares
+    monkeypatch.setattr(Spectrum, "of_squares",
+                        lambda zeros, squares: given.append(squares) or of_squares(zeros, squares))
     for case, params in [*DESCENDING_DRAWS, *_default_draws()]:
         spectrum = case_spectrum(case, params, scale)
+        squares = given.pop()
+        assert squares == sorted(squares) and min(squares) > 0, (case, params)
+        assert spectrum.squares == tuple(squares)
         reference = _reference_spectrum(case, params, scale)
         parts = [(e.coef, e.radicand) for e in spectrum.entries]
         assert parts == [(e.coef, e.radicand) for e in reference], (case, params)
-        assert [(e.coef, e.radicand) for e in given.pop()] == parts, (case, params)
 
 
 def test_a_nonpositive_eigenvalue_square_is_named_in_x_order():
@@ -486,18 +489,51 @@ def test_unsupported_constructions():
 def test_spectrum_properties():
     m = double_matrix(DoubleCase.HAHN_II, HahnParams(F(2, 3), F(1, 5), 5))
     s = m.spectrum
-    assert s.is_negation_closed()
-    assert s.zero_count() == 1
+    assert s.zeros == 1 and s.squares == (1, 2, 3, 4, 5)
     assert s.dim == m.matrix.dim
     assert [e.radicand for e in s.entries if e.sign > 0] == [1, 2, 3, 4, 5]
+    assert Spectrum(s.entries[::-1]) == s
 
 
 @pytest.mark.parametrize("entries, closed", [
     ((-2, 0, 2), True), ((-2, -1, 1, 2), True), ((-1, -1, 1, 1), True), ((0, 0), True),
     ((-2, 1, 2), False), ((-2, -1, 2), False), ((-2, 0, 0, 2, 3), False), ((-1, 1, 1), False),
+    ((2, -1, 0, 1, -2), True), ((1, 2, -2), False),
 ])
 def test_negation_closed_pairs_each_entry_with_its_mirror(entries, closed):
-    assert Spectrum(tuple(ScaledRoot.of(v) for v in entries)).is_negation_closed() is closed
+    given = tuple(ScaledRoot.of(v) for v in entries)
+    if not closed:
+        with pytest.raises(ValueError, match="^spectrum entries are not closed under negation$"):
+            Spectrum(given)
+        return
+    s = Spectrum(given)
+    assert s.zeros == entries.count(0)
+    assert s.squares == tuple(sorted(v * v for v in entries if v > 0))
+    assert [(e.coef, e.radicand) for e in s.entries] == [
+        (e.coef, e.radicand) for e in sorted(given, key=ScaledRoot.signed_square)]
+
+
+def test_spectrum_pairs_entries_by_value_not_by_form():
+    # 2 sqrt(3) and -sqrt(12) are mirrors; the entries read back are +-sqrt(12)
+    s = Spectrum((ScaledRoot(F(2), F(3)), ScaledRoot(F(-1), F(12))))
+    assert (s.zeros, s.squares) == (0, (12,))
+    assert [(e.coef, e.radicand) for e in s.entries] == [(-1, 12), (1, 12)]
+    with pytest.raises(ValueError):
+        Spectrum((ScaledRoot(F(2), F(3)), ScaledRoot(F(-1), F(3))))
+
+
+@pytest.mark.parametrize("selector", FAMILY_CHOICES)
+def test_spectrum_entries_and_floats_match_the_signed_square_sort(selector):
+    for n in (1, 2, 5, 30):
+        s = build_gallery_matrix(selector, n).spectrum
+        reference = [ScaledRoot.zero()] * s.zeros
+        for q in s.squares:
+            reference += (root := ScaledRoot.sqrt(q), -root)
+        reference.sort(key=ScaledRoot.signed_square)
+        assert ([(e.coef, e.radicand) for e in s.entries]
+                == [(e.coef, e.radicand) for e in reference]), n
+        assert [x.hex() for x in s.floats()] == [float(e).hex() for e in s.entries], n
+        assert all(type(x) is float for x in s.floats())
 
 
 def _series_u(case, params):
@@ -690,8 +726,8 @@ def test_charpoly_in_lambda_squared_equals_lambda_recurrence(selector):
         m = build_gallery_matrix(selector, n)
         assert charpoly(m.matrix) == _lambda_charpoly(m.matrix.products()), n
         s = m.spectrum
-        assert (spectrum_poly(s.zero_count(), s.positive_squares())
-                == _lambda_spectrum_poly(s.zero_count(), s.positive_squares())), n
+        assert (spectrum_poly(s.zeros, s.squares)
+                == _lambda_spectrum_poly(s.zeros, s.squares)), n
 
 
 # rationals for the certificate properties: zero, small, integer and
@@ -752,7 +788,7 @@ def test_certificate_mutations_fail_at_dimension_200(selector):
     m = build_gallery_matrix(selector, 200 if selector == "kac" else 100)
     assert m.matrix.dim >= 200
     products = m.matrix.products()
-    zeros, squares = m.spectrum.zero_count(), sorted(m.spectrum.positive_squares())
+    zeros, squares = m.spectrum.zeros, list(m.spectrum.squares)
     assert verify_spectrum_exact(m.matrix, m.spectrum)
     assert verify_squares_exact(products, zeros, squares)
     for i in (0, len(products) // 2, len(products) - 1):
@@ -765,6 +801,101 @@ def test_certificate_mutations_fail_at_dimension_200(selector):
         assert squares[i] != squares[i + 1]
         moved = squares[:i] + [squares[i + 1]] + squares[i + 1:]
         assert not verify_squares_exact(products, zeros, moved), i
+
+
+# rationals over a few shared and coprime denominators
+MIXED = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10, 35]))
+
+
+def _fraction_comparison(products, zeros, squares):
+    return charpoly_from_products(products) == spectrum_poly(zeros, squares)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.lists(st.one_of(MIXED, RATIONALS), max_size=6), st.data())
+def test_integer_certificate_agrees_with_the_fraction_comparison(zeros, squares, data):
+    # a block diagonal of `zeros` 1x1 zeros and a 2x2 block per square, in a
+    # drawn order; zero, negative and mixed-denominator squares included
+    blocks = data.draw(st.permutations([None] * zeros + squares))
+    products = _block_diagonal(blocks)[0]
+    claims = [(zeros, squares)]
+    if squares:
+        bumped = squares[:-1] + [squares[-1] + data.draw(MIXED)]
+        claims += [(zeros, bumped), (zeros + 2, squares[1:]),
+                   (zeros, [squares[0]] * len(squares))]
+    if zeros >= 2:
+        claims.append((zeros - 2, squares + [data.draw(MIXED)]))
+    for z, sq in claims:
+        assert verify_squares_exact(products, z, sq) is _fraction_comparison(products, z, sq)
+    if blocks:
+        assert verify_squares_exact(products, zeros, squares)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([DoubleCase.DUAL_HAHN_I, DoubleCase.DUAL_HAHN_III]), MIXED, MIXED,
+       st.integers(1, 6), MIXED)
+def test_integer_certificate_agrees_on_dual_hahn_forms(case, g, d, n, bump):
+    # the integer-friendly forms at any gamma and delta: the squares may be
+    # negative, and products and squares have unrelated denominators
+    p = DualHahnParams(g, d, n)
+    products = nonsymmetric_entries(case, p).products()
+    squares = eig_squares(case, p)
+    zeros = len(products) + 1 - 2 * len(squares)
+    assert zeros == (1 if case is DoubleCase.DUAL_HAHN_I else 0)
+    assert verify_squares_exact(products, zeros, squares)
+    for sq in (squares[:-1] + [squares[-1] + bump], [squares[0]] * len(squares)):
+        assert verify_squares_exact(products, zeros, sq) is _fraction_comparison(
+            products, zeros, sq)
+
+
+def test_integer_certificate_at_dimension_1():
+    assert verify_squares_exact([], 1, [])
+    assert verify_squares_exact([], 1, []) is _fraction_comparison([], 1, [])
+    assert not verify_squares_exact([], 0, []) and not verify_squares_exact([], 1, [F(1)])
+    assert not verify_squares_exact([], 3, [])
+    assert verify_spectrum_exact(TwoDiagonal((), ()), Spectrum([ScaledRoot.zero()]))
+
+
+# gallery matrices whose products and squares both carry denominators
+_FRACTIONAL = [("kac-odd", 6, {"gamma": F(1, 3), "delta": F(2, 5)}),
+               ("kac-even", 6, {"gamma": F(1, 3), "delta": F(2, 7)}),
+               ("double:HahnI", 6, {"alpha": F(1, 3), "beta": F(2, 5)}),
+               ("nonsym:DualHahnII", 6, {"gamma": F(3, 7), "delta": F(1, 2)})]
+
+
+@pytest.mark.parametrize("selector, n, params", _FRACTIONAL, ids=[s for s, *_ in _FRACTIONAL])
+def test_certificate_mutants_fail(selector, n, params, monkeypatch):
+    m = build_gallery_matrix(selector, n, params)
+    s, products = m.spectrum, m.matrix.products()
+    assert verify_spectrum_exact(m.matrix, s)
+    # one square +1e-6 together with its mirror
+    entries = list(s.entries)
+    entries[-1] = replace(entries[-1], radicand=entries[-1].radicand + F(1, 10 ** 6))
+    entries[0] = replace(entries[0], radicand=entries[-1].radicand)
+    assert not verify_spectrum_exact(m.matrix, Spectrum(entries))
+    # one square replaced by another's value
+    for i in range(len(s.squares)):
+        for j in (0, len(s.squares) - 1):
+            if s.squares[i] != s.squares[j]:
+                moved = sorted(s.squares[:i] + (s.squares[j],) + s.squares[i + 1:])
+                assert not verify_spectrum_exact(m.matrix, Spectrum.of_squares(s.zeros, moved))
+    # two more zeros with one square dropped, the dimension kept
+    for i in range(len(s.squares)):
+        dropped = Spectrum.of_squares(s.zeros + 2, s.squares[:i] + s.squares[i + 1:])
+        assert dropped.dim == m.matrix.dim and not verify_spectrum_exact(m.matrix, dropped), i
+    # one product's denominator dropped
+    for i, q in enumerate(products):
+        if q.denominator != 1:
+            cut = products[:i] + [F(q.numerator)] + products[i + 1:]
+            assert not verify_squares_exact(cut, s.zeros, s.squares), i
+    # one side's leading coefficient dropped from the cross-multiplication
+    assert matrices._minor_recurrence(products)[1] != 1
+    assert matrices._linear_factors(s.squares)[1] != 1
+    for name in ("_minor_recurrence", "_linear_factors"):
+        kernel = getattr(matrices, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, name, lambda values, kernel=kernel: (kernel(values)[0], 1))
+            assert not verify_spectrum_exact(m.matrix, s), name
 
 
 def _zero_diagonal_times(sup, sub, v):
