@@ -115,8 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="benchmark the eigensolver against closed forms",
                        description="One JSON line per solve; `sweeps` counts bisection "
-                                   "passes, each of which splits each distinct open "
-                                   "interval into 2^b parts, with or without --vectors. "
+                                   "passes, with or without --vectors. Each pass cuts "
+                                   "each distinct open interval into 2^b parts, around "
+                                   "a secant root on det(B B^T - x I) where the interval "
+                                   "holds one value and the root is predicted well, else "
+                                   "on the bit patterns of its floats, and always at its "
+                                   "pattern midpoint, so every open interval at least "
+                                   "halves. "
                                    "`nanoseconds` times the solve, `buildNanoseconds` "
                                    "and `convertNanoseconds` the exact build and the "
                                    "float conversion, once per dimension.")

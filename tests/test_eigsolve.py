@@ -389,10 +389,10 @@ def test_count_below_reruns_a_pivot_vanishing_in_the_second_block(monkeypatch):
     reruns = []
     count_below = eigsolve._count_below
 
-    def spied(q_, e_, tau_, pivmin=None):
+    def spied(q_, e_, tau_, pivmin=None, det=None):
         if pivmin is not None:
             reruns.append(tau_.tolist())
-        return count_below(q_, e_, tau_, pivmin)
+        return count_below(q_, e_, tau_, pivmin, det)
 
     monkeypatch.setattr(eigsolve, "_count_below", spied)
     count = eigsolve._count_below(q, e, tau)
@@ -402,13 +402,99 @@ def test_count_below_reruns_a_pivot_vanishing_in_the_second_block(monkeypatch):
     assert np.array_equal(count[clear], expected[clear])
 
 
+def _scaled_squares(rng, rows, kind):
+    """Squares q (diagonal) and e (subdiagonal, then 0) of a lower
+    bidiagonal B of the kind, scaled below 1/4 as the solver scales them,
+    and shifts across B B^T's spectrum."""
+    if kind == "integer":  # exact-zero pivots, and shifts at eigenvalues
+        a, b = rng.integers(-3, 4, size=rows), rng.integers(-3, 4, size=rows - 1)
+    else:
+        a, b = rng.normal(size=rows), rng.normal(size=rows - 1)
+        if kind == "split":
+            b[rng.random(rows - 1) < 0.3] = 0.0
+        if kind in ("graded", "steep"):  # entries over 10^-8..1, or 10^-150..1
+            low = -8 if kind == "graded" else -150
+            a, b = a * 10.0 ** rng.uniform(low, 0, rows), b * 10.0 ** rng.uniform(low, 0, rows - 1)
+    shift = -eigsolve._unit_exponent(max(np.abs(a).max(), np.abs(b).max(initial=0.0)) or 1.0)
+    q, e = np.ldexp(a, shift) ** 2, np.append(np.ldexp(b, shift) ** 2, 0.0)
+    if kind == "integer":
+        tau = np.ldexp(np.arange(1, 8 * rows + 1) / 2.0, 2 * shift)
+    elif kind in ("graded", "steep"):
+        tau = 10.0 ** rng.uniform(-320, 0, 3 * rows + 4)
+    else:
+        tau = rng.uniform(0.0, 1.0, 3 * rows + 4)
+    return q, e, tau
+
+
+def _exact_log_dets(q, e, tau):
+    """log|det(B B^T - t I)| for each t in tau, exactly up to the last
+    log: the continuant of the tridiagonal B B^T (diagonal q_i + e_{i-1},
+    squared offdiagonal q_i e_i) in integers, every float scaled by one
+    power of two; -inf where the determinant vanishes."""
+    scale = max(x.as_integer_ratio()[1] for x in [*q, *e, *tau])
+    q, e = [int(x * scale) for x in map(F, q)], [int(x * scale) for x in map(F, e)]
+    logs = []
+    for t in map(F, tau):
+        t = int(t * scale)
+        before, det = 1, q[0] - t
+        for i in range(1, len(q)):
+            before, det = det, (q[i] + e[i - 1] - t) * det - q[i - 1] * e[i - 1] * before
+        logs.append(math.log(abs(det)) - len(q) * math.log(scale) if det else -math.inf)
+    return np.array(logs)
+
+
+DET_KINDS = ["normal", "integer", "split", "graded", "steep"]
+
+
+@pytest.mark.parametrize("kind", DET_KINDS)
+def test_count_below_determinant_against_exact_ldlt(monkeypatch, kind):
+    # the determinant rides along the count: the counts do not move, its
+    # sign is (-1)^count, and it matches exact arithmetic where finite; on
+    # steep grading most block products underflow and read nan instead
+    rng = np.random.default_rng(DET_KINDS.index(kind))
+    rows = eigsolve._COUNT_ROWS
+    reruns = []
+    count_below = eigsolve._count_below
+
+    def spied(q_, e_, tau_, pivmin=None, det=None):
+        reruns.append(pivmin is not None)
+        return count_below(q_, e_, tau_, pivmin, det)
+
+    monkeypatch.setattr(eigsolve, "_count_below", spied)
+    compared = lost = 0
+    for size in (1, 2, 5, rows - 1, rows, rows + 1):
+        q, e, tau = _scaled_squares(rng, size, kind)
+        mantissa, exponent = np.empty(len(tau)), np.empty(len(tau), dtype=np.intc)
+        count = eigsolve._count_below(q, e, tau, det=(mantissa, exponent))
+        assert np.array_equal(count, eigsolve._count_below(q, e, tau)), (kind, size)
+        known = ~np.isnan(mantissa)
+        assert np.array_equal(np.signbit(mantissa[known]), count[known] % 2 == 1), (kind, size)
+        exact = _exact_log_dets(q, e, tau)
+        finite = np.isfinite(mantissa) & np.isfinite(exact)
+        logs = np.log(np.abs(mantissa[finite])) + exponent[finite] * math.log(2.0)
+        assert np.all(np.abs(logs - exact[finite])
+                      <= 1e-10 * np.maximum(1.0, np.abs(exact[finite]))), (kind, size)
+        compared += finite.sum()
+        lost += len(tau) - known.sum()
+    if kind == "steep":
+        assert lost > 100 and compared > 10, (lost, compared)
+        # two pivots of 2^-530 multiply to a subnormal with 14 bits left
+        det = np.empty(1), np.empty(1, dtype=np.intc)
+        eigsolve._count_below(np.full(2, 2.0 ** -530), np.zeros(2), np.array([2.0 ** -600]), det=det)
+        assert np.isnan(det[0][0])
+    else:
+        assert lost == 0 and compared > 250, (lost, compared)
+    if kind == "integer":
+        assert any(reruns), "no pivot vanished"
+
+
 def _passes_and_widths(monkeypatch, tri):
     """The bisection passes of tri's values, and the number of shifts of
     each count."""
     widths = []
     count_below = eigsolve._count_below
-    monkeypatch.setattr(eigsolve, "_count_below", lambda q, e, tau, pivmin=None:
-                        widths.append(len(tau)) or count_below(q, e, tau, pivmin))
+    monkeypatch.setattr(eigsolve, "_count_below", lambda q, e, tau, pivmin=None, det=None:
+                        widths.append(len(tau)) or count_below(q, e, tau, pivmin, det))
     result = sym_tridiag_eigen(tri)
     monkeypatch.undo()
     return result, widths
@@ -435,13 +521,71 @@ def test_multisection_on_ones_splits_and_small_dimensions(monkeypatch):
                 assert np.abs(values - closed).max() <= 4 * n * EPS, n
 
 
-def test_gallery_needs_at_most_27_passes_at_dimension_1000(monkeypatch):
-    # 31 passes bound two bisection steps a pass; multisection spends the
-    # shifts of a pass on few distinct intervals early, and takes 25 here
+def test_gallery_needs_at_most_15_passes_at_dimension_1000(monkeypatch):
+    # uniform multisection took 25-26 passes here; secant-placed cuts take
+    # 11-12 once the values are apart
     for selector, dim in _gallery_dims(1000, 1001):
         result, widths = _passes_and_widths(monkeypatch, _gallery_tri(selector, dim))
-        assert result.sweeps <= 27, (selector, result.sweeps)
+        assert result.sweeps <= 15, (selector, result.sweeps)
         assert max(widths) <= 3 * (dim // 2)
+
+
+def _halving_passes(monkeypatch, tri):
+    """Solve tri and assert that each pass at least halves the count of
+    floats in every open interval; returns the result and the number of
+    values each pass found predicted by `_secant`."""
+    split, secant = eigsolve._split, eigsolve._secant
+    predicted = []
+
+    def spied_secant(points, dets, scales, alone):
+        table = secant(points, dets, scales, alone)
+        predicted.append(int(np.sum(table[1] > 0)))
+        return table
+
+    def spied_split(q, e, open_, target, points, dets, scales):
+        before = (points[1] - points[0])[open_]
+        split(q, e, open_, target, points, dets, scales)
+        after = (points[1] - points[0])[open_]
+        assert np.all(after <= (before + 1) // 2), (before, after)
+
+    monkeypatch.setattr(eigsolve, "_split", spied_split)
+    monkeypatch.setattr(eigsolve, "_secant", spied_secant)
+    result = sym_tridiag_eigen(tri)
+    monkeypatch.setattr(eigsolve, "_secant", secant)
+    monkeypatch.setattr(eigsolve, "_split", split)
+    return result, predicted
+
+
+@pytest.mark.parametrize("root", ["lower end", "upper end", "nan"])
+def test_secant_misses_still_halve_and_converge(monkeypatch, root):
+    # every predicted secant root forced to an interval end or to nan: the
+    # ladder then misses the value, and the pattern midpoint among the cuts
+    # must still halve each interval, within the pass cap
+    secant = eigsolve._secant
+
+    def forced(points, dets, scales, alone):
+        table = secant(points, dets, scales, alone)
+        x = points.view(float)
+        xhat = {"lower end": x[0], "upper end": x[1], "nan": np.full(x.shape[1], np.nan)}[root]
+        hit = table[1] > 0
+        table[0, hit] = xhat[hit]
+        with np.errstate(invalid="ignore"):
+            table[2:, hit] = (xhat - x[0])[hit] / table[1, hit], (x[1] - xhat)[hit] / table[1, hit]
+        return table
+
+    monkeypatch.setattr(eigsolve, "_secant", forced)
+    predicted = 0
+    draws = [(f"{kind} n {n}", off, scale) for n, kind, off, scale in _lapack_draws()]
+    draws.append(("kac dim 400", np.array(_gallery_tri("kac", 400).offdiagonal), 1.0))
+    for label, off, scale in draws:
+        n = len(off) + 1
+        result, counts = _halving_passes(monkeypatch, FloatTridiag((0.0,) * n, tuple(off * scale)))
+        ref = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) * scale
+        tol = 4 * n * EPS * max(np.abs(off).max(), 1.0) * scale
+        assert np.abs(result.values - ref).max() <= tol, label
+        assert result.sweeps <= eigsolve._MAX_PASSES, label
+        predicted += sum(counts)
+    assert predicted > 1000
 
 
 def test_sweeps_reports_bisection_passes(monkeypatch):
