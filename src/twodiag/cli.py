@@ -176,8 +176,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    for e in _gallery_matrix(args).spectrum.entries:
-        print(f"{e.sign:+d} {e.radicand} {float(e):.17g}")
+    spectrum = _gallery_matrix(args).spectrum
+    for e, v in zip(spectrum.entries, spectrum.floats()):
+        print(f"{e.sign:+d} {e.radicand} {v:.17g}")
     return 0
 
 

@@ -126,9 +126,8 @@ _FREXP_MIN = np.frexp(np.finfo(float).tiny)[1]
 _PIVMIN = _EPS ** 2
 
 
-def _count_below(q: np.ndarray, e: np.ndarray, tau: np.ndarray,
-                 pivmin: Optional[float] = None,
-                 det: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+def _count_below(q: np.ndarray, e: np.ndarray, tau: np.ndarray, pivmin: Optional[float] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each shift tau, the number of eigenvalues of B B^T = L D L^T
     below tau, where L D L^T has pivots q and l_i^2 d_i = e_i: the number
     of negative pivots of L D L^T - tau I, from the dstqds recurrence
@@ -140,23 +139,19 @@ def _count_below(q: np.ndarray, e: np.ndarray, tau: np.ndarray,
     full: four numpy calls per row.  Memory is the block and a few rows the
     length of tau.
 
-    Given det, a float and an intc array the length of tau, the product of
-    the pivots, det(L D L^T - tau I), goes into them as a mantissa and a
-    binary exponent: one product over each block's rows and one frexp.
-    The mantissa is nan where a running product fell below the normal
-    floats or to zero, and so lost digits, and inf where it overflowed."""
+    With the counts come the products of the pivots, det(L D L^T - tau I),
+    as a float mantissa and an intc binary exponent: one product over each
+    block's rows and one frexp.  The mantissa is nan where a running
+    product fell below the normal floats or to zero, and so lost digits,
+    and inf where it overflowed."""
     s = -tau
     block = np.empty((min(_COUNT_ROWS, len(q)), len(tau)))
     # the signs of the block's pivots, and a last row for their sum
     negative = np.empty((len(block) + 1, len(tau)), dtype=bool)
     tally = negative[-1].view(np.uint8)
     count = np.zeros(tau.shape, dtype=np.intp)
-    if det is not None:
-        mantissa, exponent = det
-        mantissa.fill(1.0)
-        exponent.fill(0)
-        product = np.empty(len(tau))
-        scale = np.empty(len(tau), dtype=np.intc)
+    mantissa, exponent = np.ones(len(tau)), np.zeros(len(tau), dtype=np.intc)
+    product, scale = np.empty(len(tau)), np.empty(len(tau), dtype=np.intc)
     # the ufuncs bound locally and `out` passed positionally: the row loop
     # is call overhead
     add, divide, multiply, subtract = np.add, np.divide, np.multiply, np.subtract
@@ -174,27 +169,24 @@ def _count_below(q: np.ndarray, e: np.ndarray, tau: np.ndarray,
             # a bytewise sum, exact below 256 rows, is the fast reduction
             signs = np.less(d, 0, out=negative[:len(d)])
             count += signs.view(np.uint8).sum(axis=0, dtype=np.uint8, out=tally)
-            if det is not None:
-                multiply(mantissa, multiply.reduce(d, axis=0, out=product), mantissa)
-                np.frexp(mantissa, mantissa, scale)
-                exponent += scale
-                # a product below the normal floats has lost digits; nan
-                # then stays
-                if scale.min() < _FREXP_MIN:
-                    mantissa[scale < _FREXP_MIN] = np.nan
+            multiply(mantissa, multiply.reduce(d, axis=0, out=product), mantissa)
+            np.frexp(mantissa, mantissa, scale)
+            exponent += scale
+            # a product below the normal floats has lost digits; nan then
+            # stays
+            if scale.min() < _FREXP_MIN:
+                mantissa[scale < _FREXP_MIN] = np.nan
     # so has a product that fell to zero (a zero pivot sends its shift to
     # the rerun); the masks are made only where a minimum, a test for zeros
     # or a sum (inf or nan once one term is) says so
-    if det is not None and not mantissa.all():
+    if not mantissa.all():
         mantissa[mantissa == 0.0] = np.nan
     if pivmin is None and not math.isfinite(s.sum()):
         vanished = ~np.isfinite(s)
         if vanished.any():
-            rerun = None if det is None else (mantissa[vanished], exponent[vanished])
-            count[vanished] = _count_below(q, e, tau[vanished], _PIVMIN, rerun)
-            if det is not None:
-                mantissa[vanished], exponent[vanished] = rerun
-    return count
+            count[vanished], mantissa[vanished], exponent[vanished] = _count_below(
+                q, e, tau[vanished], _PIVMIN)
+    return count, mantissa, exponent
 
 
 def _secant(points: np.ndarray, dets: np.ndarray, scales: np.ndarray,
@@ -303,8 +295,7 @@ def _split(q: np.ndarray, e: np.ndarray, open_: np.ndarray, target: np.ndarray,
     b = (3 * len(lo) // intervals + 1).bit_length() - 1
     shifts = (1 << b) - 1
     cuts = _cuts(points, dets, scales, first, last, b)
-    inner = (np.empty(intervals * shifts), np.empty(intervals * shifts, dtype=np.intc))
-    count = _count_below(q, e, cuts[:, 1:-1].view(float).ravel(), det=inner)
+    count, cut_dets, cut_scales = _count_below(q, e, cuts[:, 1:-1].view(float).ravel())
     # the part whose ends' counts bracket the target, by one search: an
     # offset of len(q) + 1 per interval keeps each one's counts apart; a
     # closed value's part, which is not used, is clipped into its row
@@ -319,8 +310,8 @@ def _split(q: np.ndarray, e: np.ndarray, open_: np.ndarray, target: np.ndarray,
     column = part + np.array([[0], [1], [-1]])
     column[2, part == 0] = 2
     at = row * shifts + column - 1
-    np.clip(at, 0, len(inner[0]) - 1, out=at)
-    mantissa, exponent = inner[0][at], inner[1][at]
+    np.clip(at, 0, len(cut_dets) - 1, out=at)
+    mantissa, exponent = cut_dets[at], cut_scales[at]
     for end, cut in ((0, 0), (1, shifts + 1)):
         np.copyto(mantissa, dets[end], where=column == cut)
         np.copyto(exponent, scales[end], where=column == cut)
@@ -659,9 +650,9 @@ def build_gallery_matrix(selector: str, n: int,
 
 
 def to_float_tridiag(m: MatrixWithSpectrum) -> FloatTridiag:
-    """The real symmetric twin: offdiagonal sqrt(float(q_i)) straight from
-    the squares q_i, which are the products b_i c_i of an integer form.
-    Raises NegativeProduct when some b_i c_i < 0."""
+    """The real symmetric twin: offdiagonal sqrt(q_i) by `sqrt_floats`,
+    straight from the squares q_i, which are the products b_i c_i of an
+    integer form.  Raises NegativeProduct when some b_i c_i < 0."""
     squares = m.matrix.products()
     if isinstance(m.matrix, TwoDiagonal):
         nonnegative_squares(squares)

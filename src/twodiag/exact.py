@@ -2,8 +2,8 @@
 series, sums of products as one Fraction, common denominators, and scaled
 square roots of rationals.
 
-Everything here is pure and exact; no floats enter until a caller asks for
-a float rendering.
+Everything here is pure and exact; the one way out to floats is
+`root_floats`, which rounds every c * sqrt(r) the program renders.
 """
 
 from __future__ import annotations
@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import Iterable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 RationalLike = Union[Fraction, int]
 
@@ -142,6 +145,18 @@ def _isqrt_exact(m: int) -> int | None:
     return s if s * s == m else None
 
 
+def root_floats(coef_num: Iterable[int], coef_den: Iterable[int],
+                rad_num: Iterable[int], rad_den: Iterable[int]) -> np.ndarray:
+    """The floats of c_i sqrt(r_i), c_i = coef_num[i]/coef_den[i] and r_i =
+    rad_num[i]/rad_den[i] >= 0: each rational rounded once by an int true
+    division (OverflowError past the float range), IEEE sqrt, one product
+    (inf on overflow), and +0.0 for a zero of either sign."""
+    c = np.array(list(map(truediv, coef_num, coef_den)), dtype=float)
+    r = np.array(list(map(truediv, rad_num, rad_den)), dtype=float)
+    with np.errstate(over="ignore"):
+        return c * np.sqrt(r) + 0.0
+
+
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -206,7 +221,9 @@ class ScaledRoot:
         return ScaledRoot(-self.coef, self.radicand)
 
     def __float__(self) -> float:
-        return float(self.coef) * math.sqrt(float(self.radicand))
+        c, r = self.coef, self.radicand
+        return float(root_floats((c.numerator,), (c.denominator,),
+                                 (r.numerator,), (r.denominator,))[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScaledRoot):
@@ -225,3 +242,10 @@ class ScaledRoot:
 
     def __repr__(self) -> str:
         return f"{self.coef}*sqrt({self.radicand})"
+
+
+def scaled_root_floats(roots: Sequence[ScaledRoot]) -> np.ndarray:
+    """float(e) of each ScaledRoot e, in one call of `root_floats`."""
+    coefs, rads = [e.coef for e in roots], [e.radicand for e in roots]
+    return root_floats([c.numerator for c in coefs], [c.denominator for c in coefs],
+                       [r.numerator for r in rads], [r.denominator for r in rads])

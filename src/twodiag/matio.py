@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .eigsolve import FloatTridiag
-from .matrices import SymTridiag, TwoDiagonal, nonnegative_squares, sqrt_floats
+from .matrices import SymTridiag, TwoDiagonal, nonnegative_squares
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 
@@ -38,8 +38,7 @@ def matrix_market_text(m: TwoDiagonal | SymTridiag) -> str:
             if c != 0:
                 entries.append((i + 1, i, float(c)))
     else:
-        for i, off in enumerate(m.offdiagonal, start=1):
-            v = float(off)
+        for i, v in enumerate(m.offdiag_floats(), start=1):
             if v != 0.0:
                 entries.append((i, i + 1, v))
                 entries.append((i + 1, i, v))
@@ -103,26 +102,21 @@ def mm_to_float_tridiag(dim: int, entries: List[Tuple[int, int, float]]) -> Floa
     `parse_matrix_market`; a non-symmetric two-diagonal input is
     symmetrized through the products of paired entries, a negative or
     non-finite one refused."""
-    sup = [0.0] * (dim - 1)
-    sub = [0.0] * (dim - 1)
-    diag = [0.0] * dim
+    # the diagonal, the superdiagonal and the subdiagonal, by j - i
+    bands = {0: [0.0] * dim, 1: [0.0] * (dim - 1), -1: [0.0] * (dim - 1)}
     for i, j, v in entries:
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ParseError(f"entry ({i},{j}) outside the {dim} x {dim} matrix", None)
-        if i == j:
-            diag[i - 1] = v
-        elif j == i + 1:
-            sup[i - 1] = v
-        elif i == j + 1:
-            sub[j - 1] = v
-        else:
+        if j - i not in bands:
             raise ParseError(f"entry ({i},{j}) outside the tridiagonal band", None)
+        bands[j - i][min(i, j) - 1] = v
+    diag, sup, sub = bands.values()
     # `or 0.0` drops the sign of a zero product, whose root would be -0.0
     squares = nonnegative_squares(b * c or 0.0 for b, c in zip(sup, sub))
     for i, q in enumerate(squares, start=1):
         if not math.isfinite(q):
             raise ParseError(f"entries ({i},{i + 1}) and ({i + 1},{i}) have product {q}", None)
-    return FloatTridiag(tuple(diag), tuple(sqrt_floats(squares)))
+    return FloatTridiag(tuple(diag), tuple(map(math.sqrt, squares)))
 
 
 def exact_text(m: TwoDiagonal) -> str:
@@ -179,5 +173,5 @@ def json_text(label: str, params: Dict[str, str], m: TwoDiagonal | SymTridiag) -
         doc["subdiagonal"] = [str(v) for v in m.sub]
     else:
         doc["offdiagonal_squares"] = [str(v.square) for v in m.offdiagonal]
-        doc["offdiagonal"] = [float(v) for v in m.offdiagonal]
+        doc["offdiagonal"] = m.offdiag_floats()
     return json.dumps(doc, indent=2) + "\n"

@@ -33,7 +33,7 @@ import numpy as np
 
 from .doubles import (DoubleCase, case_record, coefficients, eig_squares, even_row_params,
                       matrix_squares)
-from .exact import RationalLike, ScaledRoot
+from .exact import RationalLike, ScaledRoot, root_floats, scaled_root_floats
 from .families import (
     DualHahnParams,
     FamilyParams,
@@ -96,10 +96,11 @@ def nonnegative_squares(squares: Iterable[RationalLike]) -> List[RationalLike]:
     return out
 
 
-def sqrt_floats(squares: Iterable[RationalLike]) -> List[float]:
-    """sqrt(float(q)) of each square q >= 0, float(ScaledRoot.sqrt(q)) bit
-    for bit: coef is 0 or 1, and sqrt is correctly rounded."""
-    return np.sqrt([float(q) for q in squares]).tolist()
+def sqrt_floats(squares: Sequence[RationalLike]) -> List[float]:
+    """The floats of sqrt(q) for the squares q >= 0, by `root_floats`."""
+    ones = [1] * len(squares)
+    return root_floats(ones, ones, [q.numerator for q in squares],
+                       [q.denominator for q in squares]).tolist()
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class SymTridiag:
         return [m.square for m in self.offdiagonal]
 
     def offdiag_floats(self) -> List[float]:
-        return sqrt_floats(self.products())
+        return scaled_root_floats(self.offdiagonal).tolist()
 
 
 @dataclass(frozen=True, init=False)
@@ -175,9 +176,8 @@ class Spectrum:
         return (*(-r for r in reversed(roots)), *[ScaledRoot.zero()] * self.zeros, *roots)
 
     def floats(self) -> List[float]:
-        """The entries in floating point, bit for bit float(ScaledRoot):
-        -+sqrt(float(s)), and +0.0 for a zero."""
-        roots = [math.sqrt(float(s)) for s in self.squares]
+        """The entries' floats, ascending: -+sqrt(s) by `sqrt_floats`, +0.0 for a zero."""
+        roots = sqrt_floats(self.squares)
         return [-r for r in reversed(roots)] + [0.0] * self.zeros + roots
 
 
@@ -233,26 +233,13 @@ def _linear_factors(squares: Sequence[RationalLike]) -> Tuple[List[int], int]:
     return poly, lead
 
 
-def charpoly_from_products(products: Sequence[RationalLike]) -> List[Fraction]:
-    """Ascending coefficients of det(lambda I - A) for a zero-diagonal
-    tridiagonal A with offdiagonal products q_0, q_1, ...: those of
-    `_minor_recurrence`, each divided by the leading one."""
+def charpoly(m: TwoDiagonal | SymTridiag) -> List[Fraction]:
+    """Ascending coefficients of det(lambda I - m): those of
+    `_minor_recurrence` of m's products, each divided by the leading one."""
+    products = m.products()
     coeffs, lead = _minor_recurrence(products)
     out = [Fraction(0)] * (len(products) + 2)
     out[(len(products) + 1) % 2::2] = [Fraction(c, lead) for c in coeffs]
-    return out
-
-
-def charpoly(m: TwoDiagonal | SymTridiag) -> List[Fraction]:
-    return charpoly_from_products(m.products())
-
-
-def spectrum_poly(zeros: int, squares: Sequence[RationalLike]) -> List[Fraction]:
-    """Ascending coefficients of lambda^zeros prod(lambda^2 - s): those of
-    `_linear_factors`, each divided by the leading one."""
-    coeffs, lead = _linear_factors(squares)
-    out = [Fraction(0)] * (zeros + 2 * len(squares) + 1)
-    out[zeros::2] = [Fraction(c, lead) for c in coeffs]
     return out
 
 
@@ -424,17 +411,17 @@ class EigvecTables:
     parity: Tuple[int, ...]
 
     def to_float(self) -> np.ndarray:
-        """U in floating point, bit for bit each exact entry converted
-        (float(ScaledRoot)): P/Q and rho * kappa are int true divisions, so
-        each is the correctly rounded value of the reduced fraction, the
-        root is correctly rounded, and an exact zero ends +0.0."""
-        scales = [[(k.numerator, k.denominator) for k in kappa] for kappa in self.kappa]
-        vals, rads = [], []
-        for r, (q, ps, rho) in enumerate(zip(self.q, self.p, self.rho)):
-            a, b = rho.numerator, rho.denominator
-            vals.append([p / q for p in ps])
-            rads.append([(kn * a) / (kd * b) for kn, kd in scales[r % 2]])
-        u = np.take(np.array(vals) * np.sqrt(rads), self.grid, axis=1)
+        """U in floating point: `root_floats` of P/Q and rho * kappa per row
+        and grid point, from their integers, with no Fraction per entry; then
+        the column map and the parity signs, after which a zero is +0.0."""
+        top = [p for ps in self.p for p in ps]
+        bottom = [q for q, ps in zip(self.q, self.p) for _ in ps]
+        # the radicands' large integers are made one at a time, as read
+        kappa = [[(k.numerator, k.denominator) for k in ks] for ks in self.kappa]
+        rads = [(rho.numerator, rho.denominator, kappa[r % 2]) for r, rho in enumerate(self.rho)]
+        u = root_floats(top, bottom, (kn * a for a, _, ks in rads for kn, _ in ks),
+                        (kd * b for _, b, ks in rads for _, kd in ks))
+        u = np.take(u.reshape(len(self.q), -1), self.grid, axis=1)
         u[1::2] *= self.parity
         return u + 0.0
 
@@ -460,7 +447,8 @@ class EigvecMatrix:
     straight away.  `entries`, the exact entries coef * sqrt(radicand), is
     built from the tables on first read.  Entries passed in (as by
     dataclasses.replace(u, entries=rows)) take the place of the tables: the
-    copy has none, and its float U is those entries converted one by one.
+    copy has none, and its float U is those entries converted by
+    `scaled_root_floats`.
     """
 
     case: DoubleCase
@@ -476,7 +464,7 @@ class EigvecMatrix:
         else:
             tables = None
             self.__dict__["entries"] = entries
-            floats = np.array([[float(e) for e in row] for row in entries])
+            floats = scaled_root_floats([e for row in entries for e in row]).reshape(dim, dim)
         floats.flags.writeable = False
         for name, value in (("case", case), ("dim", dim), ("eigencolumn", eigencolumn),
                             ("tables", tables), ("_floats", floats)):
@@ -491,7 +479,7 @@ class EigvecMatrix:
         return self._floats
 
     def d_floats(self) -> np.ndarray:
-        return np.array([float(e) for e in self.eigencolumn])
+        return scaled_root_floats(self.eigencolumn)
 
 
 def _positive_tables(fam: FamilyParams) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:

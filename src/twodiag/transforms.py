@@ -156,8 +156,6 @@ def verify_same_family(case: DoubleCase, params: FamilyParams) -> List[Fraction]
     hatted = [(x, family_column(cs.hatted, x + cs.xshift)) for x in clear]
     for n in range(n_top):
         bn = cs.b(n)
-        if bn == 0:
-            continue
         for x, column in hatted:
             yh = column[n]
             res.append(sum_of_products(((data.kernel(n, x), bn), (-1, c, yh)), over=bn))

@@ -294,8 +294,7 @@ def suite_spectra(rng: random.Random, max_n: int, draws: int) -> List[CheckOutco
             for n in range(1, ext_n + 1):
                 mo = extended_kac_odd(n, g, -g - 1)
                 c.ok &= _certified(mo)
-                c.ok &= ([float(e) for e in mo.spectrum.entries]
-                         == [float(v) for v in range(-2 * n, 2 * n + 1, 2)])
+                c.ok &= mo.spectrum.floats() == [float(v) for v in range(-2 * n, 2 * n + 1, 2)]
 
     for word, build, cases in (("double", double_matrix, MATRIX_CASES),
                                ("nonsym", nonsymmetric_form, NONSYM_CASES)):

@@ -321,10 +321,10 @@ def test_count_below_recovers_from_vanishing_pivots():
         eig = np.linalg.eigvalsh(bmat @ bmat.T)
         tau = np.arange(1, 4 * k + 1) / 2.0
         tau = tau[np.abs(eig[:, None] - tau).min(axis=0) > 1e-9]
-        count = _count_below(a ** 2, np.append(b ** 2, 0.0), tau)
+        count = _count_below(a ** 2, np.append(b ** 2, 0.0), tau)[0]
         assert np.array_equal(count, (eig[:, None] < tau).sum(axis=0)), (a, b)
     # D_0 = 1 - 1 vanishes, so the first count is not finite
-    assert _count_below(np.ones(3), np.array([1.0, 1.0, 0.0]), np.array([1.0]))[0] == 1
+    assert _count_below(np.ones(3), np.array([1.0, 1.0, 0.0]), np.array([1.0]))[0][0] == 1
 
 
 def _bidiagonal_squares(rng, rows):
@@ -365,12 +365,12 @@ def test_count_below_across_block_edges():
         q, e = _bidiagonal_squares(rng, half)
         tau = np.linspace(0.01, 5.0, 3 * half + 4)
         expected, clear = _dense_counts(q, e, tau)
-        assert np.array_equal(_count_below(q, e, tau)[clear], expected[clear]), half
+        assert np.array_equal(_count_below(q, e, tau)[0][clear], expected[clear]), half
         # squares and shifts graded over 10^-320..1: the blocked count is the
         # row-by-row recurrence, shift by shift
         q, e = q * 10.0 ** rng.uniform(-300, 0, half), e * 10.0 ** rng.uniform(-300, 0, half)
         tau = 10.0 ** rng.uniform(-320, 0, 3 * half + 4)
-        assert (_count_below(q, e, tau).tolist()
+        assert (_count_below(q, e, tau)[0].tolist()
                 == [_row_by_row_count(q, e, t) for t in tau]), half
 
 
@@ -389,13 +389,13 @@ def test_count_below_reruns_a_pivot_vanishing_in_the_second_block(monkeypatch):
     reruns = []
     count_below = eigsolve._count_below
 
-    def spied(q_, e_, tau_, pivmin=None, det=None):
+    def spied(q_, e_, tau_, pivmin=None):
         if pivmin is not None:
             reruns.append(tau_.tolist())
-        return count_below(q_, e_, tau_, pivmin, det)
+        return count_below(q_, e_, tau_, pivmin)
 
     monkeypatch.setattr(eigsolve, "_count_below", spied)
-    count = eigsolve._count_below(q, e, tau)
+    count = eigsolve._count_below(q, e, tau)[0]
     assert reruns == [[0.1]]
     expected, clear = _dense_counts(q, e, tau)
     assert clear[0] and count[0] == expected[0] == 1
@@ -448,25 +448,25 @@ DET_KINDS = ["normal", "integer", "split", "graded", "steep"]
 
 @pytest.mark.parametrize("kind", DET_KINDS)
 def test_count_below_determinant_against_exact_ldlt(monkeypatch, kind):
-    # the determinant rides along the count: the counts do not move, its
-    # sign is (-1)^count, and it matches exact arithmetic where finite; on
+    # the determinant rides along the count: the counts are the row-by-row
+    # recurrence's, its sign is (-1)^count, and it matches exact arithmetic where finite; on
     # steep grading most block products underflow and read nan instead
     rng = np.random.default_rng(DET_KINDS.index(kind))
     rows = eigsolve._COUNT_ROWS
     reruns = []
     count_below = eigsolve._count_below
 
-    def spied(q_, e_, tau_, pivmin=None, det=None):
+    def spied(q_, e_, tau_, pivmin=None):
         reruns.append(pivmin is not None)
-        return count_below(q_, e_, tau_, pivmin, det)
+        return count_below(q_, e_, tau_, pivmin)
 
     monkeypatch.setattr(eigsolve, "_count_below", spied)
     compared = lost = 0
     for size in (1, 2, 5, rows - 1, rows, rows + 1):
         q, e, tau = _scaled_squares(rng, size, kind)
-        mantissa, exponent = np.empty(len(tau)), np.empty(len(tau), dtype=np.intc)
-        count = eigsolve._count_below(q, e, tau, det=(mantissa, exponent))
-        assert np.array_equal(count, eigsolve._count_below(q, e, tau)), (kind, size)
+        count, mantissa, exponent = eigsolve._count_below(q, e, tau)
+        assert count.tolist() == [_row_by_row_count(q, e, t) for t in tau], (kind, size)
+        assert mantissa.shape == exponent.shape == tau.shape and exponent.dtype == np.intc
         known = ~np.isnan(mantissa)
         assert np.array_equal(np.signbit(mantissa[known]), count[known] % 2 == 1), (kind, size)
         exact = _exact_log_dets(q, e, tau)
@@ -479,9 +479,8 @@ def test_count_below_determinant_against_exact_ldlt(monkeypatch, kind):
     if kind == "steep":
         assert lost > 100 and compared > 10, (lost, compared)
         # two pivots of 2^-530 multiply to a subnormal with 14 bits left
-        det = np.empty(1), np.empty(1, dtype=np.intc)
-        eigsolve._count_below(np.full(2, 2.0 ** -530), np.zeros(2), np.array([2.0 ** -600]), det=det)
-        assert np.isnan(det[0][0])
+        det = eigsolve._count_below(np.full(2, 2.0 ** -530), np.zeros(2), np.array([2.0 ** -600]))
+        assert np.isnan(det[1][0])
     else:
         assert lost == 0 and compared > 250, (lost, compared)
     if kind == "integer":
@@ -493,8 +492,8 @@ def _passes_and_widths(monkeypatch, tri):
     each count."""
     widths = []
     count_below = eigsolve._count_below
-    monkeypatch.setattr(eigsolve, "_count_below", lambda q, e, tau, pivmin=None, det=None:
-                        widths.append(len(tau)) or count_below(q, e, tau, pivmin, det))
+    monkeypatch.setattr(eigsolve, "_count_below", lambda q, e, tau, pivmin=None:
+                        widths.append(len(tau)) or count_below(q, e, tau, pivmin))
     result = sym_tridiag_eigen(tri)
     monkeypatch.undo()
     return result, widths

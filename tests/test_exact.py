@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodiag.exact import (
@@ -15,6 +15,8 @@ from twodiag.exact import (
     over_lcm,
     pochhammer,
     rbinom,
+    root_floats,
+    scaled_root_floats,
     sum_of_products,
 )
 
@@ -292,3 +294,62 @@ def test_sum_of_products_keeps_every_denominator():
     assert sum_of_products([]) == 0 and type(sum_of_products([])) is F
     with pytest.raises(ZeroDivisionError):
         sum_of_products(terms, over=F(0))
+
+
+def _scalar_rule(c, r):
+    """c * sqrt(r) as the scalar conversion rounds it, +0.0 for a zero."""
+    v = float(c) * math.sqrt(float(r))
+    return v if v else 0.0
+
+
+# 70-bit integers with every bit drawn: a single `st.integers` draw of
+# this size comes with its low bits zero, exact in a float
+_BITS70 = st.builds(lambda high, low: high << 35 | low,
+                    st.integers(2 ** 34, 2 ** 35 - 1), st.integers(0, 2 ** 35 - 1))
+
+# rationals as (numerator, denominator): small ones; 70-bit ones, which
+# int true division rounds once and float(n) / float(d) twice, scaled by
+# 2^-1090..2^950, beyond the subnormals down to near the largest float;
+# and zeros
+_RATIONALS = st.one_of(
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+    st.builds(lambda n, sign, d, k: (sign * n << k, d) if k >= 0 else (sign * n, d << -k),
+              _BITS70, st.sampled_from((1, -1)), _BITS70, st.integers(-1090, 950)),
+    st.tuples(st.just(0), st.integers(1, 10 ** 6)),
+)
+
+
+def _over_either_sign(rationals):
+    """The pairs, each also as (-n, -d), the same rational over a negative
+    denominator."""
+    return st.builds(lambda pair, flip: (-pair[0], -pair[1]) if flip else pair,
+                     rationals, st.booleans())
+
+
+_COEFS = _over_either_sign(_RATIONALS)
+_RADICANDS = _over_either_sign(_RATIONALS.map(lambda pair: (abs(pair[0]), pair[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COEFS, _RADICANDS), max_size=8))
+@example([((0, -3), (5, 1)), ((-1, 1), (0, 7)), ((3, 1), (0, -2)), ((0, -1), (0, -1))])
+@example([(((2 ** 53 - 1) << 971, 1), (1, 1)), ((-1, 2 ** 1074), (4, 1)),
+          ((1, 2 ** 1075), (1, 1)), ((1 << 1000, 1), ((1 << 1020) + 1, 3)),
+          ((-(2 ** 600), 3), (1, 2 ** 1070))])
+def test_root_floats_is_the_scalar_rule(pairs):
+    # signed and zero coefficients, zero radicands, zeros over negative
+    # denominators, and values near both ends of the float range, where a
+    # product may overflow to inf
+    got = root_floats([c[0] for c, _ in pairs], [c[1] for c, _ in pairs],
+                      [r[0] for _, r in pairs], [r[1] for _, r in pairs])
+    want = [_scalar_rule(F(*c), F(*r)) for c, r in pairs]
+    assert got.dtype == float and got.shape == (len(pairs),)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+    roots = [ScaledRoot(F(*c), F(*r)) for c, r in pairs]
+    assert [float(e).hex() for e in roots] == [x.hex() for x in want]
+    assert [x.hex() for x in scaled_root_floats(roots).tolist()] == [x.hex() for x in want]
+
+
+def test_root_floats_refuses_a_rational_past_the_float_range():
+    with pytest.raises(OverflowError):
+        root_floats([1 << 1024], [1], [1], [1])

@@ -185,3 +185,38 @@ def test_matrix_market_refuses_entries_outside_the_band():
     assert "band" in str(err.value)
     # diagonal entries stay allowed
     assert parse_matrix_market(f"{MM_HEADER}\n2 2 1\n2 2 1.0\n") == (2, [(2, 2, 1.0)])
+    assert mm_to_float_tridiag(2, [(2, 2, 1.0)]).diagonal == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("", 1, "missing MatrixMarket header"),
+    ("not a header\n1 1 1\n", 1, "missing MatrixMarket header"),
+    (f"{MM_HEADER}\n3 x 2\n", 2, "bad size line '3 x 2'"),
+    (f"{MM_HEADER}\n% comment\n3 3\n", 3, "bad size line '3 3'"),
+    (f"{MM_HEADER}\n3 3 1\n1 2\n", 3, "expected 'i j value', got '1 2'"),
+    (f"{MM_HEADER}\n3 3 1\n1 2 x\n", 3, "bad entry '1 2 x'"),
+    (f"{MM_HEADER}\n3 3 1\n1.5 2 1\n", 3, "bad entry '1.5 2 1'"),
+    (f"{MM_HEADER}\n\n3 3 3\n1 2 1.0\n2 1 1.0\n", 3, "declared 3 entries, found 2"),
+])
+def test_matrix_market_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_matrix_market(text)
+    assert str(err.value) == f"line {line}: {message}" and err.value.line == line
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("", 1, "empty input"),
+    ("\n  \n", 1, "empty input"),
+    ("3 3\n", 1, "expected 'dim m n', got '3 3'"),
+    ("dim 3 x\n", 1, "bad dimensions in 'dim 3 x'"),
+    ("\ndim 3 4\n", 2, "need a square matrix of dimension >= 2"),
+    ("dim 1 1\n", 1, "need a square matrix of dimension >= 2"),
+    ("dim 3 3\n1 2\n", 2, "expected 'i j p/q', got '1 2'"),
+    ("dim 3 3\n1 2 1/0\n", 2, "bad entry '1 2 1/0'"),
+    ("dim 3 3\n1 4 1\n", 2, "entry (1,4) outside the 3 x 3 matrix"),
+    ("dim 3 3\n1 2 1\n2 2 1\n", 3, "entry (2,2) outside the off-diagonal band"),
+])
+def test_exact_text_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_exact_text(text)
+    assert str(err.value) == f"line {line}: {message}" and err.value.line == line

@@ -35,7 +35,6 @@ from twodiag.matrices import (
     UnsupportedCase,
     case_spectrum,
     charpoly,
-    charpoly_from_products,
     double_matrix,
     eigen_residual,
     eigvec_matrix,
@@ -44,7 +43,6 @@ from twodiag.matrices import (
     nonsymmetric_form,
     orthogonality_residual,
     similarity_scale_squares,
-    spectrum_poly,
     sylvester_kac,
     symmetrize,
     verify_spectrum_exact,
@@ -64,15 +62,20 @@ def test_sylvester_kac_small():
 
 
 def test_charpoly_small_cases():
-    assert charpoly_from_products([F(5)]) == [F(-5), F(0), F(1)]  # l^2 - 5
+    assert charpoly(TwoDiagonal((F(5),), (F(1),))) == [F(-5), F(0), F(1)]  # l^2 - 5
     p, q = F(2, 3), F(7, 5)
-    assert charpoly_from_products([p, q]) == [F(0), -(p + q), F(0), F(1)]  # l^3 - (p+q) l
+    # l^3 - (p+q) l
+    assert charpoly(TwoDiagonal((p, F(1)), (F(1), q))) == [F(0), -(p + q), F(0), F(1)]
     assert charpoly(sylvester_kac(3).matrix) == [F(9), F(0), F(-10), F(0), F(1)]
+    # its integer kernel: D P(mu) = 15 mu - 31, D the lcm of the denominators
+    assert matrices._minor_recurrence([p, q]) == ([-31, 15], 15)
 
 
-def test_spectrum_poly_expansion():
-    # lambda^1 (lambda^2 - 1)(lambda^2 - 9) = l^5 - 10 l^3 + 9 l
-    assert spectrum_poly(1, [F(1), F(9)]) == [F(0), F(9), F(0), F(-10), F(0), F(1)]
+def test_linear_factors_expansion():
+    # (mu - 1)(mu - 9) = mu^2 - 10 mu + 9, and (2 mu - 1)(mu - 3), over
+    # the squares' denominators
+    assert matrices._linear_factors([F(1), F(9)]) == ([9, -10, 1], 1)
+    assert matrices._linear_factors([F(1, 2), F(3)]) == ([3, -7, 2], 2)
 
 
 def test_kac_certified_up_to_20():
@@ -720,14 +723,23 @@ def _lambda_spectrum_poly(zeros, squares):
     return poly
 
 
+def _matches_lambda(kernel, oracle, low):
+    """Whether an integer kernel's (D P(mu), D) is D times the lambda
+    oracle's coefficients of lambda^low, lambda^(low + 2), ..., D is the
+    leading coefficient, and the oracle's other coefficients vanish."""
+    coeffs, lead = kernel
+    return (coeffs[-1] == lead and [lead * c for c in oracle[low::2]] == coeffs
+            and not any(oracle[:low]) and not any(oracle[low + 1::2]))
+
+
 @pytest.mark.parametrize("selector", FAMILY_CHOICES)
 def test_charpoly_in_lambda_squared_equals_lambda_recurrence(selector):
     for n in (1, 2, 5, 8):
         m = build_gallery_matrix(selector, n)
         assert charpoly(m.matrix) == _lambda_charpoly(m.matrix.products()), n
         s = m.spectrum
-        assert (spectrum_poly(s.zeros, s.squares)
-                == _lambda_spectrum_poly(s.zeros, s.squares)), n
+        assert _matches_lambda(matrices._linear_factors(s.squares),
+                               _lambda_spectrum_poly(s.zeros, s.squares), s.zeros), n
 
 
 # rationals for the certificate properties: zero, small, integer and
@@ -742,14 +754,16 @@ RATIONALS = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(RATIONALS, max_size=24))
-def test_charpoly_from_products_equals_lambda_oracle(products):
-    assert charpoly_from_products(products) == _lambda_charpoly(products)
+def test_minor_recurrence_equals_lambda_oracle(products):
+    assert _matches_lambda(matrices._minor_recurrence(products), _lambda_charpoly(products),
+                           (len(products) + 1) % 2)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 6), st.lists(RATIONALS, max_size=9))
-def test_spectrum_poly_equals_lambda_oracle(zeros, squares):
-    assert spectrum_poly(zeros, squares) == _lambda_spectrum_poly(zeros, squares)
+def test_linear_factors_equal_lambda_oracle(zeros, squares):
+    assert _matches_lambda(matrices._linear_factors(squares),
+                           _lambda_spectrum_poly(zeros, squares), zeros)
 
 
 def _block_diagonal(blocks):
@@ -808,7 +822,7 @@ MIXED = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 7, 9,
 
 
 def _fraction_comparison(products, zeros, squares):
-    return charpoly_from_products(products) == spectrum_poly(zeros, squares)
+    return _lambda_charpoly(products) == _lambda_spectrum_poly(zeros, squares)
 
 
 @settings(max_examples=80, deadline=None)
